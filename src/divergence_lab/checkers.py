@@ -17,14 +17,14 @@ import numpy as np
 
 from .divergences import DivergenceSpec
 from .simplex import (Channel, Distribution, SufficiencyScenario,
-                      binary_channel, merge_transform, push_forward,
-                      split_transform)
+                      merge_transform, push_forward, split_transform)
 
 DPI_ABS_TOL = 1e-9
 DPI_REL_TOL = 1e-7
 SUFFICIENCY_TOL = 1e-9
 DECOMPOSABLE_TOL = 1e-10
 NOT_A_PROOF = "no_violation_found is evidence from finite search, not a proof"
+VIOLATION_SHOWN = "violation is shown by the witness: its gap exceeds the tolerance"
 
 
 @dataclass
@@ -256,7 +256,8 @@ def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
                            note="flagged point did not survive re-evaluation; "
                                 + NOT_A_PROOF)
     return CheckReport("dpi", "violation", trials, float(gap2),
-                       _witness_dict(P, Q, A, vb2, va2), failures, config)
+                       _witness_dict(P, Q, A, vb2, va2), failures, config,
+                       note=VIOLATION_SHOWN)
 
 
 def _dpi_pair_eval(d: DivergenceSpec, P, Q, A):
@@ -441,7 +442,7 @@ def check_sufficiency(d: DivergenceSpec, n: int, trials: int = 10_000,
                         scenario.transform.matrix, before2, after2)
     wit["kind"] = scenario.kind
     return CheckReport("sufficiency", "violation", total, float(gap2), wit,
-                       failures, config)
+                       failures, config, note=VIOLATION_SHOWN)
 
 
 def _scenario_from_batch(kind, P, Q, meta, k, n) -> SufficiencyScenario:
@@ -503,7 +504,7 @@ def check_decomposable_binary(d: DivergenceSpec, grid: int = 200) -> CheckReport
         "gap": max_gap,
     }
     return CheckReport("decomposability", "violation", trials, max_gap, wit,
-                       failures, config)
+                       failures, config, note=VIOLATION_SHOWN)
 
 
 # ---------------------------------------------------------------------------
@@ -549,4 +550,4 @@ def check_shannon_inequality(f, n: int, trials: int = 100_000,
         "gap": float(gap2),
     }
     return CheckReport("shannon_inequality", "violation", trials, float(gap2),
-                       wit, failures, config)
+                       wit, failures, config, note=VIOLATION_SHOWN)

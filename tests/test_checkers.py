@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from divergence_lab.checkers import (CheckReport, check_decomposable_binary,
+from divergence_lab.checkers import (NOT_A_PROOF, VIOLATION_SHOWN, CheckReport,
+                                     check_decomposable_binary,
                                      check_dpi, check_shannon_inequality,
                                      check_sufficiency, dpi_local_refine,
                                      evaluate_scenario, sample_channels,
@@ -39,6 +41,7 @@ class TestCheckDPI:
     def test_euclidean_n3_violation_found(self):
         rep = check_dpi(catalog("euclidean"), 3, random_trials=50_000, seed=42)
         assert rep.verdict == "violation"
+        assert rep.note == VIOLATION_SHOWN
         w = rep.witness
         assert w is not None and w["gap"] > 1e-9
         # soundness: the witness re-evaluates to the reported values
@@ -118,6 +121,7 @@ class TestSufficiency:
     def test_euclidean_violation(self):
         rep = check_sufficiency(catalog("euclidean"), 3, trials=2000, seed=42)
         assert rep.verdict == "violation"
+        assert rep.note == VIOLATION_SHOWN
         assert rep.witness["kind"] in ("merge", "split")
         assert rep.max_gap > 1e-9
 
@@ -161,6 +165,7 @@ class TestDecomposable:
 
         rep = check_decomposable_binary(Lopsided(), grid=100)
         assert rep.verdict == "violation"
+        assert rep.note == VIOLATION_SHOWN
         # at (p,q)=(0.3,0.5): 0.04*0.3 vs 0.04*0.7
         w = rep.witness
         assert w["gap"] > 0.001
@@ -196,6 +201,7 @@ class TestShannon:
         assert rep2.verdict == "no_violation_found"
         rep3 = check_shannon_inequality(f, 3, trials=30_000, seed=42)
         assert rep3.verdict == "violation"
+        assert rep3.note == VIOLATION_SHOWN
         # witness re-evaluates: sum p f(p) > sum p f(q)
         w = rep3.witness
         p = np.array(w["P"])
@@ -210,6 +216,25 @@ class TestShannon:
         a = check_shannon_inequality(f, 3, trials=10_000, seed=2)
         b = check_shannon_inequality(f, 3, trials=10_000, seed=2)
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+
+def test_golden_violations_not_noted_as_evidence():
+    golden = Path(__file__).resolve().parents[1] / "reports" / "golden-seed42.json"
+    found = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            if node.get("verdict") == "violation":
+                found.append(node)
+            for v in node.values():
+                walk(v)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v)
+
+    walk(json.loads(golden.read_text()))
+    assert found
+    assert all(rep["note"] != NOT_A_PROOF for rep in found)
 
 
 def test_catalog_dpi_small_suite_n2_n3():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from divergence_lab.divergences import catalog
-from divergence_lab.families import (FamilyError, HGenerator, SymmetricConvexG,
+from divergence_lab.families import (QUAD_ABS_TOL, QUAD_TOL, FamilyError,
+                                     HGenerator, SymmetricConvexG,
                                      bregman_from_symmetric_g, build_G_from_h,
                                      build_f_from_h, family_table,
                                      h_generator_from_spec, kl_type_from_h,
@@ -117,6 +118,53 @@ class TestBuildF:
         f = build_f_from_h(g)
         x = np.linspace(0.01, 0.99, 101)
         assert np.allclose(f.deriv(x), np.asarray(G(x)) / x, atol=0)
+
+    def test_gaps_match_adaptive_quad(self):
+        # reference: scipy's adaptive quad at the tolerances the table uses
+        from scipy.integrate import quad
+        for name in ("square", "linear", "kl", "ramp"):
+            g = gen(name)
+            f = build_f_from_h(g)
+            fp = lambda t: float(f.deriv(t))
+            k, v = f.knots, f.knot_values
+            for i in range(0, len(k) - 1, 97):
+                want, _ = quad(fp, k[i], k[i + 1], epsabs=QUAD_ABS_TOL,
+                               epsrel=QUAD_TOL, limit=200)
+                assert abs((v[i + 1] - v[i]) - want) <= 1e-12 * max(1.0, abs(v[i]))
+
+    def test_h_calls_bounded(self):
+        # one vectorized h call per refinement level, not one per quad node
+        calls = [0]
+
+        def h(x):
+            calls[0] += 1
+            return np.square(x)
+
+        build_f_from_h(HGenerator(h, label="counted"))
+        assert calls[0] <= 40
+
+    def test_undeclared_kink_refined(self):
+        # h = min(x, 0.3) with no declared breakpoint: below 0.3 f' = 1 - 1/x,
+        # on [0.3, 1/2] f' = 0.3 (x - 1) / x^2, anchored at f(1/2) = 0
+        f = build_f_from_h(HGenerator(lambda x: np.minimum(x, 0.3), label="kink"))
+        x = f.knots[f.knots <= 0.5]
+        upper = 0.3 * (np.log(x) + 1 / x) - 0.3 * (math.log(0.5) + 2)
+        at_kink = 0.3 * (math.log(0.3) + 1 / 0.3) - 0.3 * (math.log(0.5) + 2)
+        lower = at_kink + (x - np.log(x)) - (0.3 - math.log(0.3))
+        want = np.where(x < 0.3, lower, upper)
+        assert np.max(np.abs(f.knot_values[:len(x)] - want)) <= 1e-10
+
+    def test_nan_h_diverges(self):
+        bad = HGenerator(lambda x: np.where(np.asarray(x) < 0.1, np.nan, x),
+                         label="nan below 0.1")
+        with pytest.raises(FamilyError, match="quadrature diverged"):
+            build_f_from_h(bad, validate=False)
+
+    def test_quadrature_error_reported(self):
+        for name in ("square", "kl", "linear", "ramp"):
+            f = build_f_from_h(gen(name))
+            assert f.quad_error <= 1e-12
+            assert f.quad_panels >= len(f.knots) - 1
 
     def test_table_self_consistency(self):
         # differentiating the knot table numerically recovers G(x)/x
