@@ -114,11 +114,10 @@ def _composite_gauss_legendre(fprime: Callable, knots: np.ndarray):
     All panels are evaluated together; a panel whose estimated error exceeds
     max(QUAD_ABS_TOL, QUAD_TOL * |sum|) is bisected, and all flagged panels
     are refined together, one array step per level.  After QUAD_MAX_LEVELS
-    bisections a panel is accepted as it stands, because a jump in h or
-    rounding in 1 - x near x = 1 can hold an estimate above tolerance at any
-    width; the returned error bound then shows it.  Returns the
-    integral of each gap, the largest error estimate of any final panel and
-    the number of final panels.
+    bisections a panel is accepted as it stands, because a jump in h can
+    hold an estimate above tolerance at any width; the returned error bound
+    then shows it.  Returns the integral of each gap, the largest error
+    estimate of any final panel and the number of final panels.
     """
     n = len(knots) - 1
     owner = np.arange(n)
@@ -150,7 +149,10 @@ def build_f_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
     Knots are geometric in both halves of (0, 1), with declared breakpoints
     (and their reflections) inserted; each gap is integrated with composite
     Gauss–Legendre quadrature, vectorized over all gaps, with an embedded
-    lower-order rule deciding which panels to bisect.  The table carries
+    lower-order rule deciding which panels to bisect.  The upper half is
+    integrated in u = 1 - x, where f'(1 - u) = -h(u)/u: quadrature nodes near
+    x = 1 would lose the relative precision of 1 - x, while u_k = 1 - x_k is
+    exact for every knot x_k >= 1/2.  The table carries
     `quad_error` (the largest error estimate of any final panel) and
     `quad_panels` (the number of final panels).  The table interpolates with
     the exact derivative G(x)/x at every knot, and the derivative evaluator
@@ -173,7 +175,17 @@ def build_f_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
     knots = np.unique(np.concatenate([lower, 1.0 - lower, extra]))
     anchor = int(np.searchsorted(knots, 0.5))
 
-    seg, worst, panels = _composite_gauss_legendre(fprime, knots)
+    def fprime_upper(u):
+        u = np.asarray(u, dtype=float)
+        return -np.asarray(gen.h(u)) / u
+
+    seg_lo, worst_lo, panels_lo = _composite_gauss_legendre(
+        fprime, knots[:anchor + 1])
+    # gap [x_i, x_i+1] is the u-gap [1 - x_i+1, 1 - x_i], in reverse order
+    seg_hi, worst_hi, panels_hi = _composite_gauss_legendre(
+        fprime_upper, (1.0 - knots[anchor:])[::-1])
+    seg = np.concatenate([seg_lo, seg_hi[::-1]])
+    worst, panels = max(worst_lo, worst_hi), panels_lo + panels_hi
     bad = np.flatnonzero(~np.isfinite(seg))
     if bad.size:
         i = int(bad[0])

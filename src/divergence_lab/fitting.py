@@ -4,11 +4,12 @@ f-divergence form, or in the Bregman form, up to fitting residual?
 Both probes solve a shape-constrained least-squares problem over the values
 of a piecewise-linear convex function on a knot grid.  Feasibility is kept
 at every iterate by parameterizing with segment slopes and projecting onto
-nondecreasing slope sequences with pool-adjacent-violators, which is exactly
-the convexity constraint on second differences.  A regularized linear solve
-provides the starting point; an accelerated projected-gradient loop with a
-monotone best-iterate record does the constrained polish.  numpy/scipy only,
-no external solver.
+nondecreasing slope sequences with scipy's isotonic regression (pool adjacent
+violators), which is exactly the convexity constraint on second differences.
+A regularized linear solve, by sparse LU in symmetric mode, provides the
+starting point; an accelerated projected-gradient loop with a monotone
+best-iterate record does the constrained polish.  numpy/scipy only, no
+external solver.
 
 The pass/fail threshold is scale-free (residual against the root-mean-square
 of the divergence over the sample set) and is surfaced in every result
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.optimize import isotonic_regression
 
 from .divergences import DivergenceSpec, MultivariateConvexFunction, ScalarFunction
 
@@ -42,27 +44,7 @@ def pav_nondecreasing(y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     With weights this is the projection in the diag(w) norm, which is what
     the preconditioned gradient steps need.
     """
-    if w is None:
-        w = np.ones(len(y))
-    vals: list[float] = []
-    wts: list[float] = []
-    counts: list[int] = []
-    for yi, wi in zip(y, w):
-        v, ww, c = float(yi), float(wi), 1
-        while vals and vals[-1] > v:
-            pv, pw, pc = vals.pop(), wts.pop(), counts.pop()
-            v = (v * ww + pv * pw) / (ww + pw)
-            ww += pw
-            c += pc
-        vals.append(v)
-        wts.append(ww)
-        counts.append(c)
-    out = np.empty(len(y))
-    i = 0
-    for v, c in zip(vals, counts):
-        out[i:i + c] = v
-        i += c
-    return out
+    return isotonic_regression(y, weights=w).x
 
 
 @dataclass
@@ -70,7 +52,9 @@ class ConvexPiecewiseLinearFit:
     """A fitted convex piecewise-linear function plus fit diagnostics.
 
     `objective_history` is the best objective seen after each iteration and
-    is nonincreasing by construction.
+    is nonincreasing by construction.  `stop_reason` is "stall" when the best
+    objective stopped improving over STALL_WINDOW iterations and "max_iters"
+    when the iteration cap ended the loop.
     """
 
     knots: np.ndarray
@@ -80,6 +64,7 @@ class ConvexPiecewiseLinearFit:
     threshold: float
     passed: bool
     iterations: int
+    stop_reason: str
     objective_history: np.ndarray = field(repr=False, default=None)
 
     def __call__(self, x):
@@ -96,7 +81,8 @@ class ConvexPiecewiseLinearFit:
                 "passed": bool(self.passed),
                 "threshold": float(self.threshold),
                 "rms_target": float(self.rms_target),
-                "iterations": int(self.iterations)}
+                "iterations": int(self.iterations),
+                "stop_reason": self.stop_reason}
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -152,7 +138,10 @@ def _warm_start(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray, pin: int):
     for lam in (1e-4, 1e-6, 1e-8):
         M = (AtA + lam * scale * R + 1e-14 * scale * sp.eye(K)).tocsc()
         try:
-            v0 = spla.spsolve(M, Aty)
+            # M is symmetric positive definite: a symmetric minimum-degree
+            # ordering without pivoting keeps the factor sparse
+            v0 = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True}).solve(Aty)
         except RuntimeError:
             continue
         if not np.all(np.isfinite(v0)):
@@ -233,6 +222,7 @@ def _fit_convex(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray, pin: int,
     s_best = s.copy()
     history = [f_best]
     it = 0
+    stop_reason = "max_iters"
     while it < iters:
         it += 1
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
@@ -248,10 +238,11 @@ def _fit_convex(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray, pin: int,
         if len(history) > STALL_WINDOW:
             if history[-STALL_WINDOW - 1] - history[-1] \
                     < REL_IMPROVEMENT * max(history[-1], 1e-30):
+                stop_reason = "stall"
                 break
     v = par.values(s_best)
     rms = float(np.sqrt(np.mean((A @ v - y) ** 2)))
-    return v, rms, it, np.asarray(history)
+    return v, rms, it, stop_reason, np.asarray(history)
 
 
 def _sample_pairs(sample_pairs: int, seed: int):
@@ -303,11 +294,11 @@ def fit_f_divergence(d: DivergenceSpec, sample_pairs: int = 4000,
     cols = np.concatenate([pr[1] for pr in parts])
     data = np.concatenate([pr[2] for pr in parts])
     A = sp.csr_matrix((data, (rows, cols)), shape=(m, knots))
-    v, rms, it, hist = _fit_convex(A, y, grid, pin, iters)
+    v, rms, it, stop, hist = _fit_convex(A, y, grid, pin, iters)
     rms_target = float(np.sqrt(np.mean(y ** 2)))
     thr = PASS_SCALE * rms_target
     return ConvexPiecewiseLinearFit(grid, v, rms, rms_target, thr, rms <= thr,
-                                    it, hist)
+                                    it, stop, hist)
 
 
 def fit_bregman_binary(d: DivergenceSpec, sample_pairs: int = 4000,
@@ -345,11 +336,11 @@ def fit_bregman_binary(d: DivergenceSpec, sample_pairs: int = 4000,
     A = sp.csr_matrix((np.concatenate(data_l),
                        (np.concatenate(rows_l), np.concatenate(cols_l))),
                       shape=(m, knots))
-    v, rms, it, hist = _fit_convex(A, y, grid, pin, iters)
+    v, rms, it, stop, hist = _fit_convex(A, y, grid, pin, iters)
     rms_target = float(np.sqrt(np.mean(y ** 2)))
     thr = PASS_SCALE * rms_target
     return ConvexPiecewiseLinearFit(grid, v, rms, rms_target, thr, rms <= thr,
-                                    it, hist)
+                                    it, stop, hist)
 
 
 def bregman_f_residual(G: MultivariateConvexFunction, f: ScalarFunction,

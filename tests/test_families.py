@@ -166,6 +166,16 @@ class TestBuildF:
             assert f.quad_error <= 1e-12
             assert f.quad_panels >= len(f.knots) - 1
 
+    def test_decreasing_near_one_matches_closed_form(self):
+        # above 1/2, h = 1/2 - x gives f(x) = (x - 1/2) + ln(2 (1 - x)) / 2;
+        # 1 - x is exact there, so numpy evaluates the closed form to rounding
+        f = build_f_from_h(gen("decreasing"), validate=False)
+        x = f.knots[f.knots > 1.0 - 1e-6]
+        want = (x - 0.5) + 0.5 * np.log(2.0 * (1.0 - x))
+        got = f.knot_values[f.knots > 1.0 - 1e-6]
+        assert x.size > 100
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
     def test_table_self_consistency(self):
         # differentiating the knot table numerically recovers G(x)/x
         f = build_f_from_h(gen("square"))

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from divergence_lab import fitting
 from divergence_lab.divergences import (MultivariateConvexFunction,
                                         ScalarFunction, catalog,
                                         negative_entropy)
@@ -16,6 +18,24 @@ def xlogx():
         lambda x: np.where(np.asarray(x) > 0,
                            np.asarray(x) * np.log(np.clip(x, 1e-300, None)), 0.0),
         deriv=lambda x: np.log(x) + 1.0, label="x*log(x)")
+
+
+def pav_loop(y, w=None):
+    """Reference pool-adjacent-violators loop, one block merge at a time."""
+    if w is None:
+        w = np.ones(len(y))
+    vals, wts, counts = [], [], []
+    for yi, wi in zip(y, w):
+        v, ww, c = float(yi), float(wi), 1
+        while vals and vals[-1] > v:
+            pv, pw, pc = vals.pop(), wts.pop(), counts.pop()
+            v = (v * ww + pv * pw) / (ww + pw)
+            ww += pw
+            c += pc
+        vals.append(v)
+        wts.append(ww)
+        counts.append(c)
+    return np.repeat(vals, counts)
 
 
 class TestPAV:
@@ -52,6 +72,20 @@ class TestPAV:
             trial = np.maximum.accumulate(trial)
             assert np.sum(w * (trial - y) ** 2) >= base - 1e-9
 
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(2)
+        for k in range(50):
+            y = rng.normal(size=2000) * 10.0 ** rng.uniform(-3, 3)
+            # ties, and an already-monotone run inside the noise
+            y[100:140] = y[100]
+            y[500:900] = np.sort(y[500:900])
+            if k % 2:
+                y = y + np.linspace(0.0, 5.0 * np.std(y), 2000)
+            w = 10.0 ** rng.uniform(-6, 3, size=2000)
+            tol = 1e-12 * (1.0 + np.max(np.abs(y)))
+            assert np.max(np.abs(pav_nondecreasing(y) - pav_loop(y))) <= tol
+            assert np.max(np.abs(pav_nondecreasing(y, w) - pav_loop(y, w))) <= tol
+
 
 @pytest.fixture(scope="module")
 def kl_fit():
@@ -61,6 +95,35 @@ def kl_fit():
 @pytest.fixture(scope="module")
 def brier_fit():
     return fit_bregman_binary(catalog("brier"), seed=0)
+
+
+@pytest.mark.parametrize("probe, knots", [(fit_f_divergence, 2001),
+                                           (fit_bregman_binary, 801)])
+def test_warm_start_solve_matches_dense(monkeypatch, probe, knots):
+    # record the design handed to the warm start and every factorization it
+    # makes, then re-solve each regularized system densely
+    designs, factors = [], []
+    warm_start, splu = fitting._warm_start, fitting.spla.splu
+
+    def recording_warm_start(A, y, *args):
+        designs.append((A, y))
+        return warm_start(A, y, *args)
+
+    def recording_splu(M, **kw):
+        lu = splu(M, **kw)
+        factors.append((M, lu))
+        return lu
+
+    monkeypatch.setattr(fitting, "_warm_start", recording_warm_start)
+    monkeypatch.setattr(fitting.spla, "splu", recording_splu)
+    probe(catalog("kl"), knots=knots, seed=0, iters=0)
+    [(A, y)] = designs
+    assert A.shape[1] == knots and len(factors) == 3
+    Aty = A.T @ y
+    for M, lu in factors:
+        want = A @ scipy.linalg.solve(M.toarray(), Aty, assume_a="pos")
+        got = A @ lu.solve(Aty)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 class TestFitFDivergence:
@@ -179,8 +242,25 @@ class TestFitOutputs:
         assert rows.shape == (101, 2)
         doc = json.loads(json_path.read_text())
         assert set(doc) == {"residual", "passed", "threshold", "rms_target",
-                            "iterations"}
+                            "iterations", "stop_reason"}
         assert doc["threshold"] == pytest.approx(1e-5 * doc["rms_target"])
+
+    def test_stop_reason(self):
+        capped = fit_f_divergence(catalog("tv"), sample_pairs=400, knots=101,
+                                  seed=0, iters=5)
+        assert (capped.iterations, capped.stop_reason) == (5, "max_iters")
+        assert capped.summary()["stop_reason"] == "max_iters"
+
+        class Zero:
+            label = "zero"
+            n = 2
+
+            def evaluate_batch(self, P, Q):
+                return np.zeros(np.atleast_2d(P).shape[0])
+
+        flat = fit_bregman_binary(Zero(), sample_pairs=500, knots=101, seed=0)
+        assert flat.stop_reason == "stall"
+        assert flat.iterations == fitting.STALL_WINDOW
 
 
 class TestBregmanFResidual:
