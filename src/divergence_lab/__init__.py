@@ -7,8 +7,7 @@ from .simplex import (Channel, Distribution, SufficiencyScenario, binary_channel
                       split_transform)
 from .divergences import (DivergenceError, DivergenceSpec,
                           MultivariateConvexFunction, ScalarFunction, catalog,
-                          eval_bregman, eval_composed, eval_f_divergence,
-                          eval_kl_type, gradient, negative_entropy, resolve)
+                          negative_entropy, resolve)
 from .families import (FamilyError, HGenerator, SymmetricConvexG,
                        bregman_from_symmetric_g, build_G_from_h, build_f_from_h,
                        kl_type_from_h, random_symmetric_convex_g)
@@ -26,9 +25,7 @@ __all__ = [
     "compose", "merge_transform", "proportional_pairs", "push_forward",
     "split_transform",
     "DivergenceError", "DivergenceSpec", "MultivariateConvexFunction",
-    "ScalarFunction", "catalog", "eval_bregman", "eval_composed",
-    "eval_f_divergence", "eval_kl_type", "gradient", "negative_entropy",
-    "resolve",
+    "ScalarFunction", "catalog", "negative_entropy", "resolve",
     "FamilyError", "HGenerator", "SymmetricConvexG", "bregman_from_symmetric_g",
     "build_G_from_h", "build_f_from_h", "kl_type_from_h",
     "random_symmetric_convex_g",

@@ -10,7 +10,8 @@ Subcommands map one-to-one onto module capabilities:
 
 Option precedence is flags > config file (JSON, via --config) > built-in
 defaults; --show-config prints the effective defaults.  Exit codes: 0 no
-violation / all pass, 3 violation or scenario failure, 1 usage or data error.
+violation / all pass, 3 violation or scenario failure, 1 usage or data error
+or an inconclusive check (some evaluations failed).
 """
 
 from __future__ import annotations
@@ -188,6 +189,8 @@ def _cmd_check(args, config) -> int:
           f"(trials={report.trials}, max_gap={report.max_gap!r})")
     if report.witness:
         _print_witness(report.witness)
+    if report.verdict == "inconclusive":
+        return EXIT_ERROR
     return EXIT_VIOLATION if report.violated else EXIT_OK
 
 

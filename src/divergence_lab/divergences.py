@@ -187,13 +187,6 @@ def check_convex_on_simplex(G: MultivariateConvexFunction, n: int,
             f"generator fails midpoint convexity by {-np.min(gap):.3g}")
 
 
-def gradient(G: MultivariateConvexFunction, q: Distribution) -> np.ndarray:
-    """Gradient of G at an interior point, analytic when available."""
-    if not q.is_interior:
-        raise DivergenceError("gradient requires an interior point")
-    return np.asarray(G.gradient(q.probs), dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # batch evaluation kernels (rows of shape (m, n))
 # ---------------------------------------------------------------------------
@@ -229,8 +222,8 @@ def _bregman_rows_direct(G: MultivariateConvexFunction, P, Q) -> np.ndarray:
     return G.value(P) - G.value(Q) - np.sum(g * (P - Q), axis=-1)
 
 
-def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray, Q: np.ndarray,
-                  smooth_boundary: bool = True) -> np.ndarray:
+def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray,
+                  Q: np.ndarray) -> np.ndarray:
     """Bregman rows; boundary Q rows go through the smoothing path."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -240,8 +233,6 @@ def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray, Q: np.ndarray,
     if np.any(interior):
         out[interior] = _bregman_rows_direct(G, P[interior], Q[interior])
     if np.any(~interior):
-        if not smooth_boundary:
-            raise DivergenceError("boundary Q and smoothing disabled")
         idx = np.where(~interior)[0]
         out[idx] = _bregman_smoothed(G, P[idx], Q[idx])
     return out
@@ -360,41 +351,6 @@ class DivergenceSpec:
         return f"DivergenceSpec({self.family}, {self.label!r})"
 
 
-def eval_f_divergence(f: ScalarFunction, p, q) -> float:
-    if not isinstance(p, Distribution):
-        p = Distribution(p)
-    if not isinstance(q, Distribution):
-        q = Distribution(q)
-    return float(f_divergence_batch(f, p.probs[None, :], q.probs[None, :])[0])
-
-
-def eval_kl_type(f: ScalarFunction, p, q) -> float:
-    if not isinstance(p, Distribution):
-        p = Distribution(p)
-    if not isinstance(q, Distribution):
-        q = Distribution(q)
-    return float(kl_type_batch(f, p.probs[None, :], q.probs[None, :])[0])
-
-
-def eval_bregman(G: MultivariateConvexFunction, p, q,
-                 smooth_boundary: bool = True) -> float:
-    if not isinstance(p, Distribution):
-        p = Distribution(p)
-    if not isinstance(q, Distribution):
-        q = Distribution(q)
-    return float(bregman_batch(G, p.probs[None, :], q.probs[None, :],
-                               smooth_boundary=smooth_boundary)[0])
-
-
-def eval_composed(base: DivergenceSpec, k: ScalarFunction, p, q) -> float:
-    check_outer(k)
-    if not isinstance(p, Distribution):
-        p = Distribution(p)
-    if not isinstance(q, Distribution):
-        q = Distribution(q)
-    return float(np.asarray(k(base.evaluate_batch(p.probs[None, :], q.probs[None, :])))[0])
-
-
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
@@ -454,8 +410,7 @@ def _make_catalog(name: str) -> DivergenceSpec:
         return DivergenceSpec("bregman", "euclidean", G=squared_norm_G(), source=src)
     if name == "tv_squared":
         base = _make_catalog("tv")
-        outer = ScalarFunction(lambda x: np.square(x), deriv=lambda x: 2.0 * x,
-                               label="x^2")
+        outer = OUTER_FUNCTIONS["square"]()
         src["family"] = "composed"
         src["outer"] = "square"
         src["name"] = "tv"

@@ -30,6 +30,8 @@ from .families import (HGenerator, H_CATALOG, bregman_from_symmetric_g,
 from .simplex import Distribution, SufficiencyScenario, merge_transform
 
 SCHEMA = "divergence-lab/1"
+# the verdict a check must reach where a scenario requires the property to hold
+CLEAN = "no_violation_found"
 
 
 @dataclass
@@ -77,14 +79,6 @@ def _cached_fit(kind: str, spec_name: str, d: DivergenceSpec, seed: int):
     return _fit_cache[key]
 
 
-def _xlogx_scalar() -> ScalarFunction:
-    return ScalarFunction(
-        lambda x: np.where(np.asarray(x) > 0,
-                           np.asarray(x) * np.log(np.clip(x, 1e-300, None)), 0.0),
-        deriv=lambda x: np.log(x) + 1.0, label="x*log(x)",
-        perspective_limit=np.inf)
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
@@ -99,7 +93,7 @@ def _scenario_catalog_dpi(seed: int):
         for n in (3, 4):
             reports.append(check_dpi(d, n, random_trials=100_000, seed=seed))
         details[name] = [r.to_json_dict() for r in reports]
-        ok = ok and all(not r.violated for r in reports)
+        ok = ok and all(r.verdict == CLEAN for r in reports)
     return ok, details
 
 
@@ -110,7 +104,7 @@ def _scenario_q1_counterexample(seed: int):
     fit_tv2 = _cached_fit("fdiv", "tv_squared", tv2, seed)
     fit_kl = _cached_fit("fdiv", "kl", catalog("kl"), seed)
     ratio = fit_tv2.residual / max(fit_kl.residual, 1e-300)
-    ok = (not dec.violated) and (not dpi.violated) and ratio >= 100.0
+    ok = dec.verdict == CLEAN and dpi.verdict == CLEAN and ratio >= 100.0
     details = {
         "swap_symmetry": dec.to_json_dict(),
         "dpi": dpi.to_json_dict(),
@@ -133,7 +127,7 @@ def _scenario_q2_family_dpi(seed: int):
         d = kl_type_from_h(gen)
         rep = check_dpi(d, 2, grid=50, random_trials=10_000, seed=seed)
         details[spec_text] = rep.to_json_dict()
-        ok = ok and not rep.violated
+        ok = ok and rep.verdict == CLEAN
     bad = HGenerator(H_CATALOG["decreasing"][0], label="name:decreasing")
     d_bad = kl_type_from_h(bad, validate=False)
     rep_bad = check_dpi(d_bad, 2, grid=50, random_trials=10_000, seed=seed)
@@ -183,7 +177,7 @@ def _scenario_q3_sufficiency(seed: int):
                   for n in (3, 4, 5)}
     ok = (delta_named >= 0.02 - 1e-12
           and rep_eu.violated
-          and all(not r.violated and r.max_gap <= 1e-9
+          and all(r.verdict == CLEAN and r.max_gap <= 1e-9
                   for r in kl_reports.values()))
     details = {
         "euclidean_named_witness": {
@@ -202,19 +196,21 @@ def _scenario_q3_binary_family(seed: int):
     rng = np.random.default_rng(seed)
     tol = 1e-10
     worst = 0.0
+    ok = True
     gens = []
     for _ in range(20):
         g = random_symmetric_convex_g(rng)
         d = bregman_from_symmetric_g(g)
         rep = check_sufficiency(d, 2, trials=1000, seed=seed)
         worst = max(worst, rep.max_gap)
+        ok = ok and rep.verdict == CLEAN
         gens.append({"generator": g.label, "max_abs_delta": rep.max_gap})
-    ok = worst <= tol
+    ok = ok and worst <= tol
     return ok, {"generators": gens, "worst_abs_delta": worst, "tolerance": tol}
 
 
 def _scenario_q4_uniqueness(seed: int):
-    resid = fitting.bregman_f_residual(negative_entropy(2), _xlogx_scalar(),
+    resid = fitting.bregman_f_residual(negative_entropy(2), catalog("kl").f,
                                        grid=200)
     specs = {"kl": catalog("kl"), "brier": catalog("brier"),
              "tv_squared": catalog("tv_squared"), "euclidean": catalog("euclidean")}
@@ -243,7 +239,7 @@ def _scenario_shannon(seed: int):
     for n in (2, 3, 4):
         rep = check_shannon_inequality(clog, n, trials=100_000, seed=seed)
         results[f"c_log[n={n}]"] = rep.to_json_dict()
-        ok = ok and not rep.violated
+        ok = ok and rep.verdict == CLEAN
     quad = ScalarFunction(lambda x: 0.5 * np.square(x) - np.asarray(x, dtype=float),
                           deriv=lambda x: np.asarray(x, dtype=float) - 1.0,
                           label="x^2/2-x")
@@ -251,7 +247,7 @@ def _scenario_shannon(seed: int):
     rep3 = check_shannon_inequality(quad, 3, trials=100_000, seed=seed)
     results["quadratic[n=2]"] = rep2.to_json_dict()
     results["quadratic[n=3]"] = rep3.to_json_dict()
-    ok = ok and not rep2.violated and rep3.violated
+    ok = ok and rep2.verdict == CLEAN and rep3.violated
     return ok, results
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from divergence_lab import families
 from divergence_lab.checkers import (NOT_A_PROOF, VIOLATION_SHOWN, CheckReport,
                                      check_decomposable_binary,
                                      check_dpi, check_shannon_inequality,
@@ -83,7 +84,140 @@ class TestCheckDPI:
         assert "not a proof" in doc["note"]
 
 
+def _project_simplex_1d(v):
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    rho = np.nonzero(u * np.arange(1, len(v) + 1) > css)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(v - theta, 0.0)
+
+
+def refine_loop(d, witness, iters=200, fd_step=1e-5):
+    """The single-row coordinate ascent that dpi_local_refine batches, kept as
+    the reference: one evaluate_batch call per point and per side."""
+    P0, Q0, A0 = (np.asarray(x, dtype=float) for x in witness)
+    n = P0.size
+
+    def gap_of(P, Q, A):
+        PY = P @ A
+        QY = Q @ A
+        before = float(d.evaluate_batch(P[None, :], Q[None, :])[0])
+        after = float(d.evaluate_batch(PY[None, :] / PY.sum(), QY[None, :] / QY.sum())[0])
+        return after - before, before, after
+
+    blocks = [("P",), ("Q",)] + [("A", r) for r in range(n)]
+    state = {"P": P0.copy(), "Q": Q0.copy(), "A": A0.copy()}
+    best_gap, vb, va = gap_of(state["P"], state["Q"], state["A"])
+    if not np.isfinite(best_gap):
+        return P0, Q0, A0, vb, va
+
+    def with_block(block, vec):
+        sub = dict(state)
+        sub["A"] = state["A"].copy()
+        if block[0] == "A":
+            sub["A"][block[1]] = vec
+        else:
+            sub[block[0]] = vec
+        return sub["P"], sub["Q"], sub["A"]
+
+    for _ in range(iters):
+        improved = 0.0
+        for block in blocks:
+            vec = state["A"][block[1]] if block[0] == "A" else state[block[0]]
+            g = np.zeros(n)
+            for i in range(n):
+                e = np.zeros(n)
+                e[i] = fd_step
+                up, _, _ = gap_of(*with_block(block, _project_simplex_1d(vec + e)))
+                dn, _, _ = gap_of(*with_block(block, _project_simplex_1d(vec - e)))
+                g[i] = (up - dn) / (2 * fd_step)
+            step = 0.05
+            for _ in range(12):
+                trial = _project_simplex_1d(vec + step * g)
+                cand, cb, ca = gap_of(*with_block(block, trial))
+                if cand > best_gap:
+                    improved += cand - best_gap
+                    best_gap, vb, va = cand, cb, ca
+                    if block[0] == "A":
+                        state["A"][block[1]] = trial
+                    else:
+                        state[block[0]] = trial
+                    break
+                step *= 0.5
+        if improved < 1e-12:
+            break
+    return state["P"], state["Q"], state["A"], vb, va
+
+
+class CountingSpec:
+    """Forwards evaluate_batch to a spec and counts the calls."""
+
+    def __init__(self, d):
+        self.d = d
+        self.calls = 0
+
+    def evaluate_batch(self, P, Q):
+        self.calls += 1
+        return self.d.evaluate_batch(P, Q)
+
+
+def _random_triples(n, count, seed):
+    rng = np.random.default_rng(seed)
+    P = sample_simplex(rng, count, n)
+    Q = sample_simplex(rng, count, n)
+    A = sample_channels(rng, count, n)
+    return [(P[k], Q[k], A[k]) for k in range(count)]
+
+
+def _assert_refines_like_loop(d, witness, iters):
+    P, Q, A, before, after = dpi_local_refine(d, witness, iters=iters)
+    P0, Q0, A0, before0, after0 = refine_loop(d, witness, iters=iters)
+    assert np.array_equal(P, P0)
+    assert np.array_equal(Q, Q0)
+    assert np.array_equal(A, A0)
+    assert before == before0
+    assert after == after0
+
+
 class TestLocalRefine:
+    def test_matches_loop_on_merge_witness(self):
+        witness = (np.array([0.2, 0.2, 0.6]), np.array([0.1, 0.1, 0.8]),
+                   merge_transform(0, 1, 3).matrix)
+        _assert_refines_like_loop(catalog("euclidean"), witness, iters=60)
+
+    def test_matches_loop_on_decreasing_family(self):
+        gen = families.HGenerator(families.H_CATALOG["decreasing"][0],
+                                  label="name:decreasing")
+        witness = (np.array([0.3, 0.7]), np.array([0.6, 0.4]),
+                   np.array([[0.9, 0.1], [0.2, 0.8]]))
+        _assert_refines_like_loop(families.kl_type_from_h(gen, validate=False),
+                                  witness, iters=40)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_loop_on_random_triples(self, n):
+        for name in ("euclidean", "hellinger"):
+            for witness in _random_triples(n, 3, seed=100 + n):
+                _assert_refines_like_loop(catalog(name), witness, iters=15)
+
+    def test_nonfinite_differences_do_not_stop_refinement(self):
+        # chi2 is infinite where a channel output loses mass, so some central
+        # differences are inf - inf; those rows are skipped, not fatal
+        for witness in _random_triples(4, 3, seed=104):
+            d = catalog("chi2")
+            start = d.evaluate_batch(np.vstack([witness[0] @ witness[2], witness[0]]),
+                                     np.vstack([witness[1] @ witness[2], witness[1]]))
+            P, Q, A, before, after = dpi_local_refine(d, witness, iters=15)
+            assert np.isfinite(after - before)
+            assert after - before >= start[0] - start[1]
+
+    def test_two_evaluate_batch_calls_per_block(self):
+        witness = (np.array([0.2, 0.2, 0.6]), np.array([0.1, 0.1, 0.8]),
+                   merge_transform(0, 1, 3).matrix)
+        for iters in (1, 5):
+            d = CountingSpec(catalog("euclidean"))
+            dpi_local_refine(d, witness, iters=iters)
+            assert 1 < d.calls <= 2 * (3 + 2) * iters + 1
+
     def test_never_decreases_gap(self):
         d = catalog("euclidean")
         P = np.array([0.2, 0.2, 0.6])
@@ -243,3 +377,28 @@ def test_catalog_dpi_small_suite_n2_n3():
         d = catalog(name)
         assert not check_dpi(d, 2, grid=15, random_trials=5000, seed=11).violated
         assert not check_dpi(d, 3, random_trials=20_000, seed=11).violated
+
+
+class AllNaN:
+    """A divergence whose every evaluation fails."""
+
+    label = "all_nan"
+
+    def evaluate_batch(self, P, Q):
+        return np.full(np.atleast_2d(P).shape[0], np.nan)
+
+
+def test_failed_evaluations_are_inconclusive():
+    d = AllNaN()
+    reports = [check_dpi(d, 2, grid=10, random_trials=1000, seed=1),
+               check_dpi(d, 3, random_trials=1000, seed=1),
+               check_sufficiency(d, 3, trials=300, seed=1),
+               check_decomposable_binary(d, grid=20),
+               check_shannon_inequality(
+                   ScalarFunction(lambda x: np.full(np.shape(x), np.nan), label="nan"),
+                   3, trials=1000, seed=1)]
+    for rep in reports:
+        assert rep.verdict == "inconclusive", rep.property
+        assert rep.failures == rep.trials
+        assert not rep.violated and rep.witness is None
+        assert rep.note != NOT_A_PROOF

@@ -96,6 +96,14 @@ class TestCheck:
             "--trials", "30000", "--seed", "42")
         assert code == 0
 
+    def test_inconclusive_exit_one(self, capsys):
+        # a NaN coefficient makes every evaluation fail
+        code, out, _ = run_cli_capture(
+            capsys, "check", "shannon", "--f", "clog:nan,0", "--n", "3",
+            "--trials", "1000", "--seed", "42")
+        assert code == 1
+        assert "inconclusive" in out
+
 
 class TestGenerateAndFit:
     def test_generate_csv(self, capsys, tmp_path):

@@ -7,23 +7,33 @@ import pytest
 from divergence_lab.divergences import (CATALOG_NAMES, DivergenceError,
                                         DivergenceSpec,
                                         MultivariateConvexFunction,
-                                        ScalarFunction, catalog, eval_bregman,
-                                        eval_composed, eval_f_divergence,
-                                        eval_kl_type, from_json_dict, gradient,
+                                        ScalarFunction, catalog, from_json_dict,
                                         negative_entropy, resolve)
-from divergence_lab.simplex import Distribution
 
 KL_HALF_VS_QUARTER = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
 
 
-def spec_f(name):
-    return catalog(name).f
+def fdiv(name):
+    """An f-divergence spec built from the generator of a catalog entry."""
+    return DivergenceSpec("f_divergence", name, f=catalog(name).f)
+
+
+def kl_type(f):
+    return DivergenceSpec("kl_type", "kl_type", f=f)
+
+
+def bregman(G):
+    return DivergenceSpec("bregman", "bregman", G=G)
+
+
+def composed(base, k):
+    return DivergenceSpec("composed", "composed", base=base, outer=k)
 
 
 class TestFDivergence:
     def test_tv_binary_value(self):
         # sum q |p/q - 1| at P=(0.3,0.7), Q=(0.5,0.5) is |0.3-0.5|+|0.7-0.5|
-        got = eval_f_divergence(spec_f("tv"), [0.3, 0.7], [0.5, 0.5])
+        got = fdiv("tv").evaluate([0.3, 0.7], [0.5, 0.5])
         assert got == pytest.approx(0.4, abs=1e-12)
 
     def test_zero_at_equal_arguments(self):
@@ -32,30 +42,30 @@ class TestFDivergence:
             assert abs(got) <= 1e-12
 
     def test_kl_closed_form(self):
-        got = eval_f_divergence(spec_f("kl"), [0.5, 0.5], [0.25, 0.75])
+        got = fdiv("kl").evaluate([0.5, 0.5], [0.25, 0.75])
         assert got == pytest.approx(KL_HALF_VS_QUARTER, abs=1e-12)
         assert got == pytest.approx(0.14384, abs=5e-6)
 
     def test_zero_zero_coordinate_contributes_nothing(self):
-        got = eval_f_divergence(spec_f("kl"), [0.5, 0.5, 0.0], [0.25, 0.75, 0.0])
+        got = fdiv("kl").evaluate([0.5, 0.5, 0.0], [0.25, 0.75, 0.0])
         assert got == pytest.approx(KL_HALF_VS_QUARTER, abs=1e-12)
 
     def test_escaping_mass_kl_infinite(self):
-        assert eval_f_divergence(spec_f("kl"), [0.5, 0.5], [1.0, 0.0]) == np.inf
+        assert fdiv("kl").evaluate([0.5, 0.5], [1.0, 0.0]) == np.inf
 
     def test_escaping_mass_tv_finite(self):
         # lim |x-1|/x = 1, so the q=0 term contributes p_i
-        got = eval_f_divergence(spec_f("tv"), [0.5, 0.5], [1.0, 0.0])
+        got = fdiv("tv").evaluate([0.5, 0.5], [1.0, 0.0])
         assert got == pytest.approx(0.5 + 0.5, abs=1e-12)
 
     def test_chi2_value(self):
-        got = eval_f_divergence(spec_f("chi2"), [0.3, 0.7], [0.5, 0.5])
+        got = fdiv("chi2").evaluate([0.3, 0.7], [0.5, 0.5])
         assert got == pytest.approx(0.04 / 0.5 + 0.04 / 0.5, abs=1e-12)
 
     def test_hellinger_value(self):
         p, q = np.array([0.3, 0.7]), np.array([0.5, 0.5])
         expect = float(((np.sqrt(p) - np.sqrt(q)) ** 2).sum())
-        got = eval_f_divergence(spec_f("hellinger"), p, q)
+        got = fdiv("hellinger").evaluate(p, q)
         assert got == pytest.approx(expect, abs=1e-12)
 
     def test_generator_precondition_rejected(self):
@@ -70,31 +80,32 @@ class TestFDivergence:
 class TestKLType:
     def test_neglog_gives_kl(self):
         f = ScalarFunction(lambda x: -np.log(x), deriv=lambda x: -1.0 / x)
-        got = eval_kl_type(f, [0.5, 0.5], [0.25, 0.75])
+        got = kl_type(f).evaluate([0.5, 0.5], [0.25, 0.75])
         assert got == pytest.approx(KL_HALF_VS_QUARTER, abs=1e-12)
 
     def test_zero_at_equal(self):
         f = ScalarFunction(lambda x: -np.log(x))
-        assert eval_kl_type(f, [0.3, 0.7], [0.3, 0.7]) == 0.0
+        assert kl_type(f).evaluate([0.3, 0.7], [0.3, 0.7]) == 0.0
 
     def test_quadratic_generator(self):
         f = ScalarFunction(lambda x: 0.5 * np.square(x) - x)
-        got = eval_kl_type(f, [0.3, 0.7], [0.5, 0.5])
+        got = kl_type(f).evaluate([0.3, 0.7], [0.5, 0.5])
         assert got == pytest.approx(0.5 * 0.2 ** 2, abs=1e-12)
 
     def test_zero_mass_term_dropped(self):
         f = ScalarFunction(lambda x: -np.log(x))
-        got = eval_kl_type(f, [0.0, 0.5, 0.5], [0.0, 0.25, 0.75])
+        got = kl_type(f).evaluate([0.0, 0.5, 0.5], [0.0, 0.25, 0.75])
         assert got == pytest.approx(KL_HALF_VS_QUARTER, abs=1e-12)
 
 
 class TestBregman:
     def test_brier_value(self):
-        got = eval_bregman(catalog("brier").G, [0.3, 0.7], [0.5, 0.5])
+        got = bregman(catalog("brier").G).evaluate([0.3, 0.7], [0.5, 0.5])
         assert got == pytest.approx(2 * 0.2 ** 2, abs=1e-12)
 
     def test_zero_at_equal(self):
-        got = eval_bregman(catalog("euclidean").G, [0.2, 0.3, 0.5], [0.2, 0.3, 0.5])
+        got = bregman(catalog("euclidean").G).evaluate([0.2, 0.3, 0.5],
+                                                  [0.2, 0.3, 0.5])
         assert abs(got) <= 1e-15
 
     def test_negative_entropy_matches_kl(self):
@@ -106,7 +117,7 @@ class TestBregman:
             p /= p.sum()
             q = rng.exponential(size=4)
             q /= q.sum()
-            assert eval_bregman(G, p, q) == pytest.approx(
+            assert bregman(G).evaluate(p, q) == pytest.approx(
                 kl.evaluate(p, q), abs=1e-10)
 
     def test_affine_invariance(self):
@@ -121,8 +132,8 @@ class TestBregman:
             p /= p.sum()
             q = rng.exponential(size=3)
             q /= q.sum()
-            assert eval_bregman(base, p, q) == pytest.approx(
-                eval_bregman(shifted, p, q), abs=1e-10)
+            assert bregman(base).evaluate(p, q) == pytest.approx(
+                bregman(shifted).evaluate(p, q), abs=1e-10)
 
     def test_gradient_shift_invariance(self):
         # adding c*(1,...,1) to the gradient cannot change the value because
@@ -131,25 +142,20 @@ class TestBregman:
         bumped = MultivariateConvexFunction(
             value=base.value, grad=lambda Q: base.gradient(Q) + 7.3)
         p, q = [0.2, 0.3, 0.5], [0.4, 0.4, 0.2]
-        assert eval_bregman(base, p, q) == pytest.approx(
-            eval_bregman(bumped, p, q), abs=1e-12)
+        assert bregman(base).evaluate(p, q) == pytest.approx(
+            bregman(bumped).evaluate(p, q), abs=1e-12)
 
     def test_boundary_q_divergent_for_entropy(self):
-        got = eval_bregman(negative_entropy(), [0.5, 0.5], [1.0, 0.0])
+        got = bregman(negative_entropy()).evaluate([0.5, 0.5], [1.0, 0.0])
         assert got == np.inf
 
     def test_boundary_q_smoothing_converges(self):
         # P also puts no mass where Q vanishes, so the limit is finite
-        got = eval_bregman(negative_entropy(), [0.0, 1.0], [0.0, 1.0])
+        got = bregman(negative_entropy()).evaluate([0.0, 1.0], [0.0, 1.0])
         assert abs(got) <= 1e-8
 
-    def test_boundary_q_without_smoothing_raises(self):
-        with pytest.raises(DivergenceError):
-            eval_bregman(negative_entropy(), [0.5, 0.5], [1.0, 0.0],
-                         smooth_boundary=False)
-
     def test_boundary_p_fine_with_interior_q(self):
-        got = eval_bregman(negative_entropy(), [0.0, 1.0], [0.5, 0.5])
+        got = bregman(negative_entropy()).evaluate([0.0, 1.0], [0.5, 0.5])
         assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_nonneg_on_random_pairs(self):
@@ -166,11 +172,11 @@ class TestBregman:
 
 class TestGradient:
     def test_analytic_squared_norm(self):
-        g = gradient(catalog("euclidean").G, Distribution([0.5, 0.5]))
+        g = catalog("euclidean").G.gradient([0.5, 0.5])
         assert np.allclose(g, [1.0, 1.0])
 
     def test_entropy_gradient(self):
-        g = gradient(negative_entropy(), Distribution([0.25, 0.75]))
+        g = negative_entropy().gradient([0.25, 0.75])
         assert np.allclose(g, [math.log(0.25) + 1, math.log(0.75) + 1])
 
     def test_finite_difference_agrees_with_analytic(self):
@@ -179,25 +185,24 @@ class TestGradient:
         for _ in range(100):
             q = rng.uniform(0.05, 1.0, size=3)
             q /= q.sum()
-            qd = Distribution(q)
-            assert np.allclose(gradient(numeric, qd),
-                               gradient(catalog("euclidean").G, qd), atol=1e-6)
+            assert np.allclose(numeric.gradient(q),
+                               catalog("euclidean").G.gradient(q), atol=1e-6)
 
     def test_boundary_stencil_error(self):
         numeric = MultivariateConvexFunction(value=lambda P: (P * P).sum(axis=-1))
         with pytest.raises(DivergenceError):
-            gradient(numeric, Distribution([1e-7, 1.0 - 1e-7]))
+            numeric.gradient([1e-7, 1.0 - 1e-7])
 
 
 class TestComposed:
     def test_square_of_tv(self):
         k = ScalarFunction(lambda x: np.square(x))
-        got = eval_composed(catalog("tv"), k, [0.3, 0.7], [0.5, 0.5])
+        got = composed(catalog("tv"), k).evaluate([0.3, 0.7], [0.5, 0.5])
         assert got == pytest.approx(0.16, abs=1e-12)
 
     def test_zero_at_equal(self):
         k = ScalarFunction(lambda x: np.square(x))
-        assert eval_composed(catalog("tv"), k, [0.4, 0.6], [0.4, 0.6]) == 0.0
+        assert composed(catalog("tv"), k).evaluate([0.4, 0.6], [0.4, 0.6]) == 0.0
 
     def test_tv_squared_binary_form(self):
         d = catalog("tv_squared")
