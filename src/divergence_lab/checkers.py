@@ -19,7 +19,7 @@ import numpy as np
 
 from .divergences import DivergenceSpec
 from .simplex import (Channel, Distribution, SufficiencyScenario,
-                      merge_transform, push_forward, split_transform)
+                      merge_transform, push_forward, row_sum, split_transform)
 
 DPI_ABS_TOL = 1e-9
 DPI_REL_TOL = 1e-7
@@ -75,7 +75,7 @@ class CheckReport:
 def sample_simplex(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """Uniform rows on the simplex via exponential normalization."""
     g = rng.exponential(size=(m, n))
-    return g / g.sum(axis=1, keepdims=True)
+    return g / row_sum(g)[:, None]
 
 
 def sample_channels(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -87,24 +87,20 @@ def sample_channels(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     4th trial sharpens the rows and every 8th uses a random deterministic map.
     """
     A = sample_simplex(rng, m * n, n).reshape(m, n, n)
-    idx = np.arange(m)
-    sharp = idx % 4 == 3
-    if np.any(sharp):
-        As = A[sharp] ** 8
-        A[sharp] = As / As.sum(axis=2, keepdims=True)
-    det = idx % 8 == 5
-    k = int(det.sum())
-    if k:
-        verts = rng.integers(0, n, size=(k, n))
-        Ad = np.zeros((k, n, n))
-        Ad[np.arange(k)[:, None], np.arange(n)[None, :], verts] = 1.0
-        A[det] = Ad
+    sharp = A[3::4] ** 8
+    A[3::4] = sharp / row_sum(sharp)[..., None]
+    det = A[5::8]
+    if len(det):
+        det[:] = np.eye(n)[rng.integers(0, n, size=det.shape[:2])]
     return A
 
 
 def _binary_rows(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float).ravel()
-    return np.column_stack([p, 1.0 - p])
+    rows = np.empty((p.size, 2))
+    rows[:, 0] = p
+    np.subtract(1.0, p, out=rows[:, 1])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +267,9 @@ def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
 def _project_simplex(V: np.ndarray) -> np.ndarray:
     """Euclidean projection of each row of V onto the probability simplex."""
     U = np.sort(V, axis=1)[:, ::-1]
-    css = np.cumsum(U, axis=1) - 1.0
+    # the refinement projects non-finite rows on purpose; they never win
+    with np.errstate(invalid="ignore"):
+        css = np.cumsum(U, axis=1) - 1.0
     n = V.shape[1]
     # the last index at which the sorted row still exceeds its running threshold
     rho = n - 1 - np.argmax((U * np.arange(1, n + 1) > css)[:, ::-1], axis=1)
@@ -285,8 +283,8 @@ def _dpi_gaps(d: DivergenceSpec, X: np.ndarray):
     m = len(X)
     PY = np.matmul(X[:, :1], X[:, 2:])[:, 0]
     QY = np.matmul(X[:, 1:2], X[:, 2:])[:, 0]
-    v = d.evaluate_batch(np.vstack([X[:, 0], PY / PY.sum(axis=1, keepdims=True)]),
-                         np.vstack([X[:, 1], QY / QY.sum(axis=1, keepdims=True)]))
+    v = d.evaluate_batch(np.vstack([X[:, 0], PY / row_sum(PY)[:, None]]),
+                         np.vstack([X[:, 1], QY / row_sum(QY)[:, None]]))
     return v[m:] - v[:m], v[:m], v[m:]
 
 
@@ -474,8 +472,8 @@ def check_shannon_inequality(f, n: int, trials: int = 100_000,
               "f": getattr(f, "label", None) or repr(f)}
     P = sample_simplex(rng, trials, n)
     Q = sample_simplex(rng, trials, n)
-    lhs = (P * np.asarray(f(P))).sum(axis=1)
-    rhs = (P * np.asarray(f(Q))).sum(axis=1)
+    lhs = row_sum(P * np.asarray(f(P)))
+    rhs = row_sum(P * np.asarray(f(Q)))
     k, margin, gap, failures = _reduce(lhs - rhs, _gap_tol(lhs))
     if margin <= 0:
         return _clean("shannon_inequality", trials, gap, failures, config)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from .simplex import Distribution
+from .simplex import Distribution, row_min, row_sum
 
 FD_STEP = 1e-6          # central-difference step for numeric gradients
 CONVEXITY_TOL = 1e-10   # midpoint convexity slack for generator spot-checks
@@ -198,13 +198,14 @@ def f_divergence_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.nd
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.divide(P, Q, out=np.ones_like(P), where=pos)
         terms = np.where(pos, Q * np.asarray(f(ratio)), 0.0)
-    out = terms.sum(axis=1)
-    # q_i = 0 < p_i contributes p_i * lim f(x)/x
+    out = row_sum(terms)
+    # q_i = 0 < p_i contributes p_i * lim f(x)/x; rows without escaped mass
+    # add 0, never 0 * lim (NaN when the limit is +inf)
     escaped = (~pos) & (P > 0)
     if np.any(escaped):
-        lim = f.perspective_limit()
-        extra = np.where(escaped, P, 0.0).sum(axis=1)
-        out = out + np.where(extra > 0, extra * lim, 0.0)
+        extra = row_sum(np.where(escaped, P, 0.0))
+        out = out + np.multiply(extra, f.perspective_limit(),
+                                out=np.zeros_like(extra), where=extra > 0)
     return out
 
 
@@ -214,12 +215,12 @@ def kl_type_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = np.asarray(f(Q)) - np.asarray(f(P))
         terms = np.where(P > 0, P * diff, 0.0)
-    return terms.sum(axis=1)
+    return row_sum(terms)
 
 
 def _bregman_rows_direct(G: MultivariateConvexFunction, P, Q) -> np.ndarray:
     g = G.gradient(Q)
-    return G.value(P) - G.value(Q) - np.sum(g * (P - Q), axis=-1)
+    return G.value(P) - G.value(Q) - row_sum(g * (P - Q))
 
 
 def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray,
@@ -228,7 +229,7 @@ def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray,
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     margin = 2 * FD_STEP if not G.has_analytic_grad else 0.0
-    interior = Q.min(axis=1) > margin
+    interior = row_min(Q) > margin
     out = np.empty(P.shape[0])
     if np.any(interior):
         out[interior] = _bregman_rows_direct(G, P[interior], Q[interior])
@@ -323,7 +324,7 @@ class DivergenceSpec:
         if self.family == "bregman":
             return bregman_batch(self.G, P, Q)
         if self.family == "decomposable":
-            return np.asarray(self.delta(P, Q)).sum(axis=1)
+            return row_sum(np.asarray(self.delta(P, Q)))
         if self.family == "composed":
             return np.asarray(self.outer(self.base.evaluate_batch(P, Q)))
         raise AssertionError(self.family)
@@ -365,7 +366,7 @@ def _xlogx(x):
 def negative_entropy(n: int | None = None) -> MultivariateConvexFunction:
     """sum_i p_i log p_i, defined on the whole simplex with 0 log 0 = 0."""
     return MultivariateConvexFunction(
-        value=lambda P: _xlogx(P).sum(axis=-1),
+        value=lambda P: row_sum(_xlogx(P)),
         grad=lambda Q: np.log(Q) + 1.0,
         label="negative_entropy", n=n)
 
@@ -373,7 +374,7 @@ def negative_entropy(n: int | None = None) -> MultivariateConvexFunction:
 def squared_norm_G(n: int | None = None,
                    label: str = "squared_norm") -> MultivariateConvexFunction:
     return MultivariateConvexFunction(
-        value=lambda P: (P * P).sum(axis=-1),
+        value=lambda P: row_sum(P * P),
         grad=lambda Q: 2.0 * Q,
         label=label, n=n)
 

@@ -16,6 +16,26 @@ from divergence_lab.simplex import (Channel, Distribution, SufficiencyScenario,
                                     merge_transform, push_forward)
 
 
+def sample_channels_masked(rng, m, n):
+    """The boolean-mask sampler that sample_channels replaces with strided
+    slices, kept as the reference: gather, sharpen and scatter every 4th
+    trial, then every 8th becomes a deterministic map."""
+    A = sample_simplex(rng, m * n, n).reshape(m, n, n)
+    idx = np.arange(m)
+    sharp = idx % 4 == 3
+    if np.any(sharp):
+        As = A[sharp] ** 8
+        A[sharp] = As / As.sum(axis=2, keepdims=True)
+    det = idx % 8 == 5
+    k = int(det.sum())
+    if k:
+        verts = rng.integers(0, n, size=(k, n))
+        Ad = np.zeros((k, n, n))
+        Ad[np.arange(k)[:, None], np.arange(n)[None, :], verts] = 1.0
+        A[det] = Ad
+    return A
+
+
 class TestSamplers:
     def test_simplex_rows(self):
         rng = np.random.default_rng(0)
@@ -31,6 +51,16 @@ class TestSamplers:
         # deterministic maps are present in the mix
         is_det = np.all((A == 0) | (A == 1), axis=(1, 2))
         assert is_det.any()
+
+    @pytest.mark.parametrize("m, n, seed", [(1, 2, 0), (5, 3, 1), (6, 4, 2),
+                                            (13, 5, 3), (64, 3, 4), (1003, 2, 5),
+                                            (2021, 5, 6)])
+    def test_channels_match_masked_reference(self, m, n, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        A = sample_channels(rng, m, n)
+        assert A.tobytes() == sample_channels_masked(ref_rng, m, n).tobytes()
+        # both drew the same numbers, so the streams continue alike
+        assert rng.uniform() == ref_rng.uniform()
 
 
 class TestCheckDPI:

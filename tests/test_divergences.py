@@ -58,6 +58,14 @@ class TestFDivergence:
         got = fdiv("tv").evaluate([0.5, 0.5], [1.0, 0.0])
         assert got == pytest.approx(0.5 + 0.5, abs=1e-12)
 
+    def test_escaped_rows_do_not_make_nan_elsewhere(self):
+        # a batch with escaped mass must not compute 0 * inf on its other rows
+        with np.errstate(invalid="raise"):
+            got = fdiv("chi2").evaluate_batch([[0.5, 0.5], [0.3, 0.7]],
+                                              [[1.0, 0.0], [0.5, 0.5]])
+        assert got[0] == np.inf
+        assert got[1] == pytest.approx(0.04 / 0.5 + 0.04 / 0.5, abs=1e-12)
+
     def test_chi2_value(self):
         got = fdiv("chi2").evaluate([0.3, 0.7], [0.5, 0.5])
         assert got == pytest.approx(0.04 / 0.5 + 0.04 / 0.5, abs=1e-12)

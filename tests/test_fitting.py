@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -292,3 +295,28 @@ class TestBregmanFResidual:
         # only through the full-identity residual, which must stay large
         resid = bregman_f_residual(catalog("euclidean").G, xlogx(), grid=60)
         assert resid > 0.01
+
+
+BLAS_PROBE = """
+import json
+from divergence_lab.checkers import check_dpi
+from divergence_lab.divergences import catalog
+from divergence_lab.fitting import fit_bregman_binary, fit_f_divergence
+kl = catalog("kl")
+print(json.dumps({"f": fit_f_divergence(kl, iters=0).summary(),
+                  "bregman": fit_bregman_binary(kl, iters=0).summary(),
+                  "dpi": check_dpi(kl, 3, random_trials=20_000).to_json_dict()}))
+"""
+
+
+def test_reports_do_not_depend_on_blas_threads():
+    # the golden report must not move with the BLAS thread count, so the warm
+    # start and the scans must not use thread-dependent reductions
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from divergence_lab.simplex import (Channel, Distribution, SimplexError,
                                     SufficiencyScenario, binary_channel, compose,
                                     merge_transform, proportional_pairs,
-                                    push_forward, split_transform)
+                                    push_forward, row_min, row_sum,
+                                    split_transform)
 
 
 def dist(*vals):
@@ -237,3 +238,30 @@ def test_merged_proportional_pairs_stay_proportional():
         # unmerged coordinates do not change, so their cross-ratios persist
         assert np.allclose(pa.probs[2:], p.probs[2:], atol=1e-15)
         assert np.allclose(qa.probs[2:], q.probs[2:], atol=1e-15)
+
+
+def _rows_with_specials(shape, seed):
+    """Random rows of mixed scale with +-inf, NaN and signed zeros mixed in."""
+    rng = np.random.default_rng(seed)
+    X = rng.exponential(size=shape) * rng.choice([1e-8, 1.0, 1e8], size=shape)
+    X *= rng.choice([-1.0, 1.0], size=shape)
+    special = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0])
+    mask = rng.uniform(size=shape) < 0.3
+    X[mask] = rng.choice(special, size=int(mask.sum()))
+    return X
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("lead", [(500,), (20, 30)])
+def test_row_reductions_bit_equal_numpy(n, lead):
+    plain = np.random.default_rng(n).exponential(size=lead + (n,))
+    special = _rows_with_specials(lead + (n,), seed=n)
+    zeros = np.full(lead + (n,), -0.0)
+    zeros[::2, ..., ::3] = 0.0
+    # inf - inf rows are meant to produce NaN here
+    with np.errstate(invalid="ignore"):
+        for X in (plain, -plain, special, special[..., ::-1], zeros):
+            for got, want in ((row_sum(X), X.sum(axis=-1)),
+                              (row_min(X), X.min(axis=-1))):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
