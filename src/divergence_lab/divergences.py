@@ -10,6 +10,10 @@ wrappers):
 Boundary conventions follow the usual perspective limits: a term with
 q_i = 0 = p_i contributes 0, and a term with q_i = 0 < p_i contributes
 p_i * lim_{x->inf} f(x)/x (+inf when that limit diverges).  0*log(0) is 0.
+Bregman generators carry their exact gradient, which may be infinite on a
+face of the simplex (negative entropy): a coordinate with p_i = q_i adds 0 to
+<grad G(Q), P - Q>, and an infinite gradient with p_i != q_i makes the
+divergence +inf.
 """
 
 from __future__ import annotations
@@ -22,12 +26,10 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from .simplex import Distribution, row_min, row_sum
+from .simplex import Distribution, row_sum
 
-FD_STEP = 1e-6          # central-difference step for numeric gradients
 CONVEXITY_TOL = 1e-10   # midpoint convexity slack for generator spot-checks
 F_AT_ONE_TOL = 1e-12
-SMOOTHING_EPS = (1e-4, 1e-5, 1e-6)
 
 CATALOG_NAMES = ("kl", "tv", "hellinger", "chi2", "brier", "euclidean", "tv_squared")
 
@@ -41,7 +43,7 @@ class DivergenceError(ValueError):
 # ---------------------------------------------------------------------------
 
 class ScalarFunction:
-    """A univariate real function with a derivative evaluator.
+    """A univariate real function, with its derivative when one is given.
 
     Either an analytic catalog entry (closed-form callables) or a quadrature
     table (strictly increasing knots, cubic interpolation between them, inputs
@@ -94,9 +96,7 @@ class ScalarFunction:
 
     def deriv(self, x):
         if self._deriv is None:
-            x = np.asarray(x, dtype=float)
-            h = FD_STEP
-            return (self._value(x + h) - self._value(x - h)) / (2 * h)
+            raise DivergenceError(f"{self.label or 'function'} has no derivative")
         return self._deriv(np.asarray(x, dtype=float))
 
     def perspective_limit(self) -> float:
@@ -134,15 +134,15 @@ def check_outer(k: ScalarFunction, grid: int = 200) -> None:
 # ---------------------------------------------------------------------------
 
 class MultivariateConvexFunction:
-    """Convex function on the simplex with a (possibly numeric) gradient.
+    """Convex function on the simplex with its exact gradient.
 
-    `value` takes arrays of shape (..., n) and returns shape (...).  When no
-    analytic gradient is supplied, central finite differences with step
-    FD_STEP are used; those require the argument to stay at least 2*FD_STEP
-    away from the simplex boundary.
+    `value` takes arrays of shape (..., n) and returns shape (...), finite on
+    the whole closed simplex.  `grad` returns rows of the same shape as its
+    argument; on a face it may be +-inf (negative entropy), which
+    `bregman_batch` resolves exactly.
     """
 
-    def __init__(self, value: Callable, grad: Callable | None = None,
+    def __init__(self, value: Callable, grad: Callable,
                  label: str = "", n: int | None = None):
         self._value = value
         self._grad = grad
@@ -152,26 +152,9 @@ class MultivariateConvexFunction:
     def value(self, P):
         return self._value(np.asarray(P, dtype=float))
 
-    @property
-    def has_analytic_grad(self) -> bool:
-        return self._grad is not None
-
     def gradient(self, Q):
         """Gradient rows for Q of shape (..., n)."""
-        Q = np.asarray(Q, dtype=float)
-        if self._grad is not None:
-            return self._grad(Q)
-        if np.min(Q) < 2 * FD_STEP:
-            raise DivergenceError(
-                f"argument within {2 * FD_STEP:g} of the boundary; "
-                "finite-difference gradient stencil does not fit")
-        n = Q.shape[-1]
-        g = np.empty_like(Q)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = FD_STEP
-            g[..., i] = (self._value(Q + e) - self._value(Q - e)) / (2 * FD_STEP)
-        return g
+        return self._grad(np.asarray(Q, dtype=float))
 
 
 def check_convex_on_simplex(G: MultivariateConvexFunction, n: int,
@@ -218,47 +201,20 @@ def kl_type_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray
     return row_sum(terms)
 
 
-def _bregman_rows_direct(G: MultivariateConvexFunction, P, Q) -> np.ndarray:
-    g = G.gradient(Q)
-    return G.value(P) - G.value(Q) - row_sum(g * (P - Q))
-
-
 def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray,
                   Q: np.ndarray) -> np.ndarray:
-    """Bregman rows; boundary Q rows go through the smoothing path."""
+    """Bregman rows G(P) - G(Q) - <grad G(Q), P - Q>, faces included.
+
+    A coordinate with p_i = q_i adds 0 even where the gradient is infinite;
+    an infinite gradient with p_i != q_i makes the row +inf (Legendre-type
+    convention of Banerjee et al., JMLR 2005).
+    """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    margin = 2 * FD_STEP if not G.has_analytic_grad else 0.0
-    interior = row_min(Q) > margin
-    out = np.empty(P.shape[0])
-    if np.any(interior):
-        out[interior] = _bregman_rows_direct(G, P[interior], Q[interior])
-    if np.any(~interior):
-        idx = np.where(~interior)[0]
-        out[idx] = _bregman_smoothed(G, P[idx], Q[idx])
-    return out
-
-
-def _bregman_smoothed(G: MultivariateConvexFunction, P, Q) -> np.ndarray:
-    """Evaluate at Q_eps = (1-eps) Q + eps * uniform and extrapolate to eps=0.
-
-    Three epsilons plus quadratic (Richardson-style) extrapolation.  When the
-    sequence does not contract the limit is divergent and the row is +inf.
-    """
-    n = Q.shape[-1]
-    u = np.full(n, 1.0 / n)
-    vals = []
-    for eps in SMOOTHING_EPS:
-        Qe = (1 - eps) * Q + eps * u
-        vals.append(_bregman_rows_direct(G, P, Qe))
-    v0, v1, v2 = vals
-    d1, d2 = v1 - v0, v2 - v1
-    diverging = np.abs(d2) > 0.5 * np.abs(d1) + 1e-12
-    e = np.asarray(SMOOTHING_EPS)
-    # Lagrange extrapolation of the three (eps, value) pairs to eps = 0
-    L = [np.prod([e[m] / (e[m] - e[k]) for m in range(3) if m != k]) for k in range(3)]
-    extrap = L[0] * v0 + L[1] * v1 + L[2] * v2
-    return np.where(diverging, np.inf, extrap)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = G.gradient(Q)
+        inner = row_sum(np.where(P == Q, 0.0, g * (P - Q)))
+    return G.value(P) - G.value(Q) - inner
 
 
 # ---------------------------------------------------------------------------

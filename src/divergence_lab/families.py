@@ -16,7 +16,7 @@ Two constructions:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -286,10 +286,14 @@ def write_family_csv(gen: HGenerator, path, points: int = 512,
 
 @dataclass(frozen=True)
 class SymmetricConvexG:
-    """g2 on [0, 1] with g2(x) = g2(1-x), convex, differentiable inside."""
+    """g2 on [0, 1] with g2(x) = g2(1-x), convex, differentiable inside.
+
+    `d_g2` is the exact derivative g2'; it may be -inf at 0 and +inf at 1
+    (negative binary entropy), and the Bregman kernel handles those faces.
+    """
 
     g2: Callable
-    d_g2: Callable | None = field(default=None)
+    d_g2: Callable
     label: str = "g2"
 
     def validate(self) -> None:
@@ -326,11 +330,7 @@ class SymmetricConvexG:
                 "the generator must be differentiable on the interior")
 
     def derivative(self, x):
-        if self.d_g2 is not None:
-            return np.asarray(self.d_g2(np.asarray(x, dtype=float)))
-        h = 1e-6
-        x = np.asarray(x, dtype=float)
-        return (np.asarray(self.g2(x + h)) - np.asarray(self.g2(x - h))) / (2 * h)
+        return np.asarray(self.d_g2(np.asarray(x, dtype=float)))
 
 
 def bregman_from_symmetric_g(g: SymmetricConvexG, validate: bool = True) -> DivergenceSpec:
@@ -374,7 +374,9 @@ def random_symmetric_convex_g(rng: np.random.Generator) -> SymmetricConvexG:
     def d_g2(x):
         x = np.asarray(x, dtype=float)
         u = x - 0.5
-        ent = np.log(np.clip(x, 1e-300, None)) - np.log(np.clip(1 - x, 1e-300, None))
+        # -inf at 0 and +inf at 1: the exact slope of the entropy term
+        with np.errstate(divide="ignore"):
+            ent = np.log(x) - np.log(1 - x)
         return (2 * c_quad * u + 4 * c_quart * u ** 3
                 + c_cosh * rate * np.sinh(rate * u) + c_ent * ent)
 

@@ -70,12 +70,6 @@ class ConvexPiecewiseLinearFit:
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self.knots, self.values)
 
-    def slope_at(self, x):
-        """Derivative from knot slopes, interpolated between segment midpoints."""
-        slopes = np.diff(self.values) / np.diff(self.knots)
-        mids = 0.5 * (self.knots[:-1] + self.knots[1:])
-        return np.interp(np.asarray(x, dtype=float), mids, slopes)
-
     def summary(self) -> dict:
         return {"residual": float(self.residual),
                 "passed": bool(self.passed),

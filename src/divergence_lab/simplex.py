@@ -22,8 +22,7 @@ class SimplexError(ValueError):
 
 
 # numpy adds up to this many terms one after another; from 8 on it sums
-# pairwise and takes the minimum with vector lanes, so row_sum and row_min
-# hand longer rows to numpy to keep its exact bits
+# pairwise, so row_sum hands longer rows to numpy to keep its exact bits
 _IN_ORDER_TERMS = 7
 
 
@@ -40,22 +39,6 @@ def row_sum(X: np.ndarray) -> np.ndarray:
     out = X[..., 0] + 0.0  # numpy's sum starts from +0.0, so -0.0 gives +0.0
     for j in range(1, n):
         out += X[..., j]
-    return out
-
-
-def row_min(X: np.ndarray) -> np.ndarray:
-    """X.min(axis=-1) by taking the minimum of whole columns in order.
-
-    Bit for bit, signed zeros included; a row with a NaN gives NaN, with the
-    same bits unless a NaN with its sign bit set comes first in the row.
-    """
-    X = np.asarray(X)
-    n = X.shape[-1]
-    if not 0 < n <= _IN_ORDER_TERMS:
-        return X.min(axis=-1)
-    out = X[..., 0].copy()
-    for j in range(1, n):
-        np.minimum(out, X[..., j], out=out)
     return out
 
 

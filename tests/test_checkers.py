@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,15 @@ class TestCheckDPI:
         assert before == pytest.approx(w["value_before"], rel=1e-9)
         assert after == pytest.approx(w["value_after"], rel=1e-9)
         assert after - before > 1e-9 + 1e-7 * abs(before)
+
+    def test_euclidean_n5_witness_matches_closed_form(self):
+        # witnesses with zero coordinates in Q once came back as gap +inf
+        rep = check_dpi(catalog("euclidean"), 5, random_trials=100_000, seed=42)
+        assert rep.verdict == "violation" and np.isfinite(rep.max_gap)
+        w = rep.witness
+        P, Q, A = np.array(w["P"]), np.array(w["Q"]), np.array(w["channel"])
+        exact = math.fsum((P @ A - Q @ A) ** 2) - math.fsum((P - Q) ** 2)
+        assert abs(w["gap"] - exact) <= 1e-12
 
     def test_named_merge_witness_arithmetic(self):
         # squared distance: 0.06 before the merge, 0.08 after it

@@ -95,6 +95,11 @@ class TestKLType:
         f = ScalarFunction(lambda x: -np.log(x))
         assert kl_type(f).evaluate([0.3, 0.7], [0.3, 0.7]) == 0.0
 
+    def test_deriv_without_derivative_raises(self):
+        f = ScalarFunction(lambda x: -np.log(x), label="-log(x)")
+        with pytest.raises(DivergenceError, match="no derivative"):
+            f.deriv(0.5)
+
     def test_quadratic_generator(self):
         f = ScalarFunction(lambda x: 0.5 * np.square(x) - x)
         got = kl_type(f).evaluate([0.3, 0.7], [0.5, 0.5])
@@ -157,10 +162,10 @@ class TestBregman:
         got = bregman(negative_entropy()).evaluate([0.5, 0.5], [1.0, 0.0])
         assert got == np.inf
 
-    def test_boundary_q_smoothing_converges(self):
-        # P also puts no mass where Q vanishes, so the limit is finite
+    def test_boundary_q_equal_p_exact_zero(self):
+        # p_i = q_i = 0 adds nothing, although the gradient there is -inf
         got = bregman(negative_entropy()).evaluate([0.0, 1.0], [0.0, 1.0])
-        assert abs(got) <= 1e-8
+        assert got == 0.0
 
     def test_boundary_p_fine_with_interior_q(self):
         got = bregman(negative_entropy()).evaluate([0.0, 1.0], [0.5, 0.5])
@@ -178,6 +183,33 @@ class TestBregman:
             assert np.min(d.evaluate_batch(P, Q)) >= -1e-10
 
 
+def _face_rows(n, m, seed):
+    """m random rows of the n-simplex, most with one or more zero coordinates."""
+    rng = np.random.default_rng(seed)
+    X = rng.exponential(size=(m, n))
+    X[rng.uniform(size=(m, n)) < 0.4] = 0.0
+    X[np.arange(m), rng.integers(n, size=m)] += 0.5  # no all-zero row
+    return X / X.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_bregman_exact_on_faces(n):
+    P, Q = _face_rows(n, 400, seed=n), _face_rows(n, 400, seed=100 + n)
+    assert np.any(P == 0) and np.any(Q == 0)
+    # brier's binary form 2 (p - q)^2 is the squared distance of the rows
+    norm2 = np.array([math.fsum(r) for r in (P - Q) ** 2])
+    for name in ("brier", "euclidean") if n == 2 else ("euclidean",):
+        got = catalog(name).evaluate_batch(P, Q)
+        assert np.all(np.abs(got - norm2) <= 1e-15 * (1 + norm2))
+    got = bregman(negative_entropy()).evaluate_batch(P, Q)
+    want = catalog("kl").evaluate_batch(P, Q)
+    escaped = np.any((P > 0) & (Q == 0), axis=1)
+    assert np.any(escaped) and not np.all(escaped)
+    assert np.array_equal(np.isinf(got), escaped)
+    assert np.all(got[escaped] == np.inf)
+    assert np.allclose(got[~escaped], want[~escaped], rtol=1e-12, atol=1e-12)
+
+
 class TestGradient:
     def test_analytic_squared_norm(self):
         g = catalog("euclidean").G.gradient([0.5, 0.5])
@@ -187,19 +219,9 @@ class TestGradient:
         g = negative_entropy().gradient([0.25, 0.75])
         assert np.allclose(g, [math.log(0.25) + 1, math.log(0.75) + 1])
 
-    def test_finite_difference_agrees_with_analytic(self):
-        numeric = MultivariateConvexFunction(value=lambda P: (P * P).sum(axis=-1))
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            q = rng.uniform(0.05, 1.0, size=3)
-            q /= q.sum()
-            assert np.allclose(numeric.gradient(q),
-                               catalog("euclidean").G.gradient(q), atol=1e-6)
-
-    def test_boundary_stencil_error(self):
-        numeric = MultivariateConvexFunction(value=lambda P: (P * P).sum(axis=-1))
-        with pytest.raises(DivergenceError):
-            numeric.gradient([1e-7, 1.0 - 1e-7])
+    def test_gradient_required(self):
+        with pytest.raises(TypeError):
+            MultivariateConvexFunction(value=lambda P: (P * P).sum(axis=-1))
 
 
 class TestComposed:

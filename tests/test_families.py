@@ -258,19 +258,37 @@ class TestSymmetricConvexG:
         assert np.allclose(got, want, atol=1e-10)
 
     def test_kink_rejected(self):
-        with pytest.raises(FamilyError):
+        with pytest.raises(FamilyError, match="derivative jump"):
             bregman_from_symmetric_g(
-                SymmetricConvexG(lambda x: np.maximum(x, 1 - x), label="max"))
+                SymmetricConvexG(lambda x: np.maximum(x, 1 - x),
+                                 d_g2=lambda x: np.sign(np.asarray(x) - 0.5),
+                                 label="max"))
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(FamilyError):
+        with pytest.raises(FamilyError, match="asymmetric"):
             bregman_from_symmetric_g(
-                SymmetricConvexG(lambda x: np.square(x), label="x^2"))
+                SymmetricConvexG(lambda x: np.square(x),
+                                 d_g2=lambda x: 2 * np.asarray(x), label="x^2"))
 
     def test_concave_rejected(self):
-        with pytest.raises(FamilyError):
+        with pytest.raises(FamilyError, match="convexity"):
             bregman_from_symmetric_g(
-                SymmetricConvexG(lambda x: -np.square(x - 0.5), label="cap"))
+                SymmetricConvexG(lambda x: -np.square(x - 0.5),
+                                 d_g2=lambda x: 1 - 2 * np.asarray(x),
+                                 label="cap"))
+
+    def test_derivative_required(self):
+        with pytest.raises(TypeError):
+            SymmetricConvexG(lambda x: np.square(x - 0.5), label="u^2")
+
+    def test_random_generator_exact_on_faces(self):
+        # the entropy term's slope is -inf at 0 and +inf at 1, not a clipped
+        # finite number, so a face Q away from P is +inf
+        d = bregman_from_symmetric_g(
+            random_symmetric_convex_g(np.random.default_rng(7)))
+        assert d.evaluate([0.5, 0.5], [0.0, 1.0]) == np.inf
+        assert d.evaluate([0.5, 0.5], [1.0, 0.0]) == np.inf
+        assert d.evaluate([0.0, 1.0], [0.0, 1.0]) == 0.0
 
     def test_random_generators_valid(self):
         rng = np.random.default_rng(33)

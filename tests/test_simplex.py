@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from divergence_lab.simplex import (Channel, Distribution, SimplexError,
                                     SufficiencyScenario, binary_channel, compose,
                                     merge_transform, proportional_pairs,
-                                    push_forward, row_min, row_sum,
+                                    push_forward, row_sum,
                                     split_transform)
 
 
@@ -261,7 +261,6 @@ def test_row_reductions_bit_equal_numpy(n, lead):
     # inf - inf rows are meant to produce NaN here
     with np.errstate(invalid="ignore"):
         for X in (plain, -plain, special, special[..., ::-1], zeros):
-            for got, want in ((row_sum(X), X.sum(axis=-1)),
-                              (row_min(X), X.min(axis=-1))):
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
+            got, want = row_sum(X), X.sum(axis=-1)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
