@@ -1,7 +1,7 @@
 """Divergence families on the probability simplex with a uniform evaluate API.
 
-Three families are built in (plus coordinatewise-decomposable and composed
-wrappers):
+Three families are built in (plus a composed wrapper, k(D) for a
+nondecreasing outer function k):
 
 * f-divergences       sum_i q_i f(p_i / q_i), f convex with f(1) = 0
 * Bregman divergences G(P) - G(Q) - <grad G(Q), P - Q>, G convex
@@ -9,7 +9,8 @@ wrappers):
 
 Boundary conventions follow the usual perspective limits: a term with
 q_i = 0 = p_i contributes 0, and a term with q_i = 0 < p_i contributes
-p_i * lim_{x->inf} f(x)/x (+inf when that limit diverges).  0*log(0) is 0.
+p_i * lim_{x->inf} f(x)/x, a limit every f-divergence generator declares
+(+inf when it diverges).  0*log(0) is 0.
 Bregman generators carry their exact gradient, which may be infinite on a
 face of the simplex (negative entropy): a coordinate with p_i = q_i adds 0 to
 <grad G(Q), P - Q>, and an infinite gradient with p_i != q_i makes the
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.interpolate import CubicHermiteSpline
 
 from .simplex import Distribution, row_sum
 
@@ -45,48 +46,41 @@ class DivergenceError(ValueError):
 class ScalarFunction:
     """A univariate real function, with its derivative when one is given.
 
-    Either an analytic catalog entry (closed-form callables) or a quadrature
-    table (strictly increasing knots, cubic interpolation between them, inputs
-    clamped to the tabulated domain).
+    Either closed-form callables or a quadrature table (strictly increasing
+    knots, cubic Hermite interpolation between them, inputs clamped to the
+    tabulated domain).  `perspective_limit` is lim_{x -> inf} f(x)/x, which an
+    f-divergence generator must declare; it is never estimated.
     """
 
     def __init__(self, value: Callable, deriv: Callable | None = None,
-                 domain: tuple[float, float] = (0.0, np.inf),
-                 kind: str = "analytic", label: str = "",
-                 perspective_limit: float | None = None):
-        self.kind = kind
+                 label: str = "", perspective_limit: float | None = None):
         self.label = label
-        self.domain = domain
         self._value = value
         self._deriv = deriv
-        self._perspective_limit = perspective_limit
+        self.perspective_limit = perspective_limit
 
     @classmethod
     def from_table(cls, knots: np.ndarray, values: np.ndarray,
-                   deriv: Callable | None = None, label: str = "",
-                   deriv_values: np.ndarray | None = None) -> "ScalarFunction":
+                   deriv_values: np.ndarray, deriv: Callable | None = None,
+                   label: str = "") -> "ScalarFunction":
         """Tabulated function with cubic interpolation between knots.
 
-        With `deriv_values` the interpolant is the piecewise cubic Hermite
-        matching values and first derivatives at the knots; it is local, so a
-        curvature jump placed exactly on a knot does not pollute the
-        neighbouring intervals.
+        The interpolant is the piecewise cubic Hermite matching values and
+        first derivatives at the knots; it is local, so a curvature jump
+        placed exactly on a knot does not pollute the neighbouring intervals.
         """
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
         if np.any(np.diff(knots) <= 0):
             raise DivergenceError("table knots must be strictly increasing")
-        if deriv_values is not None:
-            spline = CubicHermiteSpline(knots, values, np.asarray(deriv_values,
-                                                                  dtype=float))
-        else:
-            spline = CubicSpline(knots, values)
+        spline = CubicHermiteSpline(knots, values,
+                                    np.asarray(deriv_values, dtype=float))
         lo, hi = float(knots[0]), float(knots[-1])
 
         def value(x, _s=spline, _lo=lo, _hi=hi):
             return _s(np.clip(x, _lo, _hi))
 
-        fn = cls(value, deriv=deriv, domain=(lo, hi), kind="table", label=label)
+        fn = cls(value, deriv=deriv, label=label)
         fn.knots = knots
         fn.knot_values = values
         return fn
@@ -98,14 +92,6 @@ class ScalarFunction:
         if self._deriv is None:
             raise DivergenceError(f"{self.label or 'function'} has no derivative")
         return self._deriv(np.asarray(x, dtype=float))
-
-    def perspective_limit(self) -> float:
-        """lim_{x -> inf} f(x)/x, estimated from huge arguments when not given."""
-        if self._perspective_limit is None:
-            r1 = float(self._value(np.asarray(1e9)) / 1e9)
-            r2 = float(self._value(np.asarray(1e12)) / 1e12)
-            self._perspective_limit = r2 if abs(r2 - r1) <= 1e-6 * (1 + abs(r2)) else np.inf
-        return self._perspective_limit
 
 
 def check_f_generator(f: ScalarFunction, grid: int = 200) -> None:
@@ -187,7 +173,7 @@ def f_divergence_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.nd
     escaped = (~pos) & (P > 0)
     if np.any(escaped):
         extra = row_sum(np.where(escaped, P, 0.0))
-        out = out + np.multiply(extra, f.perspective_limit(),
+        out = out + np.multiply(extra, f.perspective_limit,
                                 out=np.zeros_like(extra), where=extra > 0)
     return out
 
@@ -221,7 +207,7 @@ def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray,
 # DivergenceSpec
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("f_divergence", "bregman", "kl_type", "decomposable", "composed")
+FAMILIES = ("f_divergence", "bregman", "kl_type", "composed")
 
 
 class DivergenceSpec:
@@ -234,7 +220,6 @@ class DivergenceSpec:
 
     def __init__(self, family: str, label: str, *, f: ScalarFunction | None = None,
                  G: MultivariateConvexFunction | None = None,
-                 delta: Callable | None = None,
                  base: "DivergenceSpec | None" = None,
                  outer: ScalarFunction | None = None,
                  n: int | None = None,
@@ -242,11 +227,14 @@ class DivergenceSpec:
                  validate: bool = True):
         if family not in FAMILIES:
             raise DivergenceError(f"unknown family {family!r}")
+        if family == "f_divergence" and f.perspective_limit is None:
+            raise DivergenceError(
+                f"{label!r}: an f-divergence generator must declare "
+                "perspective_limit, lim f(x)/x as x -> inf")
         self.family = family
         self.label = label
         self.f = f
         self.G = G
-        self.delta = delta
         self.base = base
         self.outer = outer
         self.n = n  # fixed alphabet size, or None
@@ -279,8 +267,6 @@ class DivergenceSpec:
             return kl_type_batch(self.f, P, Q)
         if self.family == "bregman":
             return bregman_batch(self.G, P, Q)
-        if self.family == "decomposable":
-            return row_sum(np.asarray(self.delta(P, Q)))
         if self.family == "composed":
             return np.asarray(self.outer(self.base.evaluate_batch(P, Q)))
         raise AssertionError(self.family)

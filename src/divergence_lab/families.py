@@ -33,7 +33,7 @@ QUAD_TOL = 1e-10          # relative tolerance per quadrature panel
 QUAD_ABS_TOL = 1e-13
 QUAD_MAX_LEVELS = 16      # bisection depth cap for panels over tolerance
 GL_NODES = 10             # Gauss-Legendre order; the embedded rule has half
-DEFAULT_SAMPLES = 4096
+DEFAULT_SAMPLES = 4096    # f-table knots: half of them geometric on each side of 1/2
 
 _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(GL_NODES)
 _GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(GL_NODES // 2)
@@ -50,7 +50,7 @@ class FamilyError(DivergenceError):
 
 @dataclass(frozen=True)
 class HGenerator:
-    """A candidate h on (0, 1/2] plus the quadrature resolution to use.
+    """A candidate h on (0, 1/2] and the kinks its table must keep.
 
     `breakpoints` lists interior points where h (or its derivative) has a
     kink; they become table knots so interpolation stays clean across them.
@@ -58,7 +58,6 @@ class HGenerator:
 
     h: Callable
     label: str = "h"
-    samples: int = DEFAULT_SAMPLES
     breakpoints: tuple[float, ...] = ()
 
     def grid(self) -> np.ndarray:
@@ -90,8 +89,7 @@ def build_G_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
     """
     if validate:
         gen.validate()
-    return ScalarFunction(_reflected_G(gen.h), domain=(0.0, 1.0),
-                          label=f"G[{gen.label}]")
+    return ScalarFunction(_reflected_G(gen.h), label=f"G[{gen.label}]")
 
 
 def _panel_rules(fprime: Callable, a: np.ndarray, b: np.ndarray):
@@ -166,7 +164,7 @@ def build_f_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
         x = np.asarray(x, dtype=float)
         return np.asarray(G(x)) / x
 
-    half = gen.samples // 2
+    half = DEFAULT_SAMPLES // 2
     lower = np.geomspace(QUAD_DOMAIN_LO, 0.5, half)
     extra = [0.5]
     for bp in gen.breakpoints:
@@ -256,9 +254,9 @@ def parse_h(text: str) -> tuple[Callable, str, tuple[float, ...]]:
     raise FamilyError(f"unknown h spec kind {kind!r}")
 
 
-def h_generator_from_spec(text: str, samples: int = DEFAULT_SAMPLES) -> HGenerator:
+def h_generator_from_spec(text: str) -> HGenerator:
     fn, label, breaks = parse_h(text)
-    return HGenerator(fn, label=label, samples=samples, breakpoints=breaks)
+    return HGenerator(fn, label=label, breakpoints=breaks)
 
 
 def family_table(gen: HGenerator, points: int = 512,

@@ -6,7 +6,7 @@ of a piecewise-linear convex function on a knot grid.  Feasibility is kept
 at every iterate by parameterizing with segment slopes and projecting onto
 nondecreasing slope sequences with scipy's isotonic regression (pool adjacent
 violators), which is exactly the convexity constraint on second differences.
-A regularized linear solve, by sparse LU in symmetric mode, provides the
+One regularized linear solve, by sparse LU in symmetric mode, provides the
 starting point; an accelerated projected-gradient loop with a monotone
 best-iterate record does the constrained polish.  numpy/scipy only, no
 external solver.
@@ -29,13 +29,13 @@ from scipy.optimize import isotonic_regression
 
 from .divergences import DivergenceSpec, MultivariateConvexFunction, ScalarFunction
 
-CONVEXITY_SLACK = 1e-10          # allowed dip in fitted second differences
 MAX_ITERS = 10_000
 REL_IMPROVEMENT = 1e-12          # stop when the best objective stalls
 STALL_WINDOW = 300
 PASS_SCALE = 1e-5                # passed iff residual <= PASS_SCALE * rms(D)
 SAMPLE_LO, SAMPLE_HI = 0.05, 0.95
 RATIO_LO, RATIO_HI = 0.05, 20.0
+WARM_SMOOTHING = 1e-4            # second-difference weight of the warm start
 
 
 def pav_nondecreasing(y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -115,36 +115,31 @@ class _SlopeParam:
         return self.dx * rc[1:]
 
 
-def _warm_start(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray, pin: int):
+def _warm_start(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray):
     """Regularized least squares in value space, then slope projection.
 
-    A deterministic ladder of smoothness weights is tried and the feasible
-    point with the smallest residual wins.
+    One solve of (A^T A + WARM_SMOOTHING * scale * R + 1e-14 * scale * I) v
+    = A^T y, where R penalizes second differences and scale is the largest
+    diagonal entry of A^T A; the slopes of v, projected onto nondecreasing
+    sequences, start the polish.  A failed or non-finite solve starts from
+    zero slopes.
     """
     K = len(knots)
-    par = _SlopeParam(knots, pin)
     AtA = (A.T @ A).tocsc()
-    Aty = A.T @ y
     scale = max(float(AtA.diagonal().max()), 1e-300)
     D2 = sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(K - 2, K))
     R = (D2.T @ D2).tocsc()
-    best_s, best_rms = np.zeros(K - 1), np.inf
-    for lam in (1e-4, 1e-6, 1e-8):
-        M = (AtA + lam * scale * R + 1e-14 * scale * sp.eye(K)).tocsc()
-        try:
-            # M is symmetric positive definite: a symmetric minimum-degree
-            # ordering without pivoting keeps the factor sparse
-            v0 = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True}).solve(Aty)
-        except RuntimeError:
-            continue
-        if not np.all(np.isfinite(v0)):
-            continue
-        s0 = pav_nondecreasing(np.diff(v0) / par.dx)
-        rms = float(np.sqrt(np.mean((A @ par.values(s0) - y) ** 2)))
-        if rms < best_rms:
-            best_s, best_rms = s0, rms
-    return best_s
+    M = (AtA + WARM_SMOOTHING * scale * R + 1e-14 * scale * sp.eye(K)).tocsc()
+    try:
+        # M is symmetric positive definite: a symmetric minimum-degree
+        # ordering without pivoting keeps the factor sparse
+        v0 = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True}).solve(A.T @ y)
+    except RuntimeError:
+        return np.zeros(K - 1)
+    if not np.all(np.isfinite(v0)):
+        return np.zeros(K - 1)
+    return pav_nondecreasing(np.diff(v0) / np.diff(knots))
 
 
 def _slope_column_weights(A: sp.csr_matrix, dx: np.ndarray, pin: int) -> np.ndarray:
@@ -182,11 +177,12 @@ def _slope_column_weights(A: sp.csr_matrix, dx: np.ndarray, pin: int) -> np.ndar
 
 
 def _fit_convex(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray, pin: int,
-                iters: int = MAX_ITERS):
+                iters: int = MAX_ITERS) -> ConvexPiecewiseLinearFit:
     """Accelerated, diagonally preconditioned projected gradient over slopes.
 
     The PAV projection runs in the preconditioner's metric, so every iterate
     is feasible (nondecreasing slopes, i.e. nonnegative second differences).
+    The fit passes when its residual is at most PASS_SCALE * rms(y).
     """
     m, K = A.shape
     par = _SlopeParam(knots, pin)
@@ -209,7 +205,7 @@ def _fit_convex(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray, pin: int,
         z = z2 / nz
     L = max(nz * 1.01, 1e-300)
 
-    s = _warm_start(A, y, knots, pin)
+    s = _warm_start(A, y, knots)
     s_prev = s.copy()
     tk = 1.0
     f_best, _ = objective(s)
@@ -236,7 +232,10 @@ def _fit_convex(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray, pin: int,
                 break
     v = par.values(s_best)
     rms = float(np.sqrt(np.mean((A @ v - y) ** 2)))
-    return v, rms, it, stop_reason, np.asarray(history)
+    rms_target = float(np.sqrt(np.mean(y ** 2)))
+    thr = PASS_SCALE * rms_target
+    return ConvexPiecewiseLinearFit(knots, v, rms, rms_target, thr, rms <= thr,
+                                    it, stop_reason, np.asarray(history))
 
 
 def _sample_pairs(sample_pairs: int, seed: int):
@@ -288,11 +287,7 @@ def fit_f_divergence(d: DivergenceSpec, sample_pairs: int = 4000,
     cols = np.concatenate([pr[1] for pr in parts])
     data = np.concatenate([pr[2] for pr in parts])
     A = sp.csr_matrix((data, (rows, cols)), shape=(m, knots))
-    v, rms, it, stop, hist = _fit_convex(A, y, grid, pin, iters)
-    rms_target = float(np.sqrt(np.mean(y ** 2)))
-    thr = PASS_SCALE * rms_target
-    return ConvexPiecewiseLinearFit(grid, v, rms, rms_target, thr, rms <= thr,
-                                    it, stop, hist)
+    return _fit_convex(A, y, grid, pin, iters)
 
 
 def fit_bregman_binary(d: DivergenceSpec, sample_pairs: int = 4000,
@@ -330,11 +325,7 @@ def fit_bregman_binary(d: DivergenceSpec, sample_pairs: int = 4000,
     A = sp.csr_matrix((np.concatenate(data_l),
                        (np.concatenate(rows_l), np.concatenate(cols_l))),
                       shape=(m, knots))
-    v, rms, it, stop, hist = _fit_convex(A, y, grid, pin, iters)
-    rms_target = float(np.sqrt(np.mean(y ** 2)))
-    thr = PASS_SCALE * rms_target
-    return ConvexPiecewiseLinearFit(grid, v, rms, rms_target, thr, rms <= thr,
-                                    it, stop, hist)
+    return _fit_convex(A, y, grid, pin, iters)
 
 
 def bregman_f_residual(G: MultivariateConvexFunction, f: ScalarFunction,

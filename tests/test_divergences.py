@@ -77,12 +77,22 @@ class TestFDivergence:
         assert got == pytest.approx(expect, abs=1e-12)
 
     def test_generator_precondition_rejected(self):
-        concave = ScalarFunction(lambda x: -np.square(x - 1.0))
-        with pytest.raises(DivergenceError):
+        concave = ScalarFunction(lambda x: -np.square(x - 1.0),
+                                 perspective_limit=-np.inf)
+        with pytest.raises(DivergenceError, match="midpoint convexity"):
             DivergenceSpec("f_divergence", "bad", f=concave)
-        shifted = ScalarFunction(lambda x: np.square(x - 1.0) + 0.5)
-        with pytest.raises(DivergenceError):
+        shifted = ScalarFunction(lambda x: np.square(x - 1.0) + 0.5,
+                                 perspective_limit=np.inf)
+        with pytest.raises(DivergenceError, match=r"f\(1\)"):
             DivergenceSpec("f_divergence", "bad", f=shifted)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_perspective_limit_required(self, validate):
+        # lim f(x)/x is declared, never estimated from large arguments, so a
+        # generator without it is refused whether or not the spec is validated
+        f = ScalarFunction(lambda x: np.asarray(x, dtype=float) - 1.0)
+        with pytest.raises(DivergenceError, match="perspective_limit"):
+            DivergenceSpec("f_divergence", "undeclared", f=f, validate=validate)
 
 
 class TestKLType:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from divergence_lab.divergences import catalog
-from divergence_lab.families import (QUAD_ABS_TOL, QUAD_TOL, FamilyError,
-                                     HGenerator, SymmetricConvexG,
+from divergence_lab.families import (DEFAULT_SAMPLES, QUAD_ABS_TOL, QUAD_TOL,
+                                     FamilyError, HGenerator, SymmetricConvexG,
                                      bregman_from_symmetric_g, build_G_from_h,
                                      build_f_from_h, family_table,
                                      h_generator_from_spec, kl_type_from_h,
@@ -13,8 +13,8 @@ from divergence_lab.families import (QUAD_ABS_TOL, QUAD_TOL, FamilyError,
                                      write_family_csv)
 
 
-def gen(name, samples=4096):
-    return h_generator_from_spec(f"name:{name}", samples=samples)
+def gen(name):
+    return h_generator_from_spec(f"name:{name}")
 
 
 def binary_rows(p):
@@ -165,6 +165,9 @@ class TestBuildF:
             f = build_f_from_h(gen(name))
             assert f.quad_error <= 1e-12
             assert f.quad_panels >= len(f.knots) - 1
+            # DEFAULT_SAMPLES // 2 knots per half, sharing 1/2, plus any
+            # breakpoint and its reflection
+            assert len(f.knots) == DEFAULT_SAMPLES - 1 + 2 * (name == "ramp")
 
     def test_decreasing_near_one_matches_closed_form(self):
         # above 1/2, h = 1/2 - x gives f(x) = (x - 1/2) + ln(2 (1 - x)) / 2;
@@ -328,7 +331,7 @@ class TestParsing:
 
     def test_family_csv(self, tmp_path):
         path = tmp_path / "fam.csv"
-        write_family_csv(gen("square", samples=512), path, points=32)
+        write_family_csv(gen("square"), path, points=32)
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert rows.shape == (32, 3)
         x = rows[:, 0]
@@ -336,6 +339,6 @@ class TestParsing:
                                                 (1 - x) * -x), atol=1e-12)
 
     def test_family_table_columns(self):
-        t = family_table(gen("zero", samples=512), points=16)
+        t = family_table(gen("zero"), points=16)
         assert t.shape == (16, 3)
         assert np.allclose(t[:, 1:], 0.0, atol=1e-12)
