@@ -18,8 +18,9 @@ from typing import Any
 import numpy as np
 
 from .divergences import DivergenceSpec
-from .simplex import (Channel, Distribution, SufficiencyScenario,
-                      merge_transform, push_forward, row_sum, split_transform)
+from .simplex import (Channel, Distribution, SufficiencyScenario, binary_rows,
+                      interior_binary_grid, merge_transform, push_forward,
+                      row_sum, split_transform)
 
 DPI_ABS_TOL = 1e-9
 DPI_REL_TOL = 1e-7
@@ -95,14 +96,6 @@ def sample_channels(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return A
 
 
-def _binary_rows(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=float).ravel()
-    rows = np.empty((p.size, 2))
-    rows[:, 0] = p
-    np.subtract(1.0, p, out=rows[:, 1])
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # the shared reduce -> confirm path
 # ---------------------------------------------------------------------------
@@ -173,11 +166,9 @@ def _binary_triple(p, q, a, b):
 
 def _dpi_scan_binary_grid(d: DivergenceSpec, grid: int):
     """Exhaustive scan over (p, q, alpha, beta); p, q interior, alpha/beta in [0,1]."""
-    pq = np.linspace(1.0 / (grid + 1), grid / (grid + 1.0), grid)
+    Pf, Qf = interior_binary_grid(grid)
     ab = np.linspace(0.0, 1.0, grid)
-    P, Q = np.meshgrid(pq, pq, indexing="ij")
-    Pf, Qf = P.ravel(), Q.ravel()
-    before = d.evaluate_batch(_binary_rows(Pf), _binary_rows(Qf))
+    before = d.evaluate_batch(binary_rows(Pf), binary_rows(Qf))
     tol = _gap_tol(before)
     best = (-np.inf, -np.inf, None)
     failures = 0
@@ -185,8 +176,7 @@ def _dpi_scan_binary_grid(d: DivergenceSpec, grid: int):
         # vectorize over alpha for this beta
         pt = Pf[None, :] * ab[:, None] + beta * (1.0 - Pf[None, :])
         qt = Qf[None, :] * ab[:, None] + beta * (1.0 - Qf[None, :])
-        after = d.evaluate_batch(_binary_rows(pt.ravel()),
-                                 _binary_rows(qt.ravel())).reshape(grid, -1)
+        after = d.evaluate_batch(binary_rows(pt), binary_rows(qt)).reshape(grid, -1)
         k, margin, gap, fail = _reduce(after - before[None, :], tol[None, :])
         failures += fail
         if margin > best[0]:
@@ -200,9 +190,9 @@ def _dpi_scan_binary_random(d: DivergenceSpec, trials: int, rng: np.random.Gener
     q = np.clip(rng.uniform(size=trials), 1e-9, 1 - 1e-9)
     a = rng.uniform(size=trials)
     b = rng.uniform(size=trials)
-    before = d.evaluate_batch(_binary_rows(p), _binary_rows(q))
-    after = d.evaluate_batch(_binary_rows(p * a + b * (1 - p)),
-                             _binary_rows(q * a + b * (1 - q)))
+    before = d.evaluate_batch(binary_rows(p), binary_rows(q))
+    after = d.evaluate_batch(binary_rows(p * a + b * (1 - p)),
+                             binary_rows(q * a + b * (1 - q)))
     k, margin, gap, failures = _reduce(after - before, _gap_tol(before))
     return margin, gap, _binary_triple(p[k], q[k], a[k], b[k]), failures
 
@@ -441,17 +431,15 @@ def check_decomposable_binary(d: DivergenceSpec, grid: int = 200) -> CheckReport
     coordinatewise sum.
     """
     config = {"grid": grid, "tol": DECOMPOSABLE_TOL, "divergence": d.label}
-    pq = np.linspace(1.0 / (grid + 1), grid / (grid + 1.0), grid)
-    P, Q = np.meshgrid(pq, pq, indexing="ij")
-    Pf, Qf = P.ravel(), Q.ravel()
-    a = d.evaluate_batch(_binary_rows(Pf), _binary_rows(Qf))
-    b = d.evaluate_batch(_binary_rows(1.0 - Pf), _binary_rows(1.0 - Qf))
+    Pf, Qf = interior_binary_grid(grid)
+    a = d.evaluate_batch(binary_rows(Pf), binary_rows(Qf))
+    b = d.evaluate_batch(binary_rows(1.0 - Pf), binary_rows(1.0 - Qf))
     k, margin, gap, failures = _reduce(_abs_delta(a, b), DECOMPOSABLE_TOL)
     if margin <= 0:
         return _clean("decomposability", grid * grid, gap, failures, config)
     # re-evaluate the flagged pair (row 0) and its swap (row 1) in one batch
-    P2 = _binary_rows([Pf[k], 1.0 - Pf[k]])
-    Q2 = _binary_rows([Qf[k], 1.0 - Qf[k]])
+    P2 = binary_rows([Pf[k], 1.0 - Pf[k]])
+    Q2 = binary_rows([Qf[k], 1.0 - Qf[k]])
     before, after = d.evaluate_batch(P2, Q2)
     gap = _abs_delta(before, after)
     return _confirm("decomposability", grid * grid, failures, config,

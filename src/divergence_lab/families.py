@@ -304,9 +304,9 @@ class SymmetricConvexG:
         gap = 0.5 * (v[:-1] + v[1:]) - np.asarray(self.g2(mid))
         if np.min(gap) < -H_GRID_TOL:
             raise FamilyError(f"g2({self.label}) fails midpoint convexity")
-        self._check_differentiable(x)
+        self._check_differentiable()
 
-    def _check_differentiable(self, _: np.ndarray) -> None:
+    def _check_differentiable(self) -> None:
         # compare one-sided slopes at the same point: for smooth g2 the
         # left/right gap shrinks linearly with the stencil, at a kink it stays
         x = np.linspace(0.02, 0.98, 961)

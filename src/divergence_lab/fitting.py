@@ -8,8 +8,8 @@ nondecreasing slope sequences with scipy's isotonic regression (pool adjacent
 violators), which is exactly the convexity constraint on second differences.
 One regularized linear solve, by sparse LU in symmetric mode, provides the
 starting point; an accelerated projected-gradient loop with a monotone
-best-iterate record does the constrained polish.  numpy/scipy only, no
-external solver.
+best-iterate record does the constrained polish, and stops once its
+projected step is stationary.  numpy/scipy only, no external solver.
 
 The pass/fail threshold is scale-free (residual against the root-mean-square
 of the divergence over the sample set) and is surfaced in every result
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,10 +28,10 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import isotonic_regression
 
 from .divergences import DivergenceSpec, MultivariateConvexFunction, ScalarFunction
+from .simplex import binary_rows, interior_binary_grid
 
 MAX_ITERS = 10_000
-REL_IMPROVEMENT = 1e-12          # stop when the best objective stalls
-STALL_WINDOW = 300
+STATIONARITY_TOL = 1e-9          # converged iff L ||step||_W^2 <= this * max(f, f_pass)
 PASS_SCALE = 1e-5                # passed iff residual <= PASS_SCALE * rms(D)
 SAMPLE_LO, SAMPLE_HI = 0.05, 0.95
 RATIO_LO, RATIO_HI = 0.05, 20.0
@@ -51,10 +51,10 @@ def pav_nondecreasing(y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
 class ConvexPiecewiseLinearFit:
     """A fitted convex piecewise-linear function plus fit diagnostics.
 
-    `objective_history` is the best objective seen after each iteration and
-    is nonincreasing by construction.  `stop_reason` is "stall" when the best
-    objective stopped improving over STALL_WINDOW iterations and "max_iters"
-    when the iteration cap ended the loop.
+    `stop_reason` is "converged" when the last projected step was
+    stationary and "max_iters" when the iteration cap ended the loop.
+    `stationarity` is the number the stop rule compared with
+    STATIONARITY_TOL (inf when no iteration ran).
     """
 
     knots: np.ndarray
@@ -65,7 +65,7 @@ class ConvexPiecewiseLinearFit:
     passed: bool
     iterations: int
     stop_reason: str
-    objective_history: np.ndarray = field(repr=False, default=None)
+    stationarity: float
 
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self.knots, self.values)
@@ -76,7 +76,8 @@ class ConvexPiecewiseLinearFit:
                 "threshold": float(self.threshold),
                 "rms_target": float(self.rms_target),
                 "iterations": int(self.iterations),
-                "stop_reason": self.stop_reason}
+                "stop_reason": self.stop_reason,
+                "stationarity": float(self.stationarity)}
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -182,9 +183,11 @@ def _fit_convex(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray, pin: int,
 
     The PAV projection runs in the preconditioner's metric, so every iterate
     is feasible (nondecreasing slopes, i.e. nonnegative second differences).
-    The fit passes when its residual is at most PASS_SCALE * rms(y).
+    The fit passes when its residual is at most PASS_SCALE * rms(y), that is
+    when the objective is at most f_pass.  The stop test scales by f_pass at
+    least: progress below it cannot change the verdict, only chase rounding.
     """
-    m, K = A.shape
+    K = A.shape[1]
     par = _SlopeParam(knots, pin)
 
     def objective(s):
@@ -210,7 +213,8 @@ def _fit_convex(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray, pin: int,
     tk = 1.0
     f_best, _ = objective(s)
     s_best = s.copy()
-    history = [f_best]
+    f_pass = 0.5 * PASS_SCALE ** 2 * float(y @ y)
+    stationarity = np.inf
     it = 0
     stop_reason = "max_iters"
     while it < iters:
@@ -224,18 +228,17 @@ def _fit_convex(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray, pin: int,
         if f_new < f_best:
             f_best, s_best = f_new, s_new.copy()
         s_prev, s, tk = s, s_new, t_next
-        history.append(f_best)
-        if len(history) > STALL_WINDOW:
-            if history[-STALL_WINDOW - 1] - history[-1] \
-                    < REL_IMPROVEMENT * max(history[-1], 1e-30):
-                stop_reason = "stall"
-                break
+        step = yk - s_new
+        stationarity = L * float(step @ (w * step)) / max(f_best, f_pass, 1e-300)
+        if stationarity <= STATIONARITY_TOL:
+            stop_reason = "converged"
+            break
     v = par.values(s_best)
     rms = float(np.sqrt(np.mean((A @ v - y) ** 2)))
     rms_target = float(np.sqrt(np.mean(y ** 2)))
     thr = PASS_SCALE * rms_target
     return ConvexPiecewiseLinearFit(knots, v, rms, rms_target, thr, rms <= thr,
-                                    it, stop_reason, np.asarray(history))
+                                    it, stop_reason, stationarity)
 
 
 def _sample_pairs(sample_pairs: int, seed: int):
@@ -246,18 +249,22 @@ def _sample_pairs(sample_pairs: int, seed: int):
 
 
 def _binary_values(d: DivergenceSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    P = np.column_stack([p, 1.0 - p])
-    Q = np.column_stack([q, 1.0 - q])
-    return d.evaluate_batch(P, Q)
+    return d.evaluate_batch(binary_rows(p), binary_rows(q))
 
 
-def _interp_entries(x, knots, weights, m):
+def _interp_entries(x, knots, weights):
     j = np.clip(np.searchsorted(knots, x) - 1, 0, len(knots) - 2)
     t = (x - knots[j]) / (knots[j + 1] - knots[j])
-    rows = np.concatenate([np.arange(m), np.arange(m)])
+    rows = np.concatenate([np.arange(len(x)), np.arange(len(x))])
     cols = np.concatenate([j, j + 1])
     data = np.concatenate([weights * (1 - t), weights * t])
     return rows, cols, data
+
+
+def _design(parts, shape) -> sp.csr_matrix:
+    """The sparse design from (rows, cols, data) triples; repeated entries add."""
+    rows, cols, data = (np.concatenate(x) for x in zip(*parts))
+    return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +287,9 @@ def fit_f_divergence(d: DivergenceSpec, sample_pairs: int = 4000,
     grid = np.geomspace(RATIO_LO, RATIO_HI, knots)
     pin = knots // 2
     grid[pin] = 1.0  # geometric center of [0.05, 20]; pin exactly
-    m = sample_pairs
-    parts = [_interp_entries(p / q, grid, q, m),
-             _interp_entries((1 - p) / (1 - q), grid, 1 - q, m)]
-    rows = np.concatenate([pr[0] for pr in parts])
-    cols = np.concatenate([pr[1] for pr in parts])
-    data = np.concatenate([pr[2] for pr in parts])
-    A = sp.csr_matrix((data, (rows, cols)), shape=(m, knots))
+    A = _design([_interp_entries(p / q, grid, q),
+                 _interp_entries((1 - p) / (1 - q), grid, 1 - q)],
+                (sample_pairs, knots))
     return _fit_convex(A, y, grid, pin, iters)
 
 
@@ -307,25 +310,16 @@ def fit_bregman_binary(d: DivergenceSpec, sample_pairs: int = 4000,
     m = sample_pairs
     mids = 0.5 * (grid[:-1] + grid[1:])
     dx = np.diff(grid)
-
-    rows_l, cols_l, data_l = [], [], []
-
-    def add(rows, cols, data):
-        rows_l.append(rows); cols_l.append(cols); data_l.append(data)
-
-    add(*_interp_entries(p, grid, np.ones(m), m))
-    add(*_interp_entries(q, grid, -np.ones(m), m))
+    parts = [_interp_entries(p, grid, np.ones(m)),
+             _interp_entries(q, grid, -np.ones(m))]
     # -g2'(q)(p-q): slopes of the two segments around q, midpoint-interpolated
     jq = np.clip(np.searchsorted(mids, q) - 1, 0, knots - 3)
     tq = np.clip((q - mids[jq]) / (mids[jq + 1] - mids[jq]), 0.0, 1.0)
     w = -(p - q)
     for seg, frac in ((jq, 1.0 - tq), (jq + 1, tq)):
-        add(np.arange(m), seg, -w * frac / dx[seg])
-        add(np.arange(m), seg + 1, w * frac / dx[seg])
-    A = sp.csr_matrix((np.concatenate(data_l),
-                       (np.concatenate(rows_l), np.concatenate(cols_l))),
-                      shape=(m, knots))
-    return _fit_convex(A, y, grid, pin, iters)
+        parts += [(np.arange(m), seg, -w * frac / dx[seg]),
+                  (np.arange(m), seg + 1, w * frac / dx[seg])]
+    return _fit_convex(_design(parts, (m, knots)), y, grid, pin, iters)
 
 
 def bregman_f_residual(G: MultivariateConvexFunction, f: ScalarFunction,
@@ -338,15 +332,12 @@ def bregman_f_residual(G: MultivariateConvexFunction, f: ScalarFunction,
     where h(p) = G((p, 1-p)).  Zero residual (within rounding) means the two
     describe the same divergence.
     """
-    x = np.linspace(1.0 / (grid + 1), grid / (grid + 1.0), grid)
-    P, Q = np.meshgrid(x, x, indexing="ij")
-    rows_p = np.column_stack([P.ravel(), 1.0 - P.ravel()])
-    rows_q = np.column_stack([Q.ravel(), 1.0 - Q.ravel()])
-    h_p = np.asarray(G.value(rows_p))
+    p, q = interior_binary_grid(grid)
+    rows_q = binary_rows(q)
+    h_p = np.asarray(G.value(binary_rows(p)))
     h_q = np.asarray(G.value(rows_q))
     gq = np.asarray(G.gradient(rows_q))
     hprime_q = gq[:, 0] - gq[:, 1]  # d/dp of G((p,1-p))
-    breg = h_p - h_q - hprime_q * (P.ravel() - Q.ravel())
-    fdiv = (Q.ravel() * np.asarray(f(P.ravel() / Q.ravel()))
-            + (1 - Q.ravel()) * np.asarray(f((1 - P.ravel()) / (1 - Q.ravel()))))
+    breg = h_p - h_q - hprime_q * (p - q)
+    fdiv = q * np.asarray(f(p / q)) + (1 - q) * np.asarray(f((1 - p) / (1 - q)))
     return float(np.max(np.abs(breg - fdiv)))

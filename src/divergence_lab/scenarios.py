@@ -10,6 +10,7 @@ same seed are byte-identical; runtime appears in the markdown rendering only.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -18,16 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import checkers, families, fitting
+from . import families, fitting
 from .checkers import (check_decomposable_binary, check_dpi,
                        check_shannon_inequality, check_sufficiency,
                        evaluate_scenario)
-from .divergences import (DivergenceSpec, ScalarFunction, catalog,
-                          negative_entropy)
+from .divergences import ScalarFunction, catalog, negative_entropy
 from .families import (HGenerator, H_CATALOG, bregman_from_symmetric_g,
                        build_f_from_h, kl_type_from_h,
                        random_symmetric_convex_g)
-from .simplex import Distribution, SufficiencyScenario, merge_transform
+from .simplex import (Distribution, SufficiencyScenario, binary_rows,
+                      interior_binary_grid, merge_transform)
 
 SCHEMA = "divergence-lab/1"
 # the verdict a check must reach where a scenario requires the property to hold
@@ -68,22 +69,21 @@ def _json_safe(obj):
 # shared helpers
 # ---------------------------------------------------------------------------
 
-_fit_cache: dict = {}
-
-
-def _cached_fit(kind: str, spec_name: str, d: DivergenceSpec, seed: int):
-    key = (kind, spec_name, seed)
-    if key not in _fit_cache:
+def _fit_memo(seed: int):
+    """fit(kind, name): the "fdiv" or "breg" fit of a catalog divergence at
+    `seed`, computed once per memo; each run builds its own memo."""
+    @functools.cache
+    def fit(kind: str, name: str):
         fn = fitting.fit_f_divergence if kind == "fdiv" else fitting.fit_bregman_binary
-        _fit_cache[key] = fn(d, seed=seed)
-    return _fit_cache[key]
+        return fn(catalog(name), seed=seed)
+    return fit
 
 
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _scenario_catalog_dpi(seed: int):
+def _scenario_catalog_dpi(seed: int, fit):
     names = ("kl", "tv", "hellinger", "chi2")
     details = {}
     ok = True
@@ -97,12 +97,12 @@ def _scenario_catalog_dpi(seed: int):
     return ok, details
 
 
-def _scenario_q1_counterexample(seed: int):
+def _scenario_q1_counterexample(seed: int, fit):
     tv2 = catalog("tv_squared")
     dec = check_decomposable_binary(tv2, grid=200)
     dpi = check_dpi(tv2, 2, grid=50, random_trials=10_000, seed=seed)
-    fit_tv2 = _cached_fit("fdiv", "tv_squared", tv2, seed)
-    fit_kl = _cached_fit("fdiv", "kl", catalog("kl"), seed)
+    fit_tv2 = fit("fdiv", "tv_squared")
+    fit_kl = fit("fdiv", "kl")
     ratio = fit_tv2.residual / max(fit_kl.residual, 1e-300)
     ok = dec.verdict == CLEAN and dpi.verdict == CLEAN and ratio >= 100.0
     details = {
@@ -119,7 +119,7 @@ def _scenario_q1_counterexample(seed: int):
 _VALID_H = ("name:square", "name:linear", "name:kl", "name:ramp")
 
 
-def _scenario_q2_family_dpi(seed: int):
+def _scenario_q2_family_dpi(seed: int, fit):
     details = {}
     ok = True
     for spec_text in _VALID_H:
@@ -136,21 +136,19 @@ def _scenario_q2_family_dpi(seed: int):
     return ok, details
 
 
-def _scenario_q2_fidelity(seed: int):
-    del seed  # fully deterministic
+def _scenario_q2_fidelity(seed: int, fit):
+    del seed, fit  # fully deterministic
     tol = 1e-8
     gen_sq = families.h_generator_from_spec("name:square")
     f_sq = build_f_from_h(gen_sq)
     xs = np.linspace(0.01, 0.99, 1961)
     err_f = float(np.max(np.abs(np.asarray(f_sq(xs)) - (0.5 * xs ** 2 - xs + 0.375))))
 
-    grid = np.linspace(1.0 / 201.0, 200.0 / 201.0, 200)
-    P, Q = np.meshgrid(grid, grid, indexing="ij")
-    rows_p = np.column_stack([P.ravel(), 1 - P.ravel()])
-    rows_q = np.column_stack([Q.ravel(), 1 - Q.ravel()])
+    p, q = interior_binary_grid(200)
+    rows_p, rows_q = binary_rows(p), binary_rows(q)
     d_sq = kl_type_from_h(gen_sq)
     L = d_sq.evaluate_batch(rows_p, rows_q)
-    err_L = float(np.max(np.abs(L - 0.5 * (P.ravel() - Q.ravel()) ** 2)))
+    err_L = float(np.max(np.abs(L - 0.5 * (p - q) ** 2)))
 
     d_kl = kl_type_from_h(families.h_generator_from_spec("name:kl"))
     L_kl = d_kl.evaluate_batch(rows_p, rows_q)
@@ -164,7 +162,7 @@ def _scenario_q2_fidelity(seed: int):
                 "tolerance": tol}
 
 
-def _scenario_q3_sufficiency(seed: int):
+def _scenario_q3_sufficiency(seed: int, fit):
     eu = catalog("euclidean")
     witness = SufficiencyScenario(
         Distribution([0.2, 0.2, 0.6]), Distribution([0.1, 0.1, 0.8]),
@@ -192,7 +190,7 @@ def _scenario_q3_sufficiency(seed: int):
     return ok, details
 
 
-def _scenario_q3_binary_family(seed: int):
+def _scenario_q3_binary_family(seed: int, fit):
     rng = np.random.default_rng(seed)
     tol = 1e-10
     worst = 0.0
@@ -209,15 +207,13 @@ def _scenario_q3_binary_family(seed: int):
     return ok, {"generators": gens, "worst_abs_delta": worst, "tolerance": tol}
 
 
-def _scenario_q4_uniqueness(seed: int):
+def _scenario_q4_uniqueness(seed: int, fit):
     resid = fitting.bregman_f_residual(negative_entropy(2), catalog("kl").f,
                                        grid=200)
-    specs = {"kl": catalog("kl"), "brier": catalog("brier"),
-             "tv_squared": catalog("tv_squared"), "euclidean": catalog("euclidean")}
     table = {}
-    for name, d in specs.items():
-        ffit = _cached_fit("fdiv", name, d, seed)
-        bfit = _cached_fit("breg", name, d, seed)
+    for name in ("kl", "brier", "tv_squared", "euclidean"):
+        ffit = fit("fdiv", name)
+        bfit = fit("breg", name)
         table[name] = {
             "f_fit": ffit.summary(),
             "bregman_fit": bfit.summary(),
@@ -230,7 +226,7 @@ def _scenario_q4_uniqueness(seed: int):
                 "fits": table, "only_kl_passes_both": only_kl}
 
 
-def _scenario_shannon(seed: int):
+def _scenario_shannon(seed: int, fit):
     results = {}
     ok = True
     clog = ScalarFunction(lambda x: -1.0 * np.log(x) + 0.3,
@@ -295,20 +291,22 @@ SCENARIOS = {
 }
 
 
-def run_scenario(scenario_id: str, seed: int = 42) -> ScenarioResult:
+def run_scenario(scenario_id: str, seed: int = 42, fit=None) -> ScenarioResult:
+    """Run one scenario; `fit` is a `_fit_memo(seed)`, built here if None."""
     if scenario_id not in SCENARIOS:
         raise KeyError(f"unknown scenario {scenario_id!r}; "
                        f"known: {', '.join(SCENARIOS)}")
     claim, fn = SCENARIOS[scenario_id]
     t0 = time.perf_counter()
-    ok, details = fn(seed)
+    ok, details = fn(seed, fit or _fit_memo(seed))
     dt = time.perf_counter() - t0
     return ScenarioResult(scenario_id, claim, "pass" if ok else "fail",
                           details, dt)
 
 
 def run_all(seed: int = 42) -> list[ScenarioResult]:
-    return [run_scenario(sid, seed) for sid in SCENARIOS]
+    fit = _fit_memo(seed)
+    return [run_scenario(sid, seed, fit) for sid in SCENARIOS]
 
 
 # ---------------------------------------------------------------------------

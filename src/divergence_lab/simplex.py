@@ -42,6 +42,22 @@ def row_sum(X: np.ndarray) -> np.ndarray:
     return out
 
 
+def binary_rows(p) -> np.ndarray:
+    """The binary distributions (p, 1 - p), one row per entry of p."""
+    p = np.asarray(p, dtype=float).ravel()
+    rows = np.empty((p.size, 2))
+    rows[:, 0] = p
+    np.subtract(1.0, p, out=rows[:, 1])
+    return rows
+
+
+def interior_binary_grid(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) over all pairs of the points k / (grid + 1), k = 1..grid."""
+    x = np.linspace(1.0 / (grid + 1), grid / (grid + 1.0), grid)
+    P, Q = np.meshgrid(x, x, indexing="ij")
+    return P.ravel(), Q.ravel()
+
+
 def _clamp_tiny_negatives(a: np.ndarray) -> np.ndarray:
     # values within CLAMP_TOL below 0 are arithmetic dust; snap them to exactly
     # 0 so boundary detection stays exact for downstream log handling
