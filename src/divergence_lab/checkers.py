@@ -19,7 +19,7 @@ import numpy as np
 
 from .divergences import DivergenceSpec
 from .simplex import (Channel, Distribution, SufficiencyScenario, binary_rows,
-                      interior_binary_grid, merge_transform, push_forward,
+                      interior_binary_points, merge_transform, push_forward,
                       row_sum, split_transform)
 
 DPI_ABS_TOL = 1e-9
@@ -165,23 +165,26 @@ def _binary_triple(p, q, a, b):
 
 
 def _dpi_scan_binary_grid(d: DivergenceSpec, grid: int):
-    """Exhaustive scan over (p, q, alpha, beta); p, q interior, alpha/beta in [0,1]."""
-    Pf, Qf = interior_binary_grid(grid)
+    """Exhaustive scan over (p, q, alpha, beta); p, q interior, alpha/beta in [0,1].
+
+    A channel maps every first coordinate x to x alpha + beta (1 - x), so one
+    sweep over beta evaluates all (p, q) pairs of the mapped points for every
+    alpha at once.
+    """
+    x = interior_binary_points(grid)
     ab = np.linspace(0.0, 1.0, grid)
-    before = d.evaluate_batch(binary_rows(Pf), binary_rows(Qf))
+    before = d.evaluate_binary_pairs(x).ravel()
     tol = _gap_tol(before)
     best = (-np.inf, -np.inf, None)
     failures = 0
     for beta in ab:
-        # vectorize over alpha for this beta
-        pt = Pf[None, :] * ab[:, None] + beta * (1.0 - Pf[None, :])
-        qt = Qf[None, :] * ab[:, None] + beta * (1.0 - Qf[None, :])
-        after = d.evaluate_batch(binary_rows(pt), binary_rows(qt)).reshape(grid, -1)
+        mapped = x[None, :] * ab[:, None] + beta * (1.0 - x[None, :])
+        after = d.evaluate_binary_pairs(mapped).reshape(grid, -1)
         k, margin, gap, fail = _reduce(after - before[None, :], tol[None, :])
         failures += fail
         if margin > best[0]:
-            ia, ipq = np.unravel_index(k, after.shape)
-            best = (margin, gap, _binary_triple(Pf[ipq], Qf[ipq], ab[ia], beta))
+            ia, ip, iq = np.unravel_index(k, (grid, grid, grid))
+            best = (margin, gap, _binary_triple(x[ip], x[iq], ab[ia], beta))
     return (*best, failures)
 
 
@@ -226,8 +229,8 @@ def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
 
     Binary alphabets get an exhaustive (p, q, alpha, beta) grid plus random
     trials; larger alphabets use random (P, Q, channel) triples.  The best
-    point of all scans is polished by local refinement and re-checked
-    scalar-wise before being reported.
+    point of all scans is polished by local refinement and re-evaluated
+    before being reported.
     """
     rng = np.random.default_rng(seed)
     config = {"n": n, "grid": grid if n == 2 else None, "random_trials": random_trials,
@@ -247,7 +250,9 @@ def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
     if margin <= 0:
         return _clean("dpi", trials, gap, failures, config)
     P, Q, A, _, _ = dpi_local_refine(d, point)
-    # double-evaluation guard: recompute the gap through the scalar path
+    # re-evaluate the refined point: a KL-type witness from the binary grid
+    # was flagged by the separable kernel and is confirmed by kl_type_batch;
+    # every other family re-runs the kernel that flagged it (ROADMAP 1(d))
     p, q, ch = Distribution(P), Distribution(Q), Channel(A)
     vb, va = d.evaluate(p, q), d.evaluate(push_forward(p, ch), push_forward(q, ch))
     return _confirm("dpi", trials, failures, config, _witness(P, Q, A, vb, va, va - vb),
@@ -431,15 +436,16 @@ def check_decomposable_binary(d: DivergenceSpec, grid: int = 200) -> CheckReport
     coordinatewise sum.
     """
     config = {"grid": grid, "tol": DECOMPOSABLE_TOL, "divergence": d.label}
-    Pf, Qf = interior_binary_grid(grid)
-    a = d.evaluate_batch(binary_rows(Pf), binary_rows(Qf))
-    b = d.evaluate_batch(binary_rows(1.0 - Pf), binary_rows(1.0 - Qf))
+    x = interior_binary_points(grid)
+    a = d.evaluate_binary_pairs(x)
+    b = d.evaluate_binary_pairs(1.0 - x)
     k, margin, gap, failures = _reduce(_abs_delta(a, b), DECOMPOSABLE_TOL)
     if margin <= 0:
         return _clean("decomposability", grid * grid, gap, failures, config)
     # re-evaluate the flagged pair (row 0) and its swap (row 1) in one batch
-    P2 = binary_rows([Pf[k], 1.0 - Pf[k]])
-    Q2 = binary_rows([Qf[k], 1.0 - Qf[k]])
+    i, j = divmod(k, grid)
+    P2 = binary_rows([x[i], 1.0 - x[i]])
+    Q2 = binary_rows([x[j], 1.0 - x[j]])
     before, after = d.evaluate_batch(P2, Q2)
     gap = _abs_delta(before, after)
     return _confirm("decomposability", grid * grid, failures, config,

@@ -178,13 +178,17 @@ def f_divergence_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.nd
     return out
 
 
+def _kl_type_sum(P, fP, fQ) -> np.ndarray:
+    """sum_k p_k (f(q_k) - f(p_k)) over the last axis of the broadcast
+    arguments; a coordinate with p_k = 0 adds 0."""
+    return row_sum(np.where(P > 0, P * (fQ - fP), 0.0))
+
+
 def kl_type_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
-        diff = np.asarray(f(Q)) - np.asarray(f(P))
-        terms = np.where(P > 0, P * diff, 0.0)
-    return row_sum(terms)
+        return _kl_type_sum(P, np.asarray(f(P)), np.asarray(f(Q)))
 
 
 def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray,
@@ -215,7 +219,8 @@ class DivergenceSpec:
 
     evaluate(p, q) accepts Distribution objects or raw vectors; the
     vectorised evaluate_batch(P, Q) takes row-stacked (m, n) arrays and is
-    what the property checkers drive.
+    what the property checkers drive, and evaluate_binary_pairs(U) evaluates
+    every pair of binary distributions on a grid of first coordinates.
     """
 
     def __init__(self, family: str, label: str, *, f: ScalarFunction | None = None,
@@ -270,6 +275,31 @@ class DivergenceSpec:
         if self.family == "composed":
             return np.asarray(self.outer(self.base.evaluate_batch(P, Q)))
         raise AssertionError(self.family)
+
+    def evaluate_binary_pairs(self, U) -> np.ndarray:
+        """D((u_i, 1-u_i); (u_j, 1-u_j)) for every pair i, j on the last axis
+        of U, so shape (..., k) gives (..., k, k): the same bits as
+        evaluate_batch on those rows.
+
+        A KL-type divergence is a sum of one-coordinate terms, so f is
+        evaluated once on the 2k coordinates u and 1 - u rather than on k^2
+        rows; the other families are not separable and evaluate the rows.
+        """
+        self._check_n(2)
+        U = np.asarray(U, dtype=float)
+        # the rows (u, 1 - u), stored coordinate-first so that broadcasts
+        # run along k rather than along the 2 coordinates
+        S = np.stack([U, 1.0 - U])
+        X = np.moveaxis(S, 0, -1)
+        P, Q = X[..., :, None, :], X[..., None, :, :]
+        if self.family == "kl_type":
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fX = np.moveaxis(np.asarray(self.f(S)), 0, -1)
+                return _kl_type_sum(P, fX[..., :, None, :], fX[..., None, :, :])
+        shape = np.broadcast_shapes(P.shape, Q.shape)
+        rows = self.evaluate_batch(np.broadcast_to(P, shape).reshape(-1, 2),
+                                   np.broadcast_to(Q, shape).reshape(-1, 2))
+        return rows.reshape(shape[:-1])
 
     def evaluate(self, p, q) -> float:
         if not isinstance(p, Distribution):

@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 from scipy.optimize import isotonic_regression
 
 from .divergences import DivergenceSpec, MultivariateConvexFunction, ScalarFunction
-from .simplex import binary_rows, interior_binary_grid
+from .simplex import binary_rows, interior_binary_points
 
 MAX_ITERS = 10_000
 STATIONARITY_TOL = 1e-9          # converged iff L ||step||_W^2 <= this * max(f, f_pass)
@@ -332,7 +332,8 @@ def bregman_f_residual(G: MultivariateConvexFunction, f: ScalarFunction,
     where h(p) = G((p, 1-p)).  Zero residual (within rounding) means the two
     describe the same divergence.
     """
-    p, q = interior_binary_grid(grid)
+    x = interior_binary_points(grid)
+    p, q = (a.ravel() for a in np.meshgrid(x, x, indexing="ij"))
     rows_q = binary_rows(q)
     h_p = np.asarray(G.value(binary_rows(p)))
     h_q = np.asarray(G.value(rows_q))

@@ -27,8 +27,8 @@ from .divergences import ScalarFunction, catalog, negative_entropy
 from .families import (HGenerator, H_CATALOG, bregman_from_symmetric_g,
                        build_f_from_h, kl_type_from_h,
                        random_symmetric_convex_g)
-from .simplex import (Distribution, SufficiencyScenario, binary_rows,
-                      interior_binary_grid, merge_transform)
+from .simplex import (Distribution, SufficiencyScenario, interior_binary_points,
+                      merge_transform)
 
 SCHEMA = "divergence-lab/1"
 # the verdict a check must reach where a scenario requires the property to hold
@@ -144,15 +144,14 @@ def _scenario_q2_fidelity(seed: int, fit):
     xs = np.linspace(0.01, 0.99, 1961)
     err_f = float(np.max(np.abs(np.asarray(f_sq(xs)) - (0.5 * xs ** 2 - xs + 0.375))))
 
-    p, q = interior_binary_grid(200)
-    rows_p, rows_q = binary_rows(p), binary_rows(q)
+    x = interior_binary_points(200)
     d_sq = kl_type_from_h(gen_sq)
-    L = d_sq.evaluate_batch(rows_p, rows_q)
-    err_L = float(np.max(np.abs(L - 0.5 * (p - q) ** 2)))
+    L = d_sq.evaluate_binary_pairs(x)
+    err_L = float(np.max(np.abs(L - 0.5 * (x[:, None] - x[None, :]) ** 2)))
 
     d_kl = kl_type_from_h(families.h_generator_from_spec("name:kl"))
-    L_kl = d_kl.evaluate_batch(rows_p, rows_q)
-    ref = catalog("kl").evaluate_batch(rows_p, rows_q)
+    L_kl = d_kl.evaluate_binary_pairs(x)
+    ref = catalog("kl").evaluate_binary_pairs(x)
     err_kl = float(np.max(np.abs(L_kl - ref)))
 
     ok = err_f <= tol and err_L <= tol and err_kl <= tol

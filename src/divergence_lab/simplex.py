@@ -51,11 +51,9 @@ def binary_rows(p) -> np.ndarray:
     return rows
 
 
-def interior_binary_grid(grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p, q) over all pairs of the points k / (grid + 1), k = 1..grid."""
-    x = np.linspace(1.0 / (grid + 1), grid / (grid + 1.0), grid)
-    P, Q = np.meshgrid(x, x, indexing="ij")
-    return P.ravel(), Q.ravel()
+def interior_binary_points(grid: int) -> np.ndarray:
+    """The interior grid points k / (grid + 1), k = 1..grid."""
+    return np.linspace(1.0 / (grid + 1), grid / (grid + 1.0), grid)
 
 
 def _clamp_tiny_negatives(a: np.ndarray) -> np.ndarray:

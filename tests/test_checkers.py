@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from divergence_lab import families
-from divergence_lab.checkers import (NOT_A_PROOF, VIOLATION_SHOWN, CheckReport,
-                                     check_decomposable_binary,
+from divergence_lab.checkers import (DECOMPOSABLE_TOL, NOT_A_PROOF,
+                                     VIOLATION_SHOWN, CheckReport, _abs_delta,
+                                     _binary_triple, _clean, _confirm,
+                                     _dpi_scan_binary_grid, _gap_tol, _reduce,
+                                     _witness, check_decomposable_binary,
                                      check_dpi, check_shannon_inequality,
                                      check_sufficiency, dpi_local_refine,
                                      evaluate_scenario, sample_channels,
                                      sample_simplex)
 from divergence_lab.divergences import (DivergenceSpec, ScalarFunction, catalog)
 from divergence_lab.simplex import (Channel, Distribution, SufficiencyScenario,
-                                    merge_transform, push_forward)
+                                    binary_rows, merge_transform, push_forward)
 
 
 def sample_channels_masked(rng, m, n):
@@ -316,6 +319,86 @@ class TestSufficiency:
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
+class Lopsided(DivergenceSpec):
+    """D((p,1-p);(q,1-q)) = (p-q)^2 * p, which is not swap symmetric."""
+
+    def __init__(self):
+        super().__init__("composed", "lopsided", n=2, validate=False)
+
+    def evaluate_batch(self, P, Q):
+        P = np.atleast_2d(P)
+        Q = np.atleast_2d(Q)
+        return (P[:, 0] - Q[:, 0]) ** 2 * P[:, 0]
+
+
+def _row_grid(grid):
+    x = np.linspace(1.0 / (grid + 1), grid / (grid + 1.0), grid)
+    P, Q = np.meshgrid(x, x, indexing="ij")
+    return P.ravel(), Q.ravel()
+
+
+def dpi_scan_rows(d, grid):
+    """The per-beta evaluate_batch scan that evaluate_binary_pairs replaces,
+    kept as the reference: one explicit row per (alpha, p, q)."""
+    Pf, Qf = _row_grid(grid)
+    ab = np.linspace(0.0, 1.0, grid)
+    before = d.evaluate_batch(binary_rows(Pf), binary_rows(Qf))
+    tol = _gap_tol(before)
+    best = (-np.inf, -np.inf, None)
+    failures = 0
+    for beta in ab:
+        pt = Pf[None, :] * ab[:, None] + beta * (1.0 - Pf[None, :])
+        qt = Qf[None, :] * ab[:, None] + beta * (1.0 - Qf[None, :])
+        after = d.evaluate_batch(binary_rows(pt), binary_rows(qt)).reshape(grid, -1)
+        k, margin, gap, fail = _reduce(after - before[None, :], tol[None, :])
+        failures += fail
+        if margin > best[0]:
+            ia, ipq = np.unravel_index(k, after.shape)
+            best = (margin, gap, _binary_triple(Pf[ipq], Qf[ipq], ab[ia], beta))
+    return (*best, failures)
+
+
+def decomposable_rows(d, grid=200):
+    """check_decomposable_binary on explicit rows through evaluate_batch."""
+    config = {"grid": grid, "tol": DECOMPOSABLE_TOL, "divergence": d.label}
+    Pf, Qf = _row_grid(grid)
+    a = d.evaluate_batch(binary_rows(Pf), binary_rows(Qf))
+    b = d.evaluate_batch(binary_rows(1.0 - Pf), binary_rows(1.0 - Qf))
+    k, margin, gap, failures = _reduce(_abs_delta(a, b), DECOMPOSABLE_TOL)
+    if margin <= 0:
+        return _clean("decomposability", grid * grid, gap, failures, config)
+    P2 = binary_rows([Pf[k], 1.0 - Pf[k]])
+    Q2 = binary_rows([Qf[k], 1.0 - Qf[k]])
+    before, after = d.evaluate_batch(P2, Q2)
+    gap = _abs_delta(before, after)
+    return _confirm("decomposability", grid * grid, failures, config,
+                    _witness(P2[0], Q2[0], None, before, after, gap), gap,
+                    DECOMPOSABLE_TOL)
+
+
+def kl_type_family(name):
+    gen = families.h_generator_from_spec(f"name:{name}")
+    return families.kl_type_from_h(gen, validate=False)
+
+
+@pytest.mark.parametrize("name", ["square", "ramp", "decreasing"])
+def test_binary_grid_scan_matches_rows(name):
+    d = kl_type_family(name)
+    margin, gap, triple, failures = _dpi_scan_binary_grid(d, 30)
+    margin0, gap0, triple0, failures0 = dpi_scan_rows(d, 30)
+    assert (margin, gap, failures) == (margin0, gap0, failures0)
+    for got, want in zip(triple, triple0):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["square", "ramp", "decreasing", "lopsided"])
+def test_decomposable_matches_rows(name):
+    d = Lopsided() if name == "lopsided" else kl_type_family(name)
+    grid = 100 if name == "lopsided" else 200
+    assert (check_decomposable_binary(d, grid=grid).to_json_dict()
+            == decomposable_rows(d, grid).to_json_dict())
+
+
 class TestDecomposable:
     def test_tv_squared_symmetric(self):
         rep = check_decomposable_binary(catalog("tv_squared"), grid=200)
@@ -327,16 +410,6 @@ class TestDecomposable:
             assert rep.verdict == "no_violation_found"
 
     def test_asymmetric_divergence_flagged(self):
-        # D((p,1-p);(q,1-q)) = (p-q)^2 * p is not swap symmetric
-        class Lopsided:
-            label = "lopsided"
-            n = 2
-
-            def evaluate_batch(self, P, Q):
-                P = np.atleast_2d(P)
-                Q = np.atleast_2d(Q)
-                return (P[:, 0] - Q[:, 0]) ** 2 * P[:, 0]
-
         rep = check_decomposable_binary(Lopsided(), grid=100)
         assert rep.verdict == "violation"
         assert rep.note == VIOLATION_SHOWN
@@ -345,15 +418,6 @@ class TestDecomposable:
         assert w["gap"] > 0.001
 
     def test_report_includes_witness_values(self):
-        class Lopsided:
-            label = "lopsided"
-            n = 2
-
-            def evaluate_batch(self, P, Q):
-                P = np.atleast_2d(P)
-                Q = np.atleast_2d(Q)
-                return (P[:, 0] - Q[:, 0]) ** 2 * P[:, 0]
-
         rep = check_decomposable_binary(Lopsided(), grid=100)
         p, q = rep.witness["P"][0], rep.witness["Q"][0]
         assert rep.witness["value_before"] == pytest.approx((p - q) ** 2 * p, abs=1e-12)
@@ -419,10 +483,11 @@ def test_catalog_dpi_small_suite_n2_n3():
         assert not check_dpi(d, 3, random_trials=20_000, seed=11).violated
 
 
-class AllNaN:
+class AllNaN(DivergenceSpec):
     """A divergence whose every evaluation fails."""
 
-    label = "all_nan"
+    def __init__(self):
+        super().__init__("composed", "all_nan", validate=False)
 
     def evaluate_batch(self, P, Q):
         return np.full(np.atleast_2d(P).shape[0], np.nan)

@@ -1,14 +1,19 @@
 import json
 import math
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divergence_lab.divergences import (CATALOG_NAMES, DivergenceError,
                                         DivergenceSpec,
                                         MultivariateConvexFunction,
                                         ScalarFunction, catalog, from_json_dict,
                                         negative_entropy, resolve)
+from divergence_lab.families import h_generator_from_spec, kl_type_from_h
+from divergence_lab.simplex import binary_rows
 
 KL_HALF_VS_QUARTER = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
 
@@ -323,3 +328,53 @@ def test_f_divergences_decompose_coordinatewise():
     assert total == pytest.approx(sum(terms), abs=1e-12)
     perm = rng.permutation(5)
     assert d.evaluate(p[perm], q[perm]) == pytest.approx(total, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# evaluate_binary_pairs against evaluate_batch on the explicit rows
+# ---------------------------------------------------------------------------
+
+KL_TYPE_NAMES = ("square", "ramp", "kl", "decreasing")
+PAIR_SPECS = CATALOG_NAMES + tuple(f"kl_type:{h}" for h in KL_TYPE_NAMES)
+# 0 and 1 put a row on a face; the smallest subnormal and a larger one probe
+# the bottom of the double range, 1 - 2**-53 its top below 1
+EDGE_COORDS = (0.0, 1.0, 5e-324, 1e-310, 1.0 - 2.0 ** -53)
+coords = st.one_of(st.sampled_from(EDGE_COORDS), st.floats(0.0, 1.0))
+
+
+@functools.cache
+def pair_spec(name):
+    if name.startswith("kl_type:"):
+        gen = h_generator_from_spec("name:" + name.split(":")[1])
+        return kl_type_from_h(gen, validate=False)
+    return catalog(name)
+
+
+def pairs_by_rows(d, U):
+    k = U.size
+    rows = d.evaluate_batch(binary_rows(np.repeat(U, k)), binary_rows(np.tile(U, k)))
+    return rows.reshape(k, k)
+
+
+@pytest.mark.parametrize("name", PAIR_SPECS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(U=st.lists(coords, min_size=1, max_size=8))
+def test_binary_pairs_match_rows(name, U):
+    d = pair_spec(name)
+    U = np.array(U)
+    # a ratio p / q overflows at a subnormal q in both paths alike
+    with np.errstate(over="ignore"):
+        want = pairs_by_rows(d, U)
+        got = d.evaluate_binary_pairs(U)
+        got2 = d.evaluate_binary_pairs(np.stack([U, U[::-1]]))
+        want2 = np.stack([want, pairs_by_rows(d, U[::-1])])
+    assert got.shape == (U.size, U.size)
+    assert got.tobytes() == want.tobytes()
+    assert got2.shape == (2, U.size, U.size)
+    assert got2.tobytes() == want2.tobytes()
+
+
+def test_binary_pairs_need_binary_alphabet():
+    d = DivergenceSpec("bregman", "ternary", G=negative_entropy(3), n=3)
+    with pytest.raises(DivergenceError, match="size 3"):
+        d.evaluate_binary_pairs([0.2, 0.5])

@@ -11,15 +11,11 @@ from divergence_lab.families import (DEFAULT_SAMPLES, QUAD_ABS_TOL, QUAD_TOL,
                                      h_generator_from_spec, kl_type_from_h,
                                      parse_h, random_symmetric_convex_g,
                                      write_family_csv)
+from divergence_lab.simplex import binary_rows
 
 
 def gen(name):
     return h_generator_from_spec(f"name:{name}")
-
-
-def binary_rows(p):
-    p = np.asarray(p, dtype=float)
-    return np.column_stack([p, 1 - p])
 
 
 class TestHGenerator:
@@ -231,8 +227,7 @@ class TestKLTypeFromH:
         for name in ("square", "linear", "kl", "ramp"):
             d = kl_type_from_h(gen(name))
             g = np.linspace(1 / 201, 200 / 201, 200)
-            P, Q = np.meshgrid(g, g, indexing="ij")
-            vals = d.evaluate_batch(binary_rows(P.ravel()), binary_rows(Q.ravel()))
+            vals = d.evaluate_binary_pairs(g)
             assert np.min(vals) >= -1e-10
 
 
