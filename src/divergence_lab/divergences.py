@@ -20,7 +20,6 @@ divergence +inf.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -161,12 +160,14 @@ def check_convex_on_simplex(G: MultivariateConvexFunction, n: int,
 # ---------------------------------------------------------------------------
 
 def f_divergence_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """sum_i q_i f(p_i / q_i) over the last axis of the broadcast arguments,
+    with the perspective convention where q_i = 0."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     pos = Q > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.divide(P, Q, out=np.ones_like(P), where=pos)
-        terms = np.where(pos, Q * np.asarray(f(ratio)), 0.0)
+        # where q_i = 0 the ratio is p_i / 1, a value the mask then discards
+        terms = np.where(pos, Q * np.asarray(f(P / np.where(pos, Q, 1.0))), 0.0)
     out = row_sum(terms)
     # q_i = 0 < p_i contributes p_i * lim f(x)/x; rows without escaped mass
     # add 0, never 0 * lim (NaN when the limit is +inf)
@@ -191,6 +192,14 @@ def kl_type_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray
         return _kl_type_sum(P, np.asarray(f(P)), np.asarray(f(Q)))
 
 
+def _bregman_sum(GP, GQ, g, P, Q) -> np.ndarray:
+    """G(P) - G(Q) - <g, P - Q> with g = grad G(Q), the inner product over the
+    last axis of the broadcast arguments."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = row_sum(np.where(P == Q, 0.0, g * (P - Q)))
+    return GP - GQ - inner
+
+
 def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray,
                   Q: np.ndarray) -> np.ndarray:
     """Bregman rows G(P) - G(Q) - <grad G(Q), P - Q>, faces included.
@@ -203,8 +212,7 @@ def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray,
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         g = G.gradient(Q)
-        inner = row_sum(np.where(P == Q, 0.0, g * (P - Q)))
-    return G.value(P) - G.value(Q) - inner
+    return _bregman_sum(G.value(P), G.value(Q), g, P, Q)
 
 
 # ---------------------------------------------------------------------------
@@ -281,25 +289,31 @@ class DivergenceSpec:
         of U, so shape (..., k) gives (..., k, k): the same bits as
         evaluate_batch on those rows.
 
-        A KL-type divergence is a sum of one-coordinate terms, so f is
-        evaluated once on the 2k coordinates u and 1 - u rather than on k^2
-        rows; the other families are not separable and evaluate the rows.
+        The pairs go through the term helper evaluate_batch uses, and what
+        does not depend on the pair runs once per point: f on the 2k
+        coordinates u and 1 - u for KL-type, G and grad G on the k points for
+        Bregman.  An f-divergence evaluates q f(p/q) on the pairs, and a
+        composed divergence applies its outer function to its base's pairs.
         """
         self._check_n(2)
+        if self.family == "composed":
+            return np.asarray(self.outer(self.base.evaluate_binary_pairs(U)))
         U = np.asarray(U, dtype=float)
         # the rows (u, 1 - u), stored coordinate-first so that broadcasts
         # run along k rather than along the 2 coordinates
         S = np.stack([U, 1.0 - U])
         X = np.moveaxis(S, 0, -1)
         P, Q = X[..., :, None, :], X[..., None, :, :]
-        if self.family == "kl_type":
-            with np.errstate(divide="ignore", invalid="ignore"):
+        if self.family == "f_divergence":
+            return f_divergence_batch(self.f, P, Q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.family == "kl_type":
                 fX = np.moveaxis(np.asarray(self.f(S)), 0, -1)
                 return _kl_type_sum(P, fX[..., :, None, :], fX[..., None, :, :])
-        shape = np.broadcast_shapes(P.shape, Q.shape)
-        rows = self.evaluate_batch(np.broadcast_to(P, shape).reshape(-1, 2),
-                                   np.broadcast_to(Q, shape).reshape(-1, 2))
-        return rows.reshape(shape[:-1])
+            g = self.G.gradient(X)  # bregman: G and grad G on the k points
+        v = self.G.value(X)
+        return _bregman_sum(v[..., :, None], v[..., None, :], g[..., None, :, :],
+                            P, Q)
 
     def evaluate(self, p, q) -> float:
         if not isinstance(p, Distribution):
@@ -316,9 +330,6 @@ class DivergenceSpec:
                 f"{self.label!r} was built programmatically and has no "
                 "serializable description")
         return dict(self.source)
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
     def __repr__(self) -> str:
         return f"DivergenceSpec({self.family}, {self.label!r})"

@@ -6,7 +6,6 @@ operation is a pure function, so objects can be shared freely between workers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -86,11 +85,6 @@ class Distribution:
     def n(self) -> int:
         return self.probs.size
 
-    @property
-    def is_interior(self) -> bool:
-        """True when every entry is strictly positive."""
-        return bool(np.all(self.probs > 0))
-
     @classmethod
     def parse(cls, text: str) -> "Distribution":
         """Parse a comma-separated decimal list, e.g. "0.3,0.7"."""
@@ -145,13 +139,6 @@ class Channel:
         except ValueError as e:
             raise SimplexError(f"cannot parse channel {text!r}: {e}") from None
         return cls(m)
-
-    @classmethod
-    def from_json(cls, doc: str | Sequence) -> "Channel":
-        """Accept a JSON array-of-arrays, given as text or already decoded."""
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        return cls(doc)
 
     @classmethod
     def identity(cls, n: int) -> "Channel":

@@ -15,9 +15,11 @@ from divergence_lab.checkers import (DECOMPOSABLE_TOL, NOT_A_PROOF,
                                      check_sufficiency, dpi_local_refine,
                                      evaluate_scenario, sample_channels,
                                      sample_simplex)
-from divergence_lab.divergences import (DivergenceSpec, ScalarFunction, catalog)
+from divergence_lab.divergences import (DivergenceSpec, MultivariateConvexFunction,
+                                        ScalarFunction, catalog)
 from divergence_lab.simplex import (Channel, Distribution, SufficiencyScenario,
-                                    binary_rows, merge_transform, push_forward)
+                                    binary_rows, merge_transform, push_forward,
+                                    row_sum)
 
 
 def sample_channels_masked(rng, m, n):
@@ -40,7 +42,22 @@ def sample_channels_masked(rng, m, n):
     return A
 
 
+def sample_simplex_divided(rng, m, n):
+    """The sampler before it normalised in place, kept as the reference: an
+    exponential draw of scale 1 divided into a second array."""
+    g = rng.exponential(size=(m, n))
+    return g / row_sum(g)[:, None]
+
+
 class TestSamplers:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_simplex_matches_divided_reference(self, n):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        for m in (1, 9, 1000):
+            P = sample_simplex(rng, m, n)
+            assert P.tobytes() == sample_simplex_divided(ref_rng, m, n).tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_simplex_rows(self):
         rng = np.random.default_rng(0)
         P = sample_simplex(rng, 1000, 4)
@@ -319,16 +336,15 @@ class TestSufficiency:
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
-class Lopsided(DivergenceSpec):
-    """D((p,1-p);(q,1-q)) = (p-q)^2 * p, which is not swap symmetric."""
-
-    def __init__(self):
-        super().__init__("composed", "lopsided", n=2, validate=False)
-
-    def evaluate_batch(self, P, Q):
-        P = np.atleast_2d(P)
-        Q = np.atleast_2d(Q)
-        return (P[:, 0] - Q[:, 0]) ** 2 * P[:, 0]
+def lopsided():
+    """The binary Bregman divergence of G(P) = p_0^3, not swap symmetric:
+    D((p,1-p);(q,1-q)) = (p-q)^2 (p+2q), and its swap is (p-q)^2 (3-p-2q)."""
+    G = MultivariateConvexFunction(
+        value=lambda P: P[..., 0] ** 3,
+        grad=lambda Q: np.stack([3.0 * Q[..., 0] ** 2, np.zeros_like(Q[..., 0])],
+                                axis=-1),
+        label="p0^3", n=2)
+    return DivergenceSpec("bregman", "lopsided", G=G, n=2)
 
 
 def _row_grid(grid):
@@ -393,7 +409,7 @@ def test_binary_grid_scan_matches_rows(name):
 
 @pytest.mark.parametrize("name", ["square", "ramp", "decreasing", "lopsided"])
 def test_decomposable_matches_rows(name):
-    d = Lopsided() if name == "lopsided" else kl_type_family(name)
+    d = lopsided() if name == "lopsided" else kl_type_family(name)
     grid = 100 if name == "lopsided" else 200
     assert (check_decomposable_binary(d, grid=grid).to_json_dict()
             == decomposable_rows(d, grid).to_json_dict())
@@ -410,19 +426,20 @@ class TestDecomposable:
             assert rep.verdict == "no_violation_found"
 
     def test_asymmetric_divergence_flagged(self):
-        rep = check_decomposable_binary(Lopsided(), grid=100)
+        rep = check_decomposable_binary(lopsided(), grid=100)
         assert rep.verdict == "violation"
         assert rep.note == VIOLATION_SHOWN
-        # at (p,q)=(0.3,0.5): 0.04*0.3 vs 0.04*0.7
+        # at (p,q)=(0.3,0.5): 0.04*1.3 vs 0.04*1.7
         w = rep.witness
         assert w["gap"] > 0.001
 
     def test_report_includes_witness_values(self):
-        rep = check_decomposable_binary(Lopsided(), grid=100)
+        rep = check_decomposable_binary(lopsided(), grid=100)
         p, q = rep.witness["P"][0], rep.witness["Q"][0]
-        assert rep.witness["value_before"] == pytest.approx((p - q) ** 2 * p, abs=1e-12)
+        assert rep.witness["value_before"] == pytest.approx(
+            (p - q) ** 2 * (p + 2 * q), abs=1e-12)
         assert rep.witness["value_after"] == pytest.approx(
-            (p - q) ** 2 * (1 - p), abs=1e-12)
+            (p - q) ** 2 * (3 - p - 2 * q), abs=1e-12)
 
 
 class TestShannon:
@@ -483,18 +500,16 @@ def test_catalog_dpi_small_suite_n2_n3():
         assert not check_dpi(d, 3, random_trials=20_000, seed=11).violated
 
 
-class AllNaN(DivergenceSpec):
-    """A divergence whose every evaluation fails."""
-
-    def __init__(self):
-        super().__init__("composed", "all_nan", validate=False)
-
-    def evaluate_batch(self, P, Q):
-        return np.full(np.atleast_2d(P).shape[0], np.nan)
+def all_nan():
+    """A composed divergence whose every evaluation fails: its outer function
+    returns NaN for any value of tv."""
+    outer = ScalarFunction(lambda x: np.full(np.shape(x), np.nan), label="nan")
+    return DivergenceSpec("composed", "all_nan", base=catalog("tv"), outer=outer,
+                          validate=False)
 
 
 def test_failed_evaluations_are_inconclusive():
-    d = AllNaN()
+    d = all_nan()
     reports = [check_dpi(d, 2, grid=10, random_trials=1000, seed=1),
                check_dpi(d, 3, random_trials=1000, seed=1),
                check_sufficiency(d, 3, trials=300, seed=1),

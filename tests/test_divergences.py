@@ -12,7 +12,9 @@ from divergence_lab.divergences import (CATALOG_NAMES, DivergenceError,
                                         MultivariateConvexFunction,
                                         ScalarFunction, catalog, from_json_dict,
                                         negative_entropy, resolve)
-from divergence_lab.families import h_generator_from_spec, kl_type_from_h
+from divergence_lab.families import (bregman_from_symmetric_g,
+                                     h_generator_from_spec, kl_type_from_h,
+                                     random_symmetric_convex_g)
 from divergence_lab.simplex import binary_rows
 
 KL_HALF_VS_QUARTER = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
@@ -290,7 +292,7 @@ class TestCatalogAndSerialization:
 
     def test_resolve_path(self, tmp_path):
         path = tmp_path / "spec.json"
-        catalog("tv_squared").save(path)
+        path.write_text(json.dumps(catalog("tv_squared").to_json_dict()))
         d = resolve(str(path))
         assert d.label == "tv_squared"
         assert d.evaluate([0.3, 0.7], [0.5, 0.5]) == pytest.approx(0.16, abs=1e-12)
@@ -335,7 +337,10 @@ def test_f_divergences_decompose_coordinatewise():
 # ---------------------------------------------------------------------------
 
 KL_TYPE_NAMES = ("square", "ramp", "kl", "decreasing")
-PAIR_SPECS = CATALOG_NAMES + tuple(f"kl_type:{h}" for h in KL_TYPE_NAMES)
+# beyond the catalog: negative entropy, whose face gradient is -inf, random
+# symmetric Bregman generators, and a composed spec over a base that is not tv
+PAIR_SPECS = (CATALOG_NAMES + tuple(f"kl_type:{h}" for h in KL_TYPE_NAMES)
+              + ("negative_entropy", "bregman:3", "bregman:11", "square(hellinger)"))
 # 0 and 1 put a row on a face; the smallest subnormal and a larger one probe
 # the bottom of the double range, 1 - 2**-53 its top below 1
 EDGE_COORDS = (0.0, 1.0, 5e-324, 1e-310, 1.0 - 2.0 ** -53)
@@ -347,6 +352,14 @@ def pair_spec(name):
     if name.startswith("kl_type:"):
         gen = h_generator_from_spec("name:" + name.split(":")[1])
         return kl_type_from_h(gen, validate=False)
+    if name.startswith("bregman:"):
+        rng = np.random.default_rng(int(name.split(":")[1]))
+        return bregman_from_symmetric_g(random_symmetric_convex_g(rng))
+    if name == "negative_entropy":
+        return DivergenceSpec("bregman", name, G=negative_entropy(2), n=2)
+    if name == "square(hellinger)":
+        return from_json_dict({"family": "composed", "name": "hellinger",
+                               "outer": "square"})
     return catalog(name)
 
 
