@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .simplex import Distribution, row_sum
 
@@ -42,13 +41,78 @@ class DivergenceError(ValueError):
 # scalar functions
 # ---------------------------------------------------------------------------
 
+class _HermiteTable:
+    """The piecewise cubic Hermite interpolant through (knots, values) with
+    the given slopes at the knots, evaluated with the bits of scipy's
+    CubicHermiteSpline: its coefficients, its order of operations, and its
+    intervals [knots[i], knots[i+1]), the last one closed.
+
+    The interval of a point is looked up, not searched for: a table built
+    once maps a nondecreasing integer key of x to a bucket and the bucket to
+    the first interval it can hold, and at most `_steps` vectorised
+    `knots[i + 1] <= x` passes finish the job.  The key is the bit pattern
+    of x - lo below the middle knot and minus that of hi - x above it (a
+    nonnegative double orders like its bits), so knots crowding either end
+    of the table, as geometric ones do, still spread over the buckets.
+    """
+
+    def __init__(self, knots, values, slopes):
+        dx = np.diff(knots)
+        slope = np.diff(values) / dx
+        t = (slopes[:-1] + slopes[1:] - 2 * slope) / dx
+        # highest degree first; scipy's sum starts from 0.0, and 0.0 + y
+        # turns a -0.0 value into 0.0 as that sum does
+        self._c = np.stack([t / dx, (slope - slopes[:-1]) / dx - t,
+                            slopes[:-1], values[:-1] + 0.0])
+        self._knots = knots
+        # the right end of each interval; the last interval is closed
+        self._right = np.append(knots[1:-1], np.inf)
+        self._lo, self._hi = knots[0], knots[-1]
+        self._mid = knots[len(knots) // 2]
+        self._below = (self._mid - self._lo).view(np.int64)
+        self._above = (self._hi - self._mid).view(np.int64)
+        # the interval of x is the number of interior knots <= x; a bucket
+        # starts at the number of interior knots whose key lies below it
+        keys = self._key(knots[1:-1])
+        self._base = int(keys[0]) if keys.size else 0
+        span = int(keys[-1]) - self._base if keys.size else 0
+        self._shift = (span // (4 * len(knots))).bit_length()
+        edges = self._base + (np.arange((span >> self._shift) + 1, dtype=np.int64)
+                              << self._shift)
+        self._start = np.searchsorted(keys, edges)
+        self._top = int(edges[-1])
+        self._steps = int(np.max(np.diff(self._start, append=keys.size)))
+
+    def _key(self, x):
+        below = (x - self._lo).view(np.int64) - self._below
+        above = self._above - (self._hi - x).view(np.int64)
+        return np.where(x <= self._mid, below, above)
+
+    def __call__(self, x):
+        shape = np.shape(x)
+        x = np.ascontiguousarray(np.ravel(x), dtype=float)
+        bucket = np.clip(self._key(x), self._base, self._top)
+        bucket -= self._base
+        bucket >>= self._shift
+        i = self._start[bucket]
+        for _ in range(self._steps):
+            i += self._right[i] <= x
+        c0, c1, c2, c3 = self._c[:, i]
+        s = x - self._knots[i]
+        s2 = s * s
+        return (((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)).reshape(shape)
+
+
 class ScalarFunction:
     """A univariate real function, with its derivative when one is given.
 
-    Either closed-form callables or a quadrature table (strictly increasing
+    Either closed-form callables or a quadrature table: strictly increasing
     knots, cubic Hermite interpolation between them, inputs clamped to the
-    tabulated domain).  `perspective_limit` is lim_{x -> inf} f(x)/x, which an
-    f-divergence generator must declare; it is never estimated.
+    tabulated domain.  The program evaluates a table itself, with scipy's
+    CubicHermiteSpline coefficients and order of operations and so with its
+    bits, and finds each point's interval by a lookup built once per table.
+    `perspective_limit` is lim_{x -> inf} f(x)/x, which an f-divergence
+    generator must declare; it is never estimated.
     """
 
     def __init__(self, value: Callable, deriv: Callable | None = None,
@@ -67,17 +131,19 @@ class ScalarFunction:
         The interpolant is the piecewise cubic Hermite matching values and
         first derivatives at the knots; it is local, so a curvature jump
         placed exactly on a knot does not pollute the neighbouring intervals.
+        Its values are bit-equal to scipy's CubicHermiteSpline on the same
+        data, without loading scipy or binary-searching per point; NaN gives
+        NaN.
         """
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
         if np.any(np.diff(knots) <= 0):
             raise DivergenceError("table knots must be strictly increasing")
-        spline = CubicHermiteSpline(knots, values,
-                                    np.asarray(deriv_values, dtype=float))
+        table = _HermiteTable(knots, values, np.asarray(deriv_values, dtype=float))
         lo, hi = float(knots[0]), float(knots[-1])
 
-        def value(x, _s=spline, _lo=lo, _hi=hi):
-            return _s(np.clip(x, _lo, _hi))
+        def value(x, _t=table, _lo=lo, _hi=hi):
+            return _t(np.clip(x, _lo, _hi))
 
         fn = cls(value, deriv=deriv, label=label)
         fn.knots = knots

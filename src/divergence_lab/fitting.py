@@ -9,7 +9,8 @@ violators), which is exactly the convexity constraint on second differences.
 One regularized linear solve, by sparse LU in symmetric mode, provides the
 starting point; an accelerated projected-gradient loop with a monotone
 best-iterate record does the constrained polish, and stops once its
-projected step is stationary.  numpy/scipy only, no external solver.
+projected step is stationary.  numpy/scipy only, no external solver; scipy
+is imported by the functions that call it, so only a fit loads it.
 
 The pass/fail threshold is scale-free (residual against the root-mean-square
 of the divergence over the sample set) and is surfaced in every result
@@ -21,11 +22,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.optimize import isotonic_regression
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .divergences import DivergenceSpec, MultivariateConvexFunction, ScalarFunction
 from .simplex import binary_rows, interior_binary_points
@@ -44,6 +46,7 @@ def pav_nondecreasing(y: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     With weights this is the projection in the diag(w) norm, which is what
     the preconditioned gradient steps need.
     """
+    from scipy.optimize import isotonic_regression
     return isotonic_regression(y, weights=w).x
 
 
@@ -125,6 +128,8 @@ def _warm_start(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray):
     sequences, start the polish.  A failed or non-finite solve starts from
     zero slopes.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     K = len(knots)
     AtA = (A.T @ A).tocsc()
     scale = max(float(AtA.diagonal().max()), 1e-300)
@@ -263,6 +268,7 @@ def _interp_entries(x, knots, weights):
 
 def _design(parts, shape) -> sp.csr_matrix:
     """The sparse design from (rows, cols, data) triples; repeated entries add."""
+    import scipy.sparse as sp
     rows, cols, data = (np.concatenate(x) for x in zip(*parts))
     return sp.csr_matrix((data, (rows, cols)), shape=shape)
 

@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divergence_lab.divergences import catalog
 from divergence_lab.families import (DEFAULT_SAMPLES, QUAD_ABS_TOL, QUAD_TOL,
@@ -185,6 +187,40 @@ class TestBuildF:
         assert np.max(np.abs(slopes[inner] - f.deriv(mid)[inner])) <= 1e-6
 
 
+TABLE_H = ("square", "ramp", "kl", "decreasing")
+# both faces, a signed zero, the smallest subnormal, the anchor, the last
+# double below 1 and NaN
+EDGE_X = (0.0, 1.0, -0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, math.nan)
+
+
+@functools.cache
+def table_and_spline(name):
+    from scipy.interpolate import CubicHermiteSpline
+    f = build_f_from_h(gen(name), validate=False)
+    return f, CubicHermiteSpline(f.knots, f.knot_values, f.deriv(f.knots))
+
+
+@pytest.mark.parametrize("name", TABLE_H)
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_table_values_are_scipys(name, data):
+    # the table's own lookup and evaluation against scipy's spline on the
+    # same knots, values and slopes, at the clamped points
+    f, spline = table_and_spline(name)
+    k = f.knots
+    knot = st.builds(lambda i, side: np.nextafter(k[i], side * np.inf) if side else k[i],
+                     st.integers(0, k.size - 1), st.sampled_from((-1, 0, 1)))
+    point = st.one_of(st.sampled_from(EDGE_X), knot, st.floats(0.0, 1.0))
+    shape = data.draw(st.sampled_from(((), (7,), (3, 4))))
+    size = math.prod(shape)
+    x = np.array(data.draw(st.lists(point, min_size=size, max_size=size)),
+                 dtype=float).reshape(shape)
+    got = f(x)
+    want = spline(np.clip(x, k[0], k[-1]))
+    assert got.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestKLTypeFromH:
     def test_square_gives_half_squared_distance(self):
         d = kl_type_from_h(gen("square"))
@@ -287,6 +323,39 @@ class TestSymmetricConvexG:
         assert d.evaluate([0.5, 0.5], [0.0, 1.0]) == np.inf
         assert d.evaluate([0.5, 0.5], [1.0, 0.0]) == np.inf
         assert d.evaluate([0.0, 1.0], [0.0, 1.0]) == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_random_generator_products_match_powers(self, seed):
+        # g2 and d_g2 write u**4 and u**3 as products of u * u; against the
+        # ** forms they differ by rounding only, a few ulps of the term scale
+        g = random_symmetric_convex_g(np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        c_quad, c_quart, c_cosh, rate, c_ent = (
+            rng.uniform(a, b) for a, b in ((0.1, 3.0), (0.0, 2.0), (0.0, 1.0),
+                                           (1.0, 4.0), (0.0, 1.0)))
+        x = np.concatenate([np.linspace(0.0, 1.0, 1001), rng.uniform(size=1000)])
+        u = x - 0.5
+        inside = (x > 0) & (x < 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ent = np.where(inside, x * np.log(x) + (1 - x) * np.log(1 - x), 0.0)
+            d_ent = np.log(x) - np.log(1 - x)
+        terms = (c_quad * u ** 2, c_quart * u ** 4, c_cosh * np.cosh(rate * u),
+                 c_ent * ent)
+        d_terms = (2 * c_quad * u, 4 * c_quart * u ** 3,
+                   c_cosh * rate * np.sinh(rate * u), c_ent * d_ent)
+        eps = np.finfo(float).eps
+        want = terms[0] + terms[1] + terms[2] + terms[3]
+        scale = sum(np.abs(t) for t in terms)
+        assert np.all(np.abs(g.g2(x) - want) <= 4 * eps * scale)
+        d_want = d_terms[0] + d_terms[1] + d_terms[2] + d_terms[3]
+        d_got = g.derivative(x)
+        assert np.array_equal(d_got[~inside], d_want[~inside])
+        d_scale = sum(np.abs(t[inside]) for t in d_terms)
+        assert np.all(np.abs(d_got[inside] - d_want[inside]) <= 4 * eps * d_scale)
+        # and d_g2 is the slope of g2: central differences on the interior
+        x = np.linspace(0.05, 0.95, 181)
+        fd = (g.g2(x + 1e-5) - g.g2(x - 1e-5)) / 2e-5
+        assert np.all(np.abs(g.derivative(x) - fd) <= 1e-7 * np.maximum(1.0, np.abs(fd)))
 
     def test_random_generators_valid(self):
         rng = np.random.default_rng(33)

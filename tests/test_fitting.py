@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from divergence_lab import fitting
 from divergence_lab.divergences import (MultivariateConvexFunction,
@@ -106,7 +107,7 @@ def test_warm_start_solve_matches_dense(monkeypatch, probe, knots):
     # record the design handed to the warm start and every factorization it
     # makes, then re-solve the one regularized system densely
     designs, factors = [], []
-    warm_start, splu = fitting._warm_start, fitting.spla.splu
+    warm_start, splu = fitting._warm_start, scipy.sparse.linalg.splu
 
     def recording_warm_start(A, y, *args):
         designs.append((A, y))
@@ -118,7 +119,7 @@ def test_warm_start_solve_matches_dense(monkeypatch, probe, knots):
         return lu
 
     monkeypatch.setattr(fitting, "_warm_start", recording_warm_start)
-    monkeypatch.setattr(fitting.spla, "splu", recording_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
     probe(catalog("kl"), knots=knots, seed=0, iters=0)
     [(A, y)] = designs
     assert A.shape[1] == knots and len(factors) == 1
@@ -335,3 +336,34 @@ def test_reports_do_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr
         out.append(proc.stdout)
     assert out[0] == out[1]
+
+
+SCIPY_FREE_PROBE = """
+import sys
+import numpy as np
+import divergence_lab
+from divergence_lab.checkers import (check_decomposable_binary, check_dpi,
+                                     check_sufficiency)
+from divergence_lab.divergences import catalog
+from divergence_lab.families import (bregman_from_symmetric_g,
+                                     h_generator_from_spec, kl_type_from_h,
+                                     random_symmetric_convex_g)
+from divergence_lab.fitting import fit_bregman_binary
+ramp = kl_type_from_h(h_generator_from_spec("name:ramp"))
+breg = bregman_from_symmetric_g(random_symmetric_convex_g(np.random.default_rng(3)))
+check_dpi(ramp, n=2, grid=10)
+check_sufficiency(breg, 2)
+check_decomposable_binary(breg)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+print(fit_bregman_binary(catalog("kl"), iters=0).stop_reason)
+"""
+
+
+def test_only_fits_load_scipy():
+    # the package, its tables, samplers and checkers run on numpy alone;
+    # scipy is imported by the first fit
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_PROBE],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "max_iters"
