@@ -1,10 +1,11 @@
 """Brute-force and randomized checkers for divergence properties.
 
-Every checker scans batches of candidates, reduces each batch to the one that
-most exceeds its tolerance, then re-evaluates the best and reports it as a
-violation with a concrete witness, or reports a clean search.  A clean search
-is no_violation_found (evidence, not a proof, and the reports say so), or
-inconclusive when some evaluations failed.
+Every checker hands lazy batches of candidates to one loop, `_search`, which
+reduces each batch to the candidate that most exceeds its tolerance, keeps
+the best (the earlier on a tie) and re-evaluates it with the checker's own
+`confirm`.  It reports a violation with a concrete witness, or a clean
+search: no_violation_found (evidence, not a proof, and the reports say so),
+or inconclusive when some evaluations failed.  An empty search is an error.
 
 All randomness is drawn from a single seeded generator in a fixed batch
 order, so identical (spec, config, seed) always produce identical reports.
@@ -12,12 +13,14 @@ order, so identical (spec, config, seed) always produce identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
-from .divergences import DivergenceSpec
+from .divergences import DivergenceError, DivergenceSpec
 from .simplex import (Channel, Distribution, SufficiencyScenario, binary_rows,
                       interior_binary_points, merge_transform, push_forward,
                       row_sum, split_transform)
@@ -33,6 +36,8 @@ INCONCLUSIVE = ("inconclusive: some evaluations failed (NaN) and no violation "
 REFUTED = "the flagged candidate did not survive re-evaluation; "
 # line-search steps of the local refinement, tried together
 BACKTRACK_STEPS = 0.05 * 0.5 ** np.arange(12)
+FD_STEP = 1e-5  # the step of its central differences
+CHUNK = 20_000  # rows per batch of the random data-processing scan, n >= 3
 
 
 @dataclass
@@ -52,17 +57,7 @@ class CheckReport:
     note: str = NOT_A_PROOF
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "divergence-lab/1",
-            "property": self.property,
-            "verdict": self.verdict,
-            "trials": self.trials,
-            "max_gap": self.max_gap,
-            "witness": self.witness,
-            "failures": self.failures,
-            "config": self.config,
-            "note": self.note,
-        }
+        return {"schema": "divergence-lab/1", **asdict(self)}
 
     @property
     def violated(self) -> bool:
@@ -99,7 +94,7 @@ def sample_channels(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the shared reduce -> confirm path
+# the one search loop: scan -> reduce -> confirm
 # ---------------------------------------------------------------------------
 
 def _gap_tol(before):
@@ -126,6 +121,50 @@ def _reduce(gap: np.ndarray, tol):
             int(bad.sum()))
 
 
+def _best(batches):
+    """(margin, gap, point, failures) of the best candidate of all batches: a
+    later one wins only with a strictly greater margin.  `point_of(k)` runs
+    before the next batch is drawn, so it may read its own batch's arrays."""
+    best = (-np.inf, -np.inf, None)
+    failures = 0
+    for gap, tol, point_of in batches:
+        k, margin, g, fail = _reduce(gap, tol)
+        failures += fail
+        if margin > best[0]:
+            best = (margin, g, point_of(k))
+    return (*best, failures)
+
+
+def _search(prop, trials, config, batches, confirm) -> CheckReport:
+    """Check the counts in `config`, run the search and judge it: the only
+    code that builds a CheckReport.
+
+    `batches` yields `(gap, tol, point_of)`: the gaps of a batch, their
+    tolerances and `point_of(k)`, the candidate at flat index k.  A best gap
+    above its tolerance goes to `confirm(point) -> (witness, gap, tol)`: a
+    violation if the new gap exceeds tol, else a clean search noted as
+    refuted, where a NaN gap is one more failure.
+    """
+    counts = {k: config[k] for k in ("grid", "random_trials", "trials")
+              if config.get(k) is not None}
+    if trials < 1 or min(counts.values()) < 0:
+        raise DivergenceError(f"{prop}: nothing to search with {counts}: counts "
+                              "must not be negative and must give a candidate")
+    margin, gap, point, failures = _best(batches)
+    prefix = ""
+    if margin > 0:
+        witness, gap, tol = confirm(point)
+        if gap > tol:
+            return CheckReport(prop, "violation", trials, float(gap), witness,
+                               failures, config, note=VIOLATION_SHOWN)
+        failures += int(np.isnan(gap))
+        prefix = REFUTED
+    verdict, note = (("inconclusive", INCONCLUSIVE) if failures
+                     else ("no_violation_found", NOT_A_PROOF))
+    return CheckReport(prop, verdict, trials, float(gap), None, failures, config,
+                       note=prefix + note)
+
+
 def _witness(P, Q, channel, before, after, gap) -> dict:
     return {
         "P": [float(v) for v in P],
@@ -136,24 +175,6 @@ def _witness(P, Q, channel, before, after, gap) -> dict:
         "value_after": float(after),
         "gap": float(gap),
     }
-
-
-def _clean(prop, trials, max_gap, failures, config, prefix="") -> CheckReport:
-    """A search that confirmed no violation; failed evaluations make it
-    inconclusive rather than evidence."""
-    verdict, note = (("inconclusive", INCONCLUSIVE) if failures
-                     else ("no_violation_found", NOT_A_PROOF))
-    return CheckReport(prop, verdict, trials, float(max_gap), None, failures,
-                       config, note=prefix + note)
-
-
-def _confirm(prop, trials, failures, config, witness, gap, tol) -> CheckReport:
-    """Report a re-evaluated candidate: a violation when its gap still exceeds
-    `tol`, otherwise a clean search (a NaN re-evaluation is one more failure)."""
-    if gap > tol:
-        return CheckReport(prop, "violation", trials, float(gap), witness,
-                           failures, config, note=VIOLATION_SHOWN)
-    return _clean(prop, trials, gap, failures + int(np.isnan(gap)), config, REFUTED)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +188,7 @@ def _binary_triple(p, q, a, b):
 
 
 def _dpi_scan_binary_grid(d: DivergenceSpec, grid: int):
-    """Exhaustive scan over (p, q, alpha, beta); p, q interior, alpha/beta in [0,1].
+    """Exhaustive scan over (p, q, alpha, beta), p, q interior: one batch per beta.
 
     A channel maps every first coordinate x to x alpha + beta (1 - x), so one
     sweep over beta evaluates all (p, q) pairs of the mapped points for every
@@ -176,18 +197,15 @@ def _dpi_scan_binary_grid(d: DivergenceSpec, grid: int):
     x = interior_binary_points(grid)
     ab = np.linspace(0.0, 1.0, grid)
     before = d.evaluate_binary_pairs(x).ravel()
-    tol = _gap_tol(before)
-    best = (-np.inf, -np.inf, None)
-    failures = 0
+    tol = _gap_tol(before)[None, :]
     for beta in ab:
         mapped = x[None, :] * ab[:, None] + beta * (1.0 - x[None, :])
         after = d.evaluate_binary_pairs(mapped).reshape(grid, -1)
-        k, margin, gap, fail = _reduce(after - before[None, :], tol[None, :])
-        failures += fail
-        if margin > best[0]:
+
+        def point_of(k):
             ia, ip, iq = np.unravel_index(k, (grid, grid, grid))
-            best = (margin, gap, _binary_triple(x[ip], x[iq], ab[ia], beta))
-    return (*best, failures)
+            return _binary_triple(x[ip], x[iq], ab[ia], beta)
+        yield after - before[None, :], tol, point_of
 
 
 def _dpi_scan_binary_random(d: DivergenceSpec, trials: int, rng: np.random.Generator):
@@ -198,17 +216,14 @@ def _dpi_scan_binary_random(d: DivergenceSpec, trials: int, rng: np.random.Gener
     before = d.evaluate_batch(binary_rows(p), binary_rows(q))
     after = d.evaluate_batch(binary_rows(p * a + b * (1 - p)),
                              binary_rows(q * a + b * (1 - q)))
-    k, margin, gap, failures = _reduce(after - before, _gap_tol(before))
-    return margin, gap, _binary_triple(p[k], q[k], a[k], b[k]), failures
+    yield (after - before, _gap_tol(before),
+           lambda k: _binary_triple(p[k], q[k], a[k], b[k]))
 
 
-def _dpi_scan_random(d: DivergenceSpec, n: int, trials: int, rng: np.random.Generator,
-                     chunk: int = 20000):
-    best = (-np.inf, -np.inf, None)
-    failures = 0
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
+def _dpi_scan_random(d: DivergenceSpec, n: int, trials: int, rng: np.random.Generator):
+    """Batches of up to CHUNK random (P, Q, channel) triples on n symbols."""
+    for done in range(0, trials, CHUNK):
+        m = min(CHUNK, trials - done)
         P = sample_simplex(rng, m, n)
         Q = sample_simplex(rng, m, n)
         A = sample_channels(rng, m, n)
@@ -216,13 +231,8 @@ def _dpi_scan_random(d: DivergenceSpec, n: int, trials: int, rng: np.random.Gene
         QY = np.einsum("mi,mij->mj", Q, A)
         before = d.evaluate_batch(P, Q)
         after = d.evaluate_batch(PY, QY)
-        # rank candidates by how far they exceed their own tolerance
-        k, margin, gap, fail = _reduce(after - before, _gap_tol(before))
-        failures += fail
-        if margin > best[0]:
-            best = (margin, gap, (P[k].copy(), Q[k].copy(), A[k].copy()))
-        done += m
-    return (*best, failures)
+        yield (after - before, _gap_tol(before),
+               lambda k: (P[k].copy(), Q[k].copy(), A[k].copy()))
 
 
 def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
@@ -240,25 +250,22 @@ def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
               "divergence": d.label}
     if n == 2:
         trials = grid ** 4 + random_trials
-        scans = [_dpi_scan_binary_grid(d, grid)] if grid else []
-        if random_trials:
-            scans.append(_dpi_scan_binary_random(d, random_trials, rng))
+        batches = chain(_dpi_scan_binary_grid(d, grid) if grid else (),
+                        _dpi_scan_binary_random(d, random_trials, rng)
+                        if random_trials else ())
     else:
         trials = random_trials
-        scans = [_dpi_scan_random(d, n, random_trials, rng)]
-    failures = sum(s[3] for s in scans)
-    margin, gap, point, _ = max(scans, key=lambda s: s[0],
-                                default=(-np.inf, 0.0, None, 0))
-    if margin <= 0:
-        return _clean("dpi", trials, gap, failures, config)
-    P, Q, A, _, _ = dpi_local_refine(d, point)
-    # re-evaluate the refined point through evaluate_batch rows: a binary
-    # grid witness was flagged by a pair kernel, but both paths share their
-    # family's term helper, so this re-check is not independent (ROADMAP 1(c))
-    p, q, ch = Distribution(P), Distribution(Q), Channel(A)
-    vb, va = d.evaluate(p, q), d.evaluate(push_forward(p, ch), push_forward(q, ch))
-    return _confirm("dpi", trials, failures, config, _witness(P, Q, A, vb, va, va - vb),
-                    va - vb, _gap_tol(vb))
+        batches = _dpi_scan_random(d, n, random_trials, rng)
+
+    def confirm(point):
+        P, Q, A, _, _ = dpi_local_refine(d, point)
+        # re-evaluate the refined point through evaluate_batch rows: a binary
+        # grid witness was flagged by a pair kernel, but both paths share their
+        # family's term helper, so this re-check is not independent (ROADMAP 1(c))
+        p, q, ch = Distribution(P), Distribution(Q), Channel(A)
+        vb, va = d.evaluate(p, q), d.evaluate(push_forward(p, ch), push_forward(q, ch))
+        return _witness(P, Q, A, vb, va, va - vb), va - vb, _gap_tol(vb)
+    return _search("dpi", trials, config, batches, confirm)
 
 
 def _project_simplex(V: np.ndarray) -> np.ndarray:
@@ -285,15 +292,14 @@ def _dpi_gaps(d: DivergenceSpec, X: np.ndarray):
     return v[m:] - v[:m], v[:m], v[m:]
 
 
-def dpi_local_refine(d: DivergenceSpec, witness, iters: int = 200,
-                     fd_step: float = 1e-5):
+def dpi_local_refine(d: DivergenceSpec, witness, iters: int = 200):
     """Coordinate ascent on the gap over the rows P, Q and the channel rows.
 
     The state is one (n+2, n) array, so a block is a row index.  Per block,
-    one evaluate_batch call takes the 2n central differences of a projected
-    numeric gradient and one more takes every backtracking step; the first
-    step that improves the gap is kept.  Never returns a point whose gap is
-    below the input's.
+    one evaluate_batch call takes the 2n central differences (step FD_STEP)
+    of a projected numeric gradient and one more takes every backtracking
+    step; the first step that improves the gap is kept.  Never returns a
+    point whose gap is below the input's.
     """
     P0, Q0, A0 = (np.asarray(x, dtype=float) for x in witness)
     n = P0.size
@@ -302,7 +308,7 @@ def dpi_local_refine(d: DivergenceSpec, witness, iters: int = 200,
     if not np.isfinite(best_gap):
         return P0, Q0, A0, vb, va
 
-    shifts = fd_step * np.eye(n)
+    shifts = FD_STEP * np.eye(n)
     for _ in range(iters):
         improved = 0.0
         for r in range(n + 2):
@@ -311,7 +317,7 @@ def dpi_local_refine(d: DivergenceSpec, witness, iters: int = 200,
             X = np.repeat(state[None], 2 * n, axis=0)
             X[:, r] = _project_simplex(np.vstack([vec + shifts, vec - shifts]))
             g = _dpi_gaps(d, X)[0]
-            grad = (g[:n] - g[n:]) / (2 * fd_step)
+            grad = (g[:n] - g[n:]) / (2 * FD_STEP)
             X = np.repeat(state[None], len(BACKTRACK_STEPS), axis=0)
             X[:, r] = _project_simplex(vec + BACKTRACK_STEPS[:, None] * grad)
             cand, cb, ca = _dpi_gaps(d, X)
@@ -330,8 +336,8 @@ def dpi_local_refine(d: DivergenceSpec, witness, iters: int = 200,
 # sufficiency
 # ---------------------------------------------------------------------------
 
-def _suff_batches(n: int, trials: int, rng: np.random.Generator):
-    """Yield (kind, before_P, before_Q, after_P, after_Q, meta) batches.
+def _suff_batches(d: DivergenceSpec, n: int, trials: int, rng: np.random.Generator):
+    """Batches of sufficiency scenarios, one per kind.
 
     Three scenario kinds: permutations of random pairs, merges of pairs built
     with a proportional coordinate pair, and splits into an empty coordinate.
@@ -341,13 +347,18 @@ def _suff_batches(n: int, trials: int, rng: np.random.Generator):
     share = {k: trials // len(kinds) for k in kinds}
     share[kinds[0]] += trials - sum(share.values())
 
+    def batch(kind, Pb, Qb, Pa, Qa, meta):
+        before = d.evaluate_batch(Pb, Qb)
+        return (_abs_delta(d.evaluate_batch(Pa, Qa), before), SUFFICIENCY_TOL,
+                partial(_scenario_from_batch, kind, Pb, Qb, meta, n))
+
     if share.get("permutation"):
         m = share["permutation"]
         P = sample_simplex(rng, m, n)
         Q = sample_simplex(rng, m, n)
         perm = np.argsort(rng.uniform(size=(m, n)), axis=1)
-        yield "permutation", P, Q, np.take_along_axis(P, perm, 1), \
-            np.take_along_axis(Q, perm, 1), {"perm": perm}
+        yield batch("permutation", P, Q, np.take_along_axis(P, perm, 1),
+                    np.take_along_axis(Q, perm, 1), {"perm": perm})
 
     for kind in ("merge", "split"):
         if not share.get(kind):
@@ -371,9 +382,9 @@ def _suff_batches(n: int, trials: int, rng: np.random.Generator):
                                                 baseQ[:, 1:]])
         meta = {"i": sigma[:, 0], "j": sigma[:, 1], "t": t}
         if kind == "merge":
-            yield kind, split_P, split_Q, merged_P, merged_Q, meta
+            yield batch(kind, split_P, split_Q, merged_P, merged_Q, meta)
         else:
-            yield kind, merged_P, merged_Q, split_P, split_Q, meta
+            yield batch(kind, merged_P, merged_Q, split_P, split_Q, meta)
 
 
 def check_sufficiency(d: DivergenceSpec, n: int, trials: int = 10_000,
@@ -383,42 +394,28 @@ def check_sufficiency(d: DivergenceSpec, n: int, trials: int = 10_000,
     config = {"n": n, "trials": trials, "seed": seed, "tol": SUFFICIENCY_TOL,
               "divergence": d.label,
               "kinds": "permutation" if n == 2 else "permutation,merge,split"}
-    best = (-np.inf, -np.inf, None)
-    failures = 0
-    total = 0
-    for kind, Pb, Qb, Pa, Qa, meta in _suff_batches(n, trials, rng):
-        before = d.evaluate_batch(Pb, Qb)
-        after = d.evaluate_batch(Pa, Qa)
-        k, margin, delta, fail = _reduce(_abs_delta(after, before), SUFFICIENCY_TOL)
-        failures += fail
-        total += len(before)
-        if margin > best[0]:
-            best = (margin, delta, _scenario_from_batch(kind, Pb[k], Qb[k], meta, k, n))
-    margin, max_dev, scenario = best
-    if margin <= 0:
-        return _clean("sufficiency", total, max_dev, failures, config)
-    before, after = evaluate_scenario(d, scenario)
-    wit = _witness(scenario.p.probs, scenario.q.probs, scenario.transform.matrix,
-                   before, after, after - before)
-    return _confirm("sufficiency", total, failures, config, dict(wit, kind=scenario.kind),
-                    _abs_delta(after, before), SUFFICIENCY_TOL)
+
+    def confirm(scenario):
+        before, after = evaluate_scenario(d, scenario)
+        wit = _witness(scenario.p.probs, scenario.q.probs, scenario.transform.matrix,
+                       before, after, after - before)
+        return dict(wit, kind=scenario.kind), _abs_delta(after, before), SUFFICIENCY_TOL
+    return _search("sufficiency", trials, config, _suff_batches(d, n, trials, rng),
+                   confirm)
 
 
-def _scenario_from_batch(kind, P, Q, meta, k, n) -> SufficiencyScenario:
+def _scenario_from_batch(kind, P, Q, meta, n, k) -> SufficiencyScenario:
+    """Scenario k of a batch of `kind` on n symbols, before its transform."""
+    p, q = Distribution(P[k]), Distribution(Q[k])
     if kind == "permutation":
         # the batch used after[i] = P[perm[i]]; as a channel that is the map
         # x -> argsort(perm)[x]
-        perm = np.argsort(meta["perm"][k])
-        return SufficiencyScenario(Distribution(P), Distribution(Q),
-                                   Channel.permutation(perm), "permutation")
+        return SufficiencyScenario(p, q, Channel.permutation(np.argsort(meta["perm"][k])),
+                                   kind)
     i, j = int(meta["i"][k]), int(meta["j"][k])
-    if kind == "merge":
-        ch = merge_transform(i, j, n)
-        return SufficiencyScenario(Distribution(P), Distribution(Q), ch,
-                                   "merge", i=i, j=j)
-    ch = split_transform(i, j, float(meta["t"][k]), n)
-    return SufficiencyScenario(Distribution(P), Distribution(Q), ch,
-                               "split", i=i, j=j)
+    ch = (merge_transform(i, j, n) if kind == "merge"
+          else split_transform(i, j, float(meta["t"][k]), n))
+    return SufficiencyScenario(p, q, ch, kind, i=i, j=j)
 
 
 def evaluate_scenario(d: DivergenceSpec, scenario: SufficiencyScenario):
@@ -438,21 +435,20 @@ def check_decomposable_binary(d: DivergenceSpec, grid: int = 200) -> CheckReport
     coordinatewise sum.
     """
     config = {"grid": grid, "tol": DECOMPOSABLE_TOL, "divergence": d.label}
-    x = interior_binary_points(grid)
-    a = d.evaluate_binary_pairs(x)
-    b = d.evaluate_binary_pairs(1.0 - x)
-    k, margin, gap, failures = _reduce(_abs_delta(a, b), DECOMPOSABLE_TOL)
-    if margin <= 0:
-        return _clean("decomposability", grid * grid, gap, failures, config)
-    # re-evaluate the flagged pair (row 0) and its swap (row 1) in one batch
-    i, j = divmod(k, grid)
-    P2 = binary_rows([x[i], 1.0 - x[i]])
-    Q2 = binary_rows([x[j], 1.0 - x[j]])
-    before, after = d.evaluate_batch(P2, Q2)
-    gap = _abs_delta(before, after)
-    return _confirm("decomposability", grid * grid, failures, config,
-                    _witness(P2[0], Q2[0], None, before, after, gap), gap,
-                    DECOMPOSABLE_TOL)
+
+    def batches():
+        x = interior_binary_points(grid)
+        yield (_abs_delta(d.evaluate_binary_pairs(x), d.evaluate_binary_pairs(1.0 - x)),
+               DECOMPOSABLE_TOL, lambda k: (x[k // grid], x[k % grid]))
+
+    def confirm(pq):
+        # re-evaluate the flagged pair (row 0) and its swap (row 1) in one batch
+        p, q = pq
+        P2, Q2 = binary_rows([p, 1.0 - p]), binary_rows([q, 1.0 - q])
+        before, after = d.evaluate_batch(P2, Q2)
+        gap = _abs_delta(before, after)
+        return _witness(P2[0], Q2[0], None, before, after, gap), gap, DECOMPOSABLE_TOL
+    return _search("decomposability", grid * grid, config, batches(), confirm)
 
 
 # ---------------------------------------------------------------------------
@@ -466,17 +462,18 @@ def check_shannon_inequality(f, n: int, trials: int = 100_000,
     config = {"n": n, "trials": trials, "seed": seed, "abs_tol": DPI_ABS_TOL,
               "rel_tol": DPI_REL_TOL,
               "f": getattr(f, "label", None) or repr(f)}
-    P = sample_simplex(rng, trials, n)
-    Q = sample_simplex(rng, trials, n)
-    lhs = row_sum(P * np.asarray(f(P)))
-    rhs = row_sum(P * np.asarray(f(Q)))
-    k, margin, gap, failures = _reduce(lhs - rhs, _gap_tol(lhs))
-    if margin <= 0:
-        return _clean("shannon_inequality", trials, gap, failures, config)
-    # re-evaluate the flagged pair in the scalar path
-    p, q = P[k], Q[k]
-    lhs2 = float(sum(pi * float(f(pi)) for pi in p))
-    rhs2 = float(sum(pi * float(f(qi)) for pi, qi in zip(p, q)))
-    return _confirm("shannon_inequality", trials, failures, config,
-                    _witness(p, q, None, lhs2, rhs2, lhs2 - rhs2), lhs2 - rhs2,
-                    _gap_tol(lhs2))
+
+    def batches():
+        P = sample_simplex(rng, trials, n)
+        Q = sample_simplex(rng, trials, n)
+        lhs = row_sum(P * np.asarray(f(P)))
+        yield (lhs - row_sum(P * np.asarray(f(Q))), _gap_tol(lhs),
+               lambda k: (P[k], Q[k]))
+
+    def confirm(pq):
+        # re-evaluate the flagged pair in the scalar path
+        p, q = pq
+        lhs = float(sum(pi * float(f(pi)) for pi in p))
+        rhs = float(sum(pi * float(f(qi)) for pi, qi in zip(p, q)))
+        return _witness(p, q, None, lhs, rhs, lhs - rhs), lhs - rhs, _gap_tol(lhs)
+    return _search("shannon_inequality", trials, config, batches(), confirm)

@@ -10,8 +10,9 @@ Subcommands map one-to-one onto module capabilities:
 
 Option precedence is flags > config file (JSON, via --config) > built-in
 defaults; --show-config prints the effective defaults.  Exit codes: 0 no
-violation / all pass, 3 violation or scenario failure, 1 usage or data error
-or an inconclusive check (some evaluations failed).
+violation / all pass, 3 violation or scenario failure, 1 usage or data error,
+an empty check (nothing to search, or a negative count) or an inconclusive
+check (some evaluations failed).
 """
 
 from __future__ import annotations

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 
 from divergence_lab import families
-from divergence_lab.checkers import (DECOMPOSABLE_TOL, NOT_A_PROOF,
-                                     VIOLATION_SHOWN, CheckReport, _abs_delta,
-                                     _binary_triple, _clean, _confirm,
+from divergence_lab.checkers import (DECOMPOSABLE_TOL, INCONCLUSIVE, NOT_A_PROOF,
+                                     REFUTED, VIOLATION_SHOWN, CheckReport,
+                                     _abs_delta, _best, _binary_triple,
                                      _dpi_scan_binary_grid, _gap_tol, _reduce,
-                                     _witness, check_decomposable_binary,
+                                     _search, _witness, check_decomposable_binary,
                                      check_dpi, check_shannon_inequality,
                                      check_sufficiency, dpi_local_refine,
                                      evaluate_scenario, sample_channels,
                                      sample_simplex)
-from divergence_lab.divergences import (DivergenceSpec, MultivariateConvexFunction,
-                                        ScalarFunction, catalog)
+from divergence_lab.divergences import (DivergenceError, DivergenceSpec,
+                                        MultivariateConvexFunction, ScalarFunction,
+                                        catalog)
 from divergence_lab.simplex import (Channel, Distribution, SufficiencyScenario,
                                     binary_rows, merge_transform, push_forward,
                                     row_sum)
@@ -380,16 +381,15 @@ def decomposable_rows(d, grid=200):
     Pf, Qf = _row_grid(grid)
     a = d.evaluate_batch(binary_rows(Pf), binary_rows(Qf))
     b = d.evaluate_batch(binary_rows(1.0 - Pf), binary_rows(1.0 - Qf))
-    k, margin, gap, failures = _reduce(_abs_delta(a, b), DECOMPOSABLE_TOL)
-    if margin <= 0:
-        return _clean("decomposability", grid * grid, gap, failures, config)
-    P2 = binary_rows([Pf[k], 1.0 - Pf[k]])
-    Q2 = binary_rows([Qf[k], 1.0 - Qf[k]])
-    before, after = d.evaluate_batch(P2, Q2)
-    gap = _abs_delta(before, after)
-    return _confirm("decomposability", grid * grid, failures, config,
-                    _witness(P2[0], Q2[0], None, before, after, gap), gap,
-                    DECOMPOSABLE_TOL)
+
+    def confirm(k):
+        P2 = binary_rows([Pf[k], 1.0 - Pf[k]])
+        Q2 = binary_rows([Qf[k], 1.0 - Qf[k]])
+        before, after = d.evaluate_batch(P2, Q2)
+        gap = _abs_delta(before, after)
+        return _witness(P2[0], Q2[0], None, before, after, gap), gap, DECOMPOSABLE_TOL
+    return _search("decomposability", grid * grid, config,
+                   [(_abs_delta(a, b), DECOMPOSABLE_TOL, lambda k: k)], confirm)
 
 
 def kl_type_family(name):
@@ -400,7 +400,7 @@ def kl_type_family(name):
 @pytest.mark.parametrize("name", ["square", "ramp", "decreasing"])
 def test_binary_grid_scan_matches_rows(name):
     d = kl_type_family(name)
-    margin, gap, triple, failures = _dpi_scan_binary_grid(d, 30)
+    margin, gap, triple, failures = _best(_dpi_scan_binary_grid(d, 30))
     margin0, gap0, triple0, failures0 = dpi_scan_rows(d, 30)
     assert (margin, gap, failures) == (margin0, gap0, failures0)
     for got, want in zip(triple, triple0):
@@ -522,3 +522,87 @@ def test_failed_evaluations_are_inconclusive():
         assert rep.failures == rep.trials
         assert not rep.violated and rep.witness is None
         assert rep.note != NOT_A_PROOF
+
+
+class TestSearch:
+    """The one search loop, on synthetic batches."""
+
+    @staticmethod
+    def search(batches, confirm):
+        return _search("synthetic", 4, {"trials": 4}, batches, confirm)
+
+    def test_tie_keeps_the_earlier_batch(self):
+        seen = []
+
+        def confirm(point):
+            seen.append(point)
+            return {"point": point}, 1.0, 0.0
+        rep = self.search([(np.array([0.5, 0.1]), 0.0, lambda k: ("first", k)),
+                           (np.array([0.2, 0.5]), 0.0, lambda k: ("second", k))],
+                          confirm)
+        assert seen == [("first", 0)]
+        assert rep.verdict == "violation" and rep.note == VIOLATION_SHOWN
+        assert rep.witness == {"point": ("first", 0)} and rep.max_gap == 1.0
+
+    def test_strictly_greater_margin_replaces_the_best(self):
+        margin, gap, point, failures = _best(
+            [(np.array([0.5, np.nan]), 0.1, lambda k: ("first", k)),
+             (np.array([0.2, 0.7]), np.array([0.0, 0.1]), lambda k: ("second", k))])
+        assert (point, gap, failures) == (("second", 1), 0.7, 1)
+        assert margin == pytest.approx(0.6)
+
+    def test_clean_search_is_never_confirmed(self):
+        def confirm(point):
+            raise AssertionError("confirm called on a clean search")
+        rep = self.search([(np.array([-1.0, 0.5]), 1.0, lambda k: k)], confirm)
+        assert rep.verdict == "no_violation_found" and rep.note == NOT_A_PROOF
+        assert rep.max_gap == 0.5 and rep.failures == 0 and rep.witness is None
+
+    def test_refuted_candidate_is_a_clean_search(self):
+        rep = self.search([(np.array([0.5, 0.1]), 0.0, lambda k: k)],
+                          lambda k: ({"k": k}, 1e-12, 1e-9))
+        assert rep.verdict == "no_violation_found"
+        assert rep.note == REFUTED + NOT_A_PROOF
+        assert rep.max_gap == 1e-12 and rep.witness is None and rep.failures == 0
+
+    def test_nan_reevaluation_is_one_more_failure(self):
+        rep = self.search([(np.array([0.5, 0.1]), 0.0, lambda k: k)],
+                          lambda k: ({"k": k}, np.nan, 1e-9))
+        assert rep.verdict == "inconclusive"
+        assert rep.note == REFUTED + INCONCLUSIVE
+        assert rep.failures == 1 and rep.witness is None
+
+    def test_counts_are_checked_before_any_batch(self):
+        def batches():
+            raise AssertionError("a batch was drawn")
+            yield
+        for trials, config in ((0, {"trials": 0}), (-5, {"trials": -5}),
+                               (16, {"grid": -2, "random_trials": 0})):
+            with pytest.raises(DivergenceError, match="nothing to search"):
+                _search("synthetic", trials, config, batches(), None)
+
+
+def shannon_quadratic():
+    return ScalarFunction(lambda x: 0.5 * np.square(x) - np.asarray(x, dtype=float),
+                          label="q")
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_dpi(catalog("kl"), 2, grid=0, random_trials=0),
+    lambda: check_dpi(catalog("kl"), 2, grid=-2, random_trials=100),
+    lambda: check_dpi(catalog("kl"), 2, grid=3, random_trials=-1),
+    lambda: check_dpi(catalog("kl"), 3, random_trials=0),
+    lambda: check_dpi(catalog("kl"), 3, random_trials=-5),
+    lambda: check_sufficiency(catalog("kl"), 3, trials=0),
+    lambda: check_sufficiency(catalog("kl"), 2, trials=-5),
+    lambda: check_decomposable_binary(catalog("kl"), grid=0),
+    lambda: check_decomposable_binary(catalog("kl"), grid=-3),
+    lambda: check_shannon_inequality(shannon_quadratic(), 3, trials=0),
+    lambda: check_shannon_inequality(shannon_quadratic(), 3, trials=-5),
+], ids=["dpi-n2-empty", "dpi-n2-negative-grid", "dpi-n2-negative-trials",
+        "dpi-n3-empty", "dpi-n3-negative", "sufficiency-empty",
+        "sufficiency-negative", "decomposable-empty", "decomposable-negative",
+        "shannon-empty", "shannon-negative"])
+def test_empty_or_negative_search_is_an_error(check):
+    with pytest.raises(DivergenceError, match="nothing to search"):
+        check()

@@ -96,6 +96,13 @@ class TestCheck:
             "--trials", "30000", "--seed", "42")
         assert code == 0
 
+    def test_empty_search_exit_one(self, capsys):
+        code, out, err = run_cli_capture(
+            capsys, "check", "dpi", "--divergence", "kl", "--n", "2",
+            "--grid", "0", "--trials", "0")
+        assert code == 1
+        assert out == "" and err.startswith("error: dpi: nothing to search")
+
     def test_inconclusive_exit_one(self, capsys):
         # a NaN coefficient makes every evaluation fail
         code, out, _ = run_cli_capture(
