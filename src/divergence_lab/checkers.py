@@ -112,10 +112,12 @@ def _abs_delta(a, b):
 
 def _reduce(gap: np.ndarray, tol):
     """(flat index, margin, gap, failures) of the candidate whose gap most
-    exceeds its tolerance.  A NaN gap is a failed evaluation: it is counted
-    and never wins, and a batch of failures reports a gap of -inf."""
-    bad = np.isnan(gap)
-    margin = np.where(bad, -np.inf, gap - tol)
+    exceeds its tolerance.  A NaN margin (a NaN gap, or inf - inf) is a failed
+    evaluation: counted, never the winner; all-failed batches report -inf."""
+    with np.errstate(invalid="ignore"):
+        margin = gap - tol
+    bad = np.isnan(margin)
+    margin[bad] = -np.inf
     k = int(np.argmax(margin))
     return (k, float(margin.flat[k]), -np.inf if bad.flat[k] else float(gap.flat[k]),
             int(bad.sum()))

@@ -31,6 +31,7 @@ from .divergences import DivergenceError, ScalarFunction, resolve
 from .simplex import Distribution, SimplexError
 
 DEFAULTS = {
+    "divergence": "kl",
     "seed": 42,
     "n": 2,
     "grid": 50,
@@ -154,7 +155,7 @@ def _print_witness(witness: dict) -> None:
 
 
 def _cmd_eval(args, config) -> int:
-    d = resolve(_effective(args, "divergence", config) or "kl")
+    d = resolve(_effective(args, "divergence", config))
     p = Distribution.parse(args.p)
     q = Distribution.parse(args.q)
     print(repr(d.evaluate(p, q)))
@@ -171,7 +172,7 @@ def _cmd_check(args, config) -> int:
         report = check_shannon_inequality(fn, n, _effective(args, "trials", config),
                                           seed)
     else:
-        d = resolve(_effective(args, "divergence", config) or "kl")
+        d = resolve(_effective(args, "divergence", config))
         if args.property == "dpi":
             report = check_dpi(d, n, grid=_effective(args, "grid", config),
                                random_trials=_effective(args, "trials", config),
@@ -205,7 +206,7 @@ def _cmd_generate(args, config) -> int:
 
 
 def _cmd_fit(args, config) -> int:
-    d = resolve(_effective(args, "divergence", config) or "kl")
+    d = resolve(_effective(args, "divergence", config))
     seed = _effective(args, "seed", config)
     pairs = _effective(args, "pairs", config) if args.pairs is None else args.pairs
     if args.kind == "fdiv":

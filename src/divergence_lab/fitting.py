@@ -9,8 +9,9 @@ violators), which is exactly the convexity constraint on second differences.
 One regularized linear solve, by sparse LU in symmetric mode, provides the
 starting point; an accelerated projected-gradient loop with a monotone
 best-iterate record does the constrained polish, and stops once its
-projected step is stationary.  numpy/scipy only, no external solver; scipy
-is imported by the functions that call it, so only a fit loads it.
+projected step is stationary.  `probe(kind, seed)` builds all but the
+target once, so every `.fit(d)` of a form shares its design and LU factor.
+numpy/scipy only, no external solver; only a probe imports scipy.
 
 The pass/fail threshold is scale-free (residual against the root-mean-square
 of the divergence over the sample set) and is surfaced in every result
@@ -105,7 +106,6 @@ class _SlopeParam:
     def __init__(self, knots: np.ndarray, pin: int):
         self.dx = np.diff(knots)
         self.pin = pin
-        self.K = len(knots)
 
     def values(self, s: np.ndarray) -> np.ndarray:
         c = np.concatenate([[0.0], np.cumsum(s * self.dx)])
@@ -117,35 +117,6 @@ class _SlopeParam:
         w[self.pin] -= gv.sum()
         rc = np.cumsum(w[::-1])[::-1]
         return self.dx * rc[1:]
-
-
-def _warm_start(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray):
-    """Regularized least squares in value space, then slope projection.
-
-    One solve of (A^T A + WARM_SMOOTHING * scale * R + 1e-14 * scale * I) v
-    = A^T y, where R penalizes second differences and scale is the largest
-    diagonal entry of A^T A; the slopes of v, projected onto nondecreasing
-    sequences, start the polish.  A failed or non-finite solve starts from
-    zero slopes.
-    """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    K = len(knots)
-    AtA = (A.T @ A).tocsc()
-    scale = max(float(AtA.diagonal().max()), 1e-300)
-    D2 = sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(K - 2, K))
-    R = (D2.T @ D2).tocsc()
-    M = (AtA + WARM_SMOOTHING * scale * R + 1e-14 * scale * sp.eye(K)).tocsc()
-    try:
-        # M is symmetric positive definite: a symmetric minimum-degree
-        # ordering without pivoting keeps the factor sparse
-        v0 = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True}).solve(A.T @ y)
-    except RuntimeError:
-        return np.zeros(K - 1)
-    if not np.all(np.isfinite(v0)):
-        return np.zeros(K - 1)
-    return pav_nondecreasing(np.diff(v0) / np.diff(knots))
 
 
 def _slope_column_weights(A: sp.csr_matrix, dx: np.ndarray, pin: int) -> np.ndarray:
@@ -182,81 +153,6 @@ def _slope_column_weights(A: sp.csr_matrix, dx: np.ndarray, pin: int) -> np.ndar
     return np.maximum(w, 1e-12 * max(float(w.max()), 1e-300))
 
 
-def _fit_convex(A: sp.csr_matrix, y: np.ndarray, knots: np.ndarray, pin: int,
-                iters: int = MAX_ITERS) -> ConvexPiecewiseLinearFit:
-    """Accelerated, diagonally preconditioned projected gradient over slopes.
-
-    The PAV projection runs in the preconditioner's metric, so every iterate
-    is feasible (nondecreasing slopes, i.e. nonnegative second differences).
-    The fit passes when its residual is at most PASS_SCALE * rms(y), that is
-    when the objective is at most f_pass.  The stop test scales by f_pass at
-    least: progress below it cannot change the verdict, only chase rounding.
-    """
-    K = A.shape[1]
-    par = _SlopeParam(knots, pin)
-
-    def objective(s):
-        r = A @ par.values(s) - y
-        return 0.5 * float(r @ r), r
-
-    w = _slope_column_weights(A, par.dx, pin)
-    winv = 1.0 / w
-    sqrt_winv = np.sqrt(winv)
-    # Lipschitz constant in the preconditioned metric via power iteration
-    z = np.ones(K - 1) + 1e-3 * np.sin(np.arange(K - 1))
-    nz = 1.0
-    for _ in range(60):
-        z2 = sqrt_winv * par.grad_slopes(A.T @ (A @ par.values(sqrt_winv * z)))
-        nz = float(np.linalg.norm(z2))
-        if nz == 0:
-            break
-        z = z2 / nz
-    L = max(nz * 1.01, 1e-300)
-
-    s = _warm_start(A, y, knots)
-    s_prev = s.copy()
-    tk = 1.0
-    f_best, _ = objective(s)
-    s_best = s.copy()
-    f_pass = 0.5 * PASS_SCALE ** 2 * float(y @ y)
-    stationarity = np.inf
-    it = 0
-    stop_reason = "max_iters"
-    while it < iters:
-        it += 1
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-        yk = s + ((tk - 1.0) / t_next) * (s - s_prev)
-        _, ry = objective(yk)
-        gy = par.grad_slopes(A.T @ ry)
-        s_new = pav_nondecreasing(yk - winv * gy / L, w)
-        f_new, _ = objective(s_new)
-        if f_new < f_best:
-            f_best, s_best = f_new, s_new.copy()
-        s_prev, s, tk = s, s_new, t_next
-        step = yk - s_new
-        stationarity = L * float(step @ (w * step)) / max(f_best, f_pass, 1e-300)
-        if stationarity <= STATIONARITY_TOL:
-            stop_reason = "converged"
-            break
-    v = par.values(s_best)
-    rms = float(np.sqrt(np.mean((A @ v - y) ** 2)))
-    rms_target = float(np.sqrt(np.mean(y ** 2)))
-    thr = PASS_SCALE * rms_target
-    return ConvexPiecewiseLinearFit(knots, v, rms, rms_target, thr, rms <= thr,
-                                    it, stop_reason, stationarity)
-
-
-def _sample_pairs(sample_pairs: int, seed: int):
-    rng = np.random.default_rng(seed)
-    p = rng.uniform(SAMPLE_LO, SAMPLE_HI, sample_pairs)
-    q = rng.uniform(SAMPLE_LO, SAMPLE_HI, sample_pairs)
-    return p, q
-
-
-def _binary_values(d: DivergenceSpec, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return d.evaluate_batch(binary_rows(p), binary_rows(q))
-
-
 def _interp_entries(x, knots, weights):
     j = np.clip(np.searchsorted(knots, x) - 1, 0, len(knots) - 2)
     t = (x - knots[j]) / (knots[j + 1] - knots[j])
@@ -266,16 +162,142 @@ def _interp_entries(x, knots, weights):
     return rows, cols, data
 
 
-def _design(parts, shape) -> sp.csr_matrix:
-    """The sparse design from (rows, cols, data) triples; repeated entries add."""
-    import scipy.sparse as sp
-    rows, cols, data = (np.concatenate(x) for x in zip(*parts))
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
+class FitProbe:
+    """One fit form at one seed, built once and shared by every `fit` of it:
+    only the target depends on the divergence.
+
+    It holds the sampled binary rows, the sparse design A from (rows, cols,
+    data) triples (repeated entries add), the slopes pinned to 0 at the middle
+    knot, the preconditioner w with its Lipschitz constant L, and `lu`, the
+    sparse LU of A^T A + WARM_SMOOTHING * scale * R + 1e-14 * scale * I (R
+    penalizes second differences, scale is the largest diagonal entry of
+    A^T A), or None when factorizing it failed.
+    """
+
+    def __init__(self, p: np.ndarray, q: np.ndarray, knots: np.ndarray, parts):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        K = len(knots)
+        rows, cols, data = (np.concatenate(x) for x in zip(*parts))
+        self.A = A = sp.csr_matrix((data, (rows, cols)), shape=(len(p), K))
+        self.At = At = A.T
+        self.P, self.Q, self.knots = binary_rows(p), binary_rows(q), knots
+        self.par = par = _SlopeParam(knots, K // 2)
+        self.w = _slope_column_weights(A, par.dx, par.pin)
+        self.winv = 1.0 / self.w
+        sqrt_winv = np.sqrt(self.winv)
+        # Lipschitz constant in the preconditioned metric via power iteration
+        z = np.ones(K - 1) + 1e-3 * np.sin(np.arange(K - 1))
+        nz = 1.0
+        for _ in range(60):
+            z2 = sqrt_winv * par.grad_slopes(At @ (A @ par.values(sqrt_winv * z)))
+            nz = float(np.linalg.norm(z2))
+            if nz == 0:
+                break
+            z = z2 / nz
+        self.L = max(nz * 1.01, 1e-300)
+        AtA = (At @ A).tocsc()
+        scale = max(float(AtA.diagonal().max()), 1e-300)
+        D2 = sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(K - 2, K))
+        R = (D2.T @ D2).tocsc()
+        M = (AtA + WARM_SMOOTHING * scale * R + 1e-14 * scale * sp.eye(K)).tocsc()
+        try:
+            # M is symmetric positive definite: a symmetric minimum-degree
+            # ordering without pivoting keeps the factor sparse
+            self.lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True})
+        except RuntimeError:
+            self.lu = None
+
+    def fit(self, d: DivergenceSpec,
+            iters: int = MAX_ITERS) -> ConvexPiecewiseLinearFit:
+        """Fit the form to d: a warm start, then an accelerated, diagonally
+        preconditioned projected gradient over slopes.
+
+        The warm start solves the regularized system for A^T y and projects
+        the slopes of the solution onto nondecreasing sequences; a failed
+        factor or a non-finite solve starts from zero slopes.  The PAV
+        projection runs in the preconditioner's metric, so every iterate is
+        feasible (nondecreasing slopes, i.e. nonnegative second differences).
+        The fit passes when its residual is at most PASS_SCALE * rms(y), that
+        is when the objective is at most f_pass.  The stop test scales by
+        f_pass at least: progress below it cannot change the verdict, only
+        chase rounding.
+        """
+        A, At, par, w, winv, L = self.A, self.At, self.par, self.w, self.winv, self.L
+        y = d.evaluate_batch(self.P, self.Q)
+
+        def objective(s):
+            r = A @ par.values(s) - y
+            return 0.5 * float(r @ r), r
+
+        v0 = None if self.lu is None else self.lu.solve(At @ y)
+        if v0 is None or not np.all(np.isfinite(v0)):
+            s = np.zeros(len(self.knots) - 1)
+        else:
+            s = pav_nondecreasing(np.diff(v0) / np.diff(self.knots))
+        s_prev = s.copy()
+        tk = 1.0
+        f_best, _ = objective(s)
+        s_best = s.copy()
+        f_pass = 0.5 * PASS_SCALE ** 2 * float(y @ y)
+        stationarity = np.inf
+        it = 0
+        stop_reason = "max_iters"
+        while it < iters:
+            it += 1
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
+            yk = s + ((tk - 1.0) / t_next) * (s - s_prev)
+            _, ry = objective(yk)
+            gy = par.grad_slopes(At @ ry)
+            s_new = pav_nondecreasing(yk - winv * gy / L, w)
+            f_new, _ = objective(s_new)
+            if f_new < f_best:
+                f_best, s_best = f_new, s_new.copy()
+            s_prev, s, tk = s, s_new, t_next
+            step = yk - s_new
+            stationarity = L * float(step @ (w * step)) / max(f_best, f_pass, 1e-300)
+            if stationarity <= STATIONARITY_TOL:
+                stop_reason = "converged"
+                break
+        v = par.values(s_best)
+        rms = float(np.sqrt(np.mean((A @ v - y) ** 2)))
+        rms_target = float(np.sqrt(np.mean(y ** 2)))
+        thr = PASS_SCALE * rms_target
+        return ConvexPiecewiseLinearFit(self.knots, v, rms, rms_target, thr,
+                                        rms <= thr, it, stop_reason, stationarity)
 
 
-# ---------------------------------------------------------------------------
-# the two probes
-# ---------------------------------------------------------------------------
+def probe(kind: str, seed: int = 0, sample_pairs: int = 4000,
+          knots: int | None = None) -> FitProbe:
+    """The "fdiv" form of fit_f_divergence or the "breg" form of
+    fit_bregman_binary at `seed`, on `knots` knots (2001 and 801 if None)."""
+    if kind not in ("fdiv", "breg"):
+        raise ValueError(f"unknown fit form {kind!r}; known: fdiv, breg")
+    K = (2001 if kind == "fdiv" else 801) if knots is None else knots
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(SAMPLE_LO, SAMPLE_HI, sample_pairs)
+    q = rng.uniform(SAMPLE_LO, SAMPLE_HI, sample_pairs)
+    if kind == "fdiv":
+        grid = np.geomspace(RATIO_LO, RATIO_HI, K)
+        grid[K // 2] = 1.0  # geometric center of [0.05, 20]; pin exactly
+        return FitProbe(p, q, grid, [_interp_entries(p / q, grid, q),
+                                     _interp_entries((1 - p) / (1 - q), grid, 1 - q)])
+    m = sample_pairs
+    grid = np.linspace(SAMPLE_LO - 0.01, SAMPLE_HI + 0.01, K)
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    dx = np.diff(grid)
+    parts = [_interp_entries(p, grid, np.ones(m)),
+             _interp_entries(q, grid, -np.ones(m))]
+    # -g2'(q)(p-q): slopes of the two segments around q, midpoint-interpolated
+    jq = np.clip(np.searchsorted(mids, q) - 1, 0, K - 3)
+    tq = np.clip((q - mids[jq]) / (mids[jq + 1] - mids[jq]), 0.0, 1.0)
+    w = -(p - q)
+    for seg, frac in ((jq, 1.0 - tq), (jq + 1, tq)):
+        parts += [(np.arange(m), seg, -w * frac / dx[seg]),
+                  (np.arange(m), seg + 1, w * frac / dx[seg])]
+    return FitProbe(p, q, grid, parts)
+
 
 def fit_f_divergence(d: DivergenceSpec, sample_pairs: int = 4000,
                      knots: int = 2001, seed: int = 0,
@@ -288,15 +310,7 @@ def fit_f_divergence(d: DivergenceSpec, sample_pairs: int = 4000,
     the form is blind to multiples of (x - 1), so fitted values are only
     determined modulo that direction.
     """
-    p, q = _sample_pairs(sample_pairs, seed)
-    y = _binary_values(d, p, q)
-    grid = np.geomspace(RATIO_LO, RATIO_HI, knots)
-    pin = knots // 2
-    grid[pin] = 1.0  # geometric center of [0.05, 20]; pin exactly
-    A = _design([_interp_entries(p / q, grid, q),
-                 _interp_entries((1 - p) / (1 - q), grid, 1 - q)],
-                (sample_pairs, knots))
-    return _fit_convex(A, y, grid, pin, iters)
+    return probe("fdiv", seed, sample_pairs, knots).fit(d, iters)
 
 
 def fit_bregman_binary(d: DivergenceSpec, sample_pairs: int = 4000,
@@ -309,23 +323,7 @@ def fit_bregman_binary(d: DivergenceSpec, sample_pairs: int = 4000,
     Bregman form is blind to affine parts of g2, so fitted values are only
     meaningful up to an affine offset.
     """
-    p, q = _sample_pairs(sample_pairs, seed)
-    y = _binary_values(d, p, q)
-    grid = np.linspace(SAMPLE_LO - 0.01, SAMPLE_HI + 0.01, knots)
-    pin = knots // 2
-    m = sample_pairs
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    dx = np.diff(grid)
-    parts = [_interp_entries(p, grid, np.ones(m)),
-             _interp_entries(q, grid, -np.ones(m))]
-    # -g2'(q)(p-q): slopes of the two segments around q, midpoint-interpolated
-    jq = np.clip(np.searchsorted(mids, q) - 1, 0, knots - 3)
-    tq = np.clip((q - mids[jq]) / (mids[jq + 1] - mids[jq]), 0.0, 1.0)
-    w = -(p - q)
-    for seg, frac in ((jq, 1.0 - tq), (jq + 1, tq)):
-        parts += [(np.arange(m), seg, -w * frac / dx[seg]),
-                  (np.arange(m), seg + 1, w * frac / dx[seg])]
-    return _fit_convex(_design(parts, (m, knots)), y, grid, pin, iters)
+    return probe("breg", seed, sample_pairs, knots).fit(d, iters)
 
 
 def bregman_f_residual(G: MultivariateConvexFunction, f: ScalarFunction,

@@ -71,12 +71,11 @@ def _json_safe(obj):
 
 def _fit_memo(seed: int):
     """fit(kind, name): the "fdiv" or "breg" fit of a catalog divergence at
-    `seed`, computed once per memo; each run builds its own memo."""
-    @functools.cache
-    def fit(kind: str, name: str):
-        fn = fitting.fit_f_divergence if kind == "fdiv" else fitting.fit_bregman_binary
-        return fn(catalog(name), seed=seed)
-    return fit
+    `seed`, computed once per memo.  The fits of a form share one
+    `fitting.probe(kind, seed)`, built on that form's first fit, so a run
+    that fits nothing factorizes nothing; each run builds its own memo."""
+    probe = functools.cache(lambda kind: fitting.probe(kind, seed))
+    return functools.cache(lambda kind, name: probe(kind).fit(catalog(name)))
 
 
 # ---------------------------------------------------------------------------

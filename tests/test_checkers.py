@@ -465,6 +465,15 @@ class TestShannon:
         rhs = float(np.sum(p * (0.5 * q ** 2 - q)))
         assert lhs - rhs > 1e-9
 
+    def test_infinite_gap_against_infinite_tolerance_is_a_failure(self):
+        # where f is +inf, gap and tolerance are both inf: the NaN margin is a
+        # failed evaluation and must not hide the finite violations elsewhere
+        f = ScalarFunction(lambda x: np.where(np.asarray(x) > 0.95, np.inf,
+                                              0.5 * np.square(x) - np.asarray(x)))
+        rep = check_shannon_inequality(f, 3, trials=30_000, seed=42)
+        assert rep.verdict == "violation" and rep.failures > 0
+        assert 0.0 < rep.max_gap < np.inf
+
     def test_determinism(self):
         f = ScalarFunction(lambda x: 0.5 * np.square(x) - np.asarray(x, dtype=float),
                            label="q")
@@ -550,6 +559,12 @@ class TestSearch:
              (np.array([0.2, 0.7]), np.array([0.0, 0.1]), lambda k: ("second", k))])
         assert (point, gap, failures) == (("second", 1), 0.7, 1)
         assert margin == pytest.approx(0.6)
+
+    def test_infinite_gap_against_infinite_tolerance_never_wins(self):
+        margin, gap, point, failures = _best(
+            [(np.array([np.inf, 0.5]), np.array([np.inf, 0.1]), lambda k: k)])
+        assert (point, gap, failures) == (1, 0.5, 1)
+        assert margin == pytest.approx(0.4)
 
     def test_clean_search_is_never_confirmed(self):
         def confirm(point):

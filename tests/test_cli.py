@@ -154,6 +154,16 @@ class TestConfig:
         assert doc["seed"] == 42
         assert doc["grid"] == 50
 
+    def test_divergence_defaults_to_kl(self, capsys):
+        code, out, _ = run_cli_capture(capsys, "eval", "--p", "0.5,0.5",
+                                       "--q", "0.3,0.7")
+        assert code == 0
+        want = 0.5 * math.log(0.5 / 0.3) + 0.5 * math.log(0.5 / 0.7)
+        assert float(out.strip()) == pytest.approx(want, abs=1e-12)
+        assert run_cli("check", "dpi", "--n", "2", "--grid", "10",
+                       "--trials", "100") == 0
+        assert run_cli("fit", "fdiv", "--pairs", "200", "--knots", "51") == 0
+
     def test_config_file_overrides_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 7}))

@@ -101,33 +101,54 @@ def brier_fit():
     return fit_bregman_binary(catalog("brier"), seed=0)
 
 
-@pytest.mark.parametrize("probe, knots", [(fit_f_divergence, 2001),
-                                           (fit_bregman_binary, 801)])
-def test_warm_start_solve_matches_dense(monkeypatch, probe, knots):
-    # record the design handed to the warm start and every factorization it
-    # makes, then re-solve the one regularized system densely
-    designs, factors = [], []
-    warm_start, splu = fitting._warm_start, scipy.sparse.linalg.splu
+@pytest.mark.parametrize("fit, knots", [(fit_f_divergence, 2001),
+                                         (fit_bregman_binary, 801)])
+def test_warm_start_solve_matches_dense(monkeypatch, fit, knots):
+    # record the probe a fit builds and every factorization it makes, then
+    # re-solve the one regularized system densely
+    probes, factors = [], []
+    probe, splu = fitting.probe, scipy.sparse.linalg.splu
 
-    def recording_warm_start(A, y, *args):
-        designs.append((A, y))
-        return warm_start(A, y, *args)
+    def recording_probe(*args):
+        probes.append(probe(*args))
+        return probes[-1]
 
     def recording_splu(M, **kw):
         lu = splu(M, **kw)
         factors.append((M, lu))
         return lu
 
-    monkeypatch.setattr(fitting, "_warm_start", recording_warm_start)
+    monkeypatch.setattr(fitting, "probe", recording_probe)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
-    probe(catalog("kl"), knots=knots, seed=0, iters=0)
-    [(A, y)] = designs
+    kl = catalog("kl")
+    start = fit(kl, knots=knots, seed=0, iters=0)
+    [pr] = probes
+    A, y = pr.A, kl.evaluate_batch(pr.P, pr.Q)
     assert A.shape[1] == knots and len(factors) == 1
     [(M, lu)] = factors
+    assert pr.lu is lu
     Aty = A.T @ y
     want = A @ scipy.linalg.solve(M.toarray(), Aty, assume_a="pos")
-    got = A @ lu.solve(Aty)
-    assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+    v = lu.solve(Aty)
+    assert np.linalg.norm(A @ v - want) <= 1e-9 * np.linalg.norm(want)
+    # with no iterations the fit is the projected warm start
+    slopes = pav_nondecreasing(np.diff(v) / np.diff(pr.knots))
+    assert np.array_equal(start.values, pr.par.values(slopes))
+
+
+@pytest.mark.parametrize("kind, fresh", [("fdiv", fit_f_divergence),
+                                         ("breg", fit_bregman_binary)])
+def test_shared_probe_carries_no_state_between_fits(kind, fresh):
+    # every fit of one probe, in either order, equals a fit on a fresh probe
+    names = ("kl", "tv", "hellinger", "chi2", "brier", "euclidean", "tv_squared")
+    shared = fitting.probe(kind, seed=4, sample_pairs=300, knots=61)
+    want = {name: fresh(catalog(name), sample_pairs=300, knots=61, seed=4, iters=300)
+            for name in names}
+    for order in (names, names[::-1]):
+        for name in order:
+            got = shared.fit(catalog(name), iters=300)
+            assert got.values.tobytes() == want[name].values.tobytes(), name
+            assert got.summary() == want[name].summary(), name
 
 
 class TestFitFDivergence:
@@ -236,14 +257,24 @@ class TestFitBregman:
         b = fit_bregman_binary(Shifted(), sample_pairs=1000, knots=201, seed=2)
         assert a.residual == pytest.approx(b.residual, abs=1e-15)
 
-    def test_iterations_ignore_rounding_of_target(self, monkeypatch):
+    def test_iterations_ignore_rounding_of_target(self):
         # scaling the fit target by 1 +- 1 ulp must not move the stop
-        binary_values = fitting._binary_values
+        brier = catalog("brier")
+
+        class Scaled:
+            label = "brier*c"
+            n = 2
+
+            def __init__(self, c):
+                self.c = c
+
+            def evaluate_batch(self, P, Q):
+                return self.c * brier.evaluate_batch(P, Q)
+
+        probe = fitting.probe("breg", seed=42)
         iterations = []
         for scale in (1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)):
-            monkeypatch.setattr(fitting, "_binary_values",
-                                lambda d, p, q, c=scale: c * binary_values(d, p, q))
-            fit = fit_bregman_binary(catalog("brier"), seed=42)
+            fit = probe.fit(Scaled(scale))
             iterations.append((fit.iterations, fit.stop_reason))
         assert iterations == [iterations[0]] * 3
         assert iterations[0][1] == "converged"

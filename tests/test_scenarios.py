@@ -1,24 +1,42 @@
+import scipy.sparse.linalg
+
 from divergence_lab import fitting, scenarios
 
 
 def test_each_run_fits_once_per_kind_and_divergence(monkeypatch):
-    # q1 and q4 share two f-fits within a run; a second run fits again
-    calls = []
+    # q1 and q4 share two f-fits within a run, the fits of a form share one
+    # probe and its one factorization, and a second run builds its own
+    probes, fits, factors = [], [], []
+    probe, fit, splu = fitting.probe, fitting.FitProbe.fit, scipy.sparse.linalg.splu
 
-    def counting(fn):
-        def wrapper(d, **kw):
-            calls.append(d.label)
-            return fn(d, **{**kw, "iters": 5})  # the count matters, not the fit
-        return wrapper
+    def counting_probe(kind, *args):
+        probes.append(kind)
+        return probe(kind, *args)
 
-    for name in ("fit_f_divergence", "fit_bregman_binary"):
-        monkeypatch.setattr(fitting, name, counting(getattr(fitting, name)))
-    monkeypatch.setattr(scenarios, "SCENARIOS",
-                        {sid: scenarios.SCENARIOS[sid]
-                         for sid in ("q1-counterexample", "q4-uniqueness")})
-    scenarios.run_all(seed=3)
-    assert len(calls) == 8
-    scenarios.run_all(seed=3)
-    assert len(calls) == 16
+    def counting_fit(self, d, iters=fitting.MAX_ITERS):
+        fits.append(d.label)
+        return fit(self, d, iters=5)  # the count matters, not the fit
+
+    def counting_splu(*args, **kw):
+        factors.append(args[0].shape)
+        return splu(*args, **kw)
+
+    monkeypatch.setattr(fitting, "probe", counting_probe)
+    monkeypatch.setattr(fitting.FitProbe, "fit", counting_fit)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+
+    every = scenarios.SCENARIOS
+
+    def run_only(*ids):
+        monkeypatch.setattr(scenarios, "SCENARIOS", {sid: every[sid] for sid in ids})
+        scenarios.run_all(seed=3)
+
+    run_only("q1-counterexample", "q4-uniqueness")
+    assert (sorted(probes), len(factors), len(fits)) == (["breg", "fdiv"], 2, 8)
+    run_only("q1-counterexample", "q4-uniqueness")
+    assert (len(probes), len(factors), len(fits)) == (4, 4, 16)
     scenarios.run_scenario("q1-counterexample", seed=3)
-    assert calls[16:] == ["tv_squared", "kl"]
+    assert (probes[4:], fits[16:]) == (["fdiv"], ["tv_squared", "kl"])
+    # scenarios that fit nothing build no probe and factorize nothing
+    run_only("q3-sufficiency-n3", "q3-binary-family", "shannon-inequalities")
+    assert (len(probes), len(factors), len(fits)) == (5, 5, 18)
