@@ -9,6 +9,14 @@ or inconclusive when some evaluations failed.  An empty search is an error.
 
 All randomness is drawn from a single seeded generator in a fixed batch
 order, so identical (spec, config, seed) always produce identical reports.
+The random scans evaluate their candidates in blocks of CHUNK rows, so what
+is derived from the draws (mapped and transformed rows, divergence values,
+gaps) stays CHUNK-sized at any trial count.  Every kernel treats rows
+independently and a tie keeps the earlier candidate, so the blocks find the
+same best candidate, gap and failure count as one whole batch would.  Only
+the n >= 3 data-processing scan also draws per block; the other scans draw
+all their trials first, as before, because that draw order defines every
+report, and so hold O(trials) memory for the draws alone.
 """
 
 from __future__ import annotations
@@ -37,7 +45,10 @@ REFUTED = "the flagged candidate did not survive re-evaluation; "
 # line-search steps of the local refinement, tried together
 BACKTRACK_STEPS = 0.05 * 0.5 ** np.arange(12)
 FD_STEP = 1e-5  # the step of its central differences
-CHUNK = 20_000  # rows per batch of the random data-processing scan, n >= 3
+# rows per block of every random scan: bounds the arrays derived from the
+# draws, and the draws too in the n >= 3 data-processing scan, which draws
+# per block; its reports follow this value, the other scans' do not
+CHUNK = 20_000
 
 
 @dataclass
@@ -93,6 +104,12 @@ def sample_channels(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return A
 
 
+def _blocks(m: int):
+    """Slices of the consecutive CHUNK-row blocks of m rows."""
+    for lo in range(0, m, CHUNK):
+        yield slice(lo, min(lo + CHUNK, m))
+
+
 # ---------------------------------------------------------------------------
 # the one search loop: scan -> reduce -> confirm
 # ---------------------------------------------------------------------------
@@ -126,7 +143,8 @@ def _reduce(gap: np.ndarray, tol):
 def _best(batches):
     """(margin, gap, point, failures) of the best candidate of all batches: a
     later one wins only with a strictly greater margin.  `point_of(k)` runs
-    before the next batch is drawn, so it may read its own batch's arrays."""
+    before the next batch is drawn, so it may read its own batch's arrays;
+    each batch is dropped before the next is drawn, so a scan holds one."""
     best = (-np.inf, -np.inf, None)
     failures = 0
     for gap, tol, point_of in batches:
@@ -134,6 +152,7 @@ def _best(batches):
         failures += fail
         if margin > best[0]:
             best = (margin, g, point_of(k))
+        del gap, tol, point_of
     return (*best, failures)
 
 
@@ -211,21 +230,25 @@ def _dpi_scan_binary_grid(d: DivergenceSpec, grid: int):
 
 
 def _dpi_scan_binary_random(d: DivergenceSpec, trials: int, rng: np.random.Generator):
+    """Random interior (p, q) and channels (alpha, beta), all drawn first and
+    evaluated in blocks of CHUNK rows."""
     p = np.clip(rng.uniform(size=trials), 1e-9, 1 - 1e-9)
     q = np.clip(rng.uniform(size=trials), 1e-9, 1 - 1e-9)
     a = rng.uniform(size=trials)
     b = rng.uniform(size=trials)
-    before = d.evaluate_batch(binary_rows(p), binary_rows(q))
-    after = d.evaluate_batch(binary_rows(p * a + b * (1 - p)),
-                             binary_rows(q * a + b * (1 - q)))
-    yield (after - before, _gap_tol(before),
-           lambda k: _binary_triple(p[k], q[k], a[k], b[k]))
+    for s in _blocks(trials):
+        pb, qb, ab, bb = p[s], q[s], a[s], b[s]
+        before = d.evaluate_batch(binary_rows(pb), binary_rows(qb))
+        after = d.evaluate_batch(binary_rows(pb * ab + bb * (1 - pb)),
+                                 binary_rows(qb * ab + bb * (1 - qb)))
+        yield (after - before, _gap_tol(before),
+               lambda k: _binary_triple(pb[k], qb[k], ab[k], bb[k]))
 
 
 def _dpi_scan_random(d: DivergenceSpec, n: int, trials: int, rng: np.random.Generator):
     """Batches of up to CHUNK random (P, Q, channel) triples on n symbols."""
-    for done in range(0, trials, CHUNK):
-        m = min(CHUNK, trials - done)
+    for s in _blocks(trials):
+        m = s.stop - s.start
         P = sample_simplex(rng, m, n)
         Q = sample_simplex(rng, m, n)
         A = sample_channels(rng, m, n)
@@ -339,54 +362,67 @@ def dpi_local_refine(d: DivergenceSpec, witness, iters: int = 200):
 # ---------------------------------------------------------------------------
 
 def _suff_batches(d: DivergenceSpec, n: int, trials: int, rng: np.random.Generator):
-    """Batches of sufficiency scenarios, one per kind.
+    """Batches of sufficiency scenarios, CHUNK rows each, kind after kind.
 
     Three scenario kinds: permutations of random pairs, merges of pairs built
     with a proportional coordinate pair, and splits into an empty coordinate.
-    Binary alphabets only admit permutations.
+    Binary alphabets only admit permutations.  Each kind draws all its trials
+    before its first batch.
     """
     kinds = ["permutation"] if n == 2 else ["permutation", "merge", "split"]
     share = {k: trials // len(kinds) for k in kinds}
     share[kinds[0]] += trials - sum(share.values())
+    m = share.pop("permutation")
+    if m:
+        yield from _permutation_batches(d, n, m, rng)
+    for kind, m in share.items():
+        if m:
+            yield from _merge_split_batches(d, kind, n, m, rng)
 
-    def batch(kind, Pb, Qb, Pa, Qa, meta):
-        before = d.evaluate_batch(Pb, Qb)
-        return (_abs_delta(d.evaluate_batch(Pa, Qa), before), SUFFICIENCY_TOL,
-                partial(_scenario_from_batch, kind, Pb, Qb, meta, n))
 
-    if share.get("permutation"):
-        m = share["permutation"]
-        P = sample_simplex(rng, m, n)
-        Q = sample_simplex(rng, m, n)
-        perm = np.argsort(rng.uniform(size=(m, n)), axis=1)
-        yield batch("permutation", P, Q, np.take_along_axis(P, perm, 1),
-                    np.take_along_axis(Q, perm, 1), {"perm": perm})
+def _suff_batch(d, kind, n, Pb, Qb, Pa, Qa, meta):
+    before = d.evaluate_batch(Pb, Qb)
+    return (_abs_delta(d.evaluate_batch(Pa, Qa), before), SUFFICIENCY_TOL,
+            partial(_scenario_from_batch, kind, Pb, Qb, meta, n))
 
-    for kind in ("merge", "split"):
-        if not share.get(kind):
-            continue
-        m = share[kind]
-        baseP = sample_simplex(rng, m, n - 1)
-        baseQ = sample_simplex(rng, m, n - 1)
-        t = rng.uniform(size=m)
-        sigma = np.argsort(rng.uniform(size=(m, n)), axis=1)
-        rows = np.arange(m)[:, None]
-        merged_P = np.zeros((m, n))
-        merged_Q = np.zeros((m, n))
-        split_P = np.zeros((m, n))
-        split_Q = np.zeros((m, n))
+
+def _permutation_batches(d, n, m, rng):
+    P = sample_simplex(rng, m, n)
+    Q = sample_simplex(rng, m, n)
+    u = rng.uniform(size=(m, n))
+    for s in _blocks(m):
+        perm = np.argsort(u[s], axis=1)
+        yield _suff_batch(d, "permutation", n, P[s], Q[s],
+                          np.take_along_axis(P[s], perm, 1),
+                          np.take_along_axis(Q[s], perm, 1), {"perm": perm})
+
+
+def _merge_split_batches(d, kind, n, m, rng):
+    baseP = sample_simplex(rng, m, n - 1)
+    baseQ = sample_simplex(rng, m, n - 1)
+    t = rng.uniform(size=m)
+    u = rng.uniform(size=(m, n))
+    for s in _blocks(m):
+        bP, bQ, tb = baseP[s], baseQ[s], t[s]
+        sigma = np.argsort(u[s], axis=1)
+        mb = len(sigma)
+        rows = np.arange(mb)[:, None]
+        merged_P = np.zeros((mb, n))
+        merged_Q = np.zeros((mb, n))
+        split_P = np.zeros((mb, n))
+        split_Q = np.zeros((mb, n))
         # sigma[:,0] hosts the kept/split coordinate, sigma[:,1] its partner
-        merged_P[rows, sigma] = np.column_stack([baseP[:, 0], np.zeros(m), baseP[:, 1:]])
-        merged_Q[rows, sigma] = np.column_stack([baseQ[:, 0], np.zeros(m), baseQ[:, 1:]])
-        split_P[rows, sigma] = np.column_stack([t * baseP[:, 0], (1 - t) * baseP[:, 0],
-                                                baseP[:, 1:]])
-        split_Q[rows, sigma] = np.column_stack([t * baseQ[:, 0], (1 - t) * baseQ[:, 0],
-                                                baseQ[:, 1:]])
-        meta = {"i": sigma[:, 0], "j": sigma[:, 1], "t": t}
+        merged_P[rows, sigma] = np.column_stack([bP[:, 0], np.zeros(mb), bP[:, 1:]])
+        merged_Q[rows, sigma] = np.column_stack([bQ[:, 0], np.zeros(mb), bQ[:, 1:]])
+        split_P[rows, sigma] = np.column_stack([tb * bP[:, 0], (1 - tb) * bP[:, 0],
+                                                bP[:, 1:]])
+        split_Q[rows, sigma] = np.column_stack([tb * bQ[:, 0], (1 - tb) * bQ[:, 0],
+                                                bQ[:, 1:]])
+        meta = {"i": sigma[:, 0], "j": sigma[:, 1], "t": tb}
         if kind == "merge":
-            yield batch(kind, split_P, split_Q, merged_P, merged_Q, meta)
+            yield _suff_batch(d, kind, n, split_P, split_Q, merged_P, merged_Q, meta)
         else:
-            yield batch(kind, merged_P, merged_Q, split_P, split_Q, meta)
+            yield _suff_batch(d, kind, n, merged_P, merged_Q, split_P, split_Q, meta)
 
 
 def check_sufficiency(d: DivergenceSpec, n: int, trials: int = 10_000,
@@ -468,9 +504,11 @@ def check_shannon_inequality(f, n: int, trials: int = 100_000,
     def batches():
         P = sample_simplex(rng, trials, n)
         Q = sample_simplex(rng, trials, n)
-        lhs = row_sum(P * np.asarray(f(P)))
-        yield (lhs - row_sum(P * np.asarray(f(Q))), _gap_tol(lhs),
-               lambda k: (P[k], Q[k]))
+        for s in _blocks(trials):
+            Pb, Qb = P[s], Q[s]
+            lhs = row_sum(Pb * np.asarray(f(Pb)))
+            yield (lhs - row_sum(Pb * np.asarray(f(Qb))), _gap_tol(lhs),
+                   lambda k: (Pb[k], Qb[k]))
 
     def confirm(pq):
         # re-evaluate the flagged pair in the scalar path

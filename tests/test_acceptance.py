@@ -9,12 +9,14 @@ twice, and compares report bytes.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from divergence_lab import scenarios
 
 SEED = 42
+GOLDEN = Path(__file__).resolve().parents[1] / "reports" / "golden-seed42.json"
 
 
 @pytest.fixture(scope="session")
@@ -143,9 +145,7 @@ def test_golden_report_regression(results):
     # seed; regenerate it with
     #   divergence-lab verify all --seed 42 --format json --out reports/golden-seed42.json
     # if an intentional change shifts the numbers
-    from pathlib import Path
-    golden_path = Path(__file__).resolve().parents[1] / "reports" / "golden-seed42.json"
-    golden = json.loads(golden_path.read_text())
+    golden = json.loads(GOLDEN.read_text())
     fresh = scenarios.report_json_dict(list(results.values()), SEED)
     assert fresh == golden
 
@@ -167,5 +167,9 @@ def test_criterion_9_determinism(results, tmp_path):
     in_process = scenarios.report_json_dict(list(results.values()), SEED)
     ok &= doc == in_process
     ok &= doc["all_pass"] is True
+    # parsed equality ignores key order and number formatting; the committed
+    # golden report fixes the bytes
+    ok &= b1 == GOLDEN.read_bytes()
     _line(9, ok, f"two `verify all --seed {SEED}` runs byte-identical "
-                 f"({len(b1)} bytes) and match the in-process report")
+                 f"({len(b1)} bytes), equal to the golden report's bytes, and "
+                 "match the in-process report")

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from divergence_lab import families
+from divergence_lab import checkers, families
 from divergence_lab.checkers import (DECOMPOSABLE_TOL, INCONCLUSIVE, NOT_A_PROOF,
                                      REFUTED, VIOLATION_SHOWN, CheckReport,
                                      _abs_delta, _best, _binary_triple,
@@ -621,3 +622,114 @@ def shannon_quadratic():
 def test_empty_or_negative_search_is_an_error(check):
     with pytest.raises(DivergenceError, match="nothing to search"):
         check()
+
+
+# ---------------------------------------------------------------------------
+# block-wise random scans
+# ---------------------------------------------------------------------------
+
+BLOCK_TRIALS = 6000
+
+
+def shannon_capped():
+    """The Shannon quadratic, +inf above 0.95: some candidates of every few
+    hundred fail (an infinite gap against an infinite tolerance)."""
+    return ScalarFunction(lambda x: np.where(np.asarray(x) > 0.95, np.inf,
+                                             0.5 * np.square(x) - np.asarray(x)),
+                          label="capped")
+
+
+def shannon_clog():
+    return ScalarFunction(lambda x: -2.0 * np.log(x) + 0.1, label="clog")
+
+
+BLOCK_CASES = {
+    "dpi-kl-grid0": lambda: check_dpi(catalog("kl"), 2, grid=0,
+                                      random_trials=BLOCK_TRIALS, seed=3),
+    "dpi-kl-grid10": lambda: check_dpi(catalog("kl"), 2, grid=10,
+                                       random_trials=BLOCK_TRIALS, seed=3),
+    "dpi-decreasing-grid0": lambda: check_dpi(kl_type_family("decreasing"), 2, grid=0,
+                                              random_trials=BLOCK_TRIALS, seed=3),
+    "dpi-decreasing-grid10": lambda: check_dpi(kl_type_family("decreasing"), 2,
+                                               grid=10, random_trials=BLOCK_TRIALS,
+                                               seed=3),
+    "sufficiency-kl-n2": lambda: check_sufficiency(catalog("kl"), 2,
+                                                   trials=BLOCK_TRIALS, seed=3),
+    "sufficiency-kl-n3": lambda: check_sufficiency(catalog("kl"), 3,
+                                                   trials=BLOCK_TRIALS, seed=3),
+    "sufficiency-euclidean-n3": lambda: check_sufficiency(catalog("euclidean"), 3,
+                                                          trials=BLOCK_TRIALS, seed=3),
+    "shannon-clog-n3": lambda: check_shannon_inequality(shannon_clog(), 3,
+                                                        trials=BLOCK_TRIALS, seed=3),
+    "shannon-quadratic-n3": lambda: check_shannon_inequality(
+        shannon_quadratic(), 3, trials=BLOCK_TRIALS, seed=3),
+    "shannon-capped-n3": lambda: check_shannon_inequality(shannon_capped(), 3,
+                                                          trials=BLOCK_TRIALS, seed=3),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, case):
+    """A scan that draws all its trials first reports the same bytes in
+    blocks of 997 rows (which divides none of the counts, so some blocks are
+    short) as in one block.  At seed 3 the best candidate of several cases
+    lies in a late block, and the capped Shannon case sums failures over
+    blocks.  check_dpi at n >= 3 is not among them: it draws per block, so
+    CHUNK is part of its draw order and its reports follow it."""
+    reports = []
+    for chunk in (997, BLOCK_TRIALS):
+        monkeypatch.setattr(checkers, "CHUNK", chunk)
+        reports.append(json.dumps(BLOCK_CASES[case]().to_json_dict()))
+    assert reports[0] == reports[1]
+
+
+MEMORY_TRIALS = 400_000
+# what a block may add to the draws: 64 float64 columns of CHUNK rows, which
+# also holds the samplers' one-column normaliser at MEMORY_TRIALS
+BLOCK_ALLOWANCE = 64 * checkers.CHUNK * 8
+
+
+def _f64_bytes(*shape):
+    return 8 * math.prod(shape)
+
+
+def _sufficiency_draw_bytes(trials, n):
+    """The draws of the largest scenario kind: each kind's draws are dropped
+    before the next kind draws."""
+    m = trials // 3
+    permutation = 3 * _f64_bytes(trials - 2 * m, n)      # P, Q, uniforms
+    merge = (2 * _f64_bytes(m, n - 1) + _f64_bytes(m)   # bases, t, uniforms
+             + _f64_bytes(m, n))
+    return max(permutation, merge)
+
+
+def _memory_case(case):
+    """(the check, its draw bytes), the divergence built before tracing."""
+    trials = MEMORY_TRIALS
+    if case == "dpi-kl-type-n2":
+        d = kl_type_family("square")
+        return (lambda: check_dpi(d, 2, grid=0, random_trials=trials),
+                4 * _f64_bytes(trials))                  # p, q, alpha, beta
+    if case == "sufficiency-kl-n5":
+        d = catalog("kl")
+        return (lambda: check_sufficiency(d, 5, trials=trials),
+                _sufficiency_draw_bytes(trials, 5))
+    f = shannon_clog()
+    return (lambda: check_shannon_inequality(f, 4, trials=trials),
+            2 * _f64_bytes(trials, 4))                   # P, Q
+
+
+@pytest.mark.parametrize("case", ["dpi-kl-type-n2", "sufficiency-kl-n5", "shannon-n4"])
+def test_scan_memory_is_its_draws_plus_a_block(case):
+    """What a random scan derives from its draws (rows, divergence values,
+    gaps) is built one CHUNK-row block at a time, so its traced peak stays
+    within the draws plus a block's temporaries at any trial count."""
+    check, draws = _memory_case(case)
+    tracemalloc.start()
+    try:
+        report = check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "no_violation_found"
+    assert peak <= draws + BLOCK_ALLOWANCE, (peak, draws)
