@@ -2,9 +2,8 @@
 numerical checkers for the data-processing, sufficiency and decomposability
 properties, including binary-alphabet counterexample constructions."""
 
-from .simplex import (Channel, Distribution, SufficiencyScenario, binary_channel,
-                      compose, merge_transform, proportional_pairs, push_forward,
-                      split_transform)
+from .simplex import (Channel, Distribution, SufficiencyScenario, merge_transform,
+                      push_forward, split_transform)
 from .divergences import (DivergenceError, DivergenceSpec,
                           MultivariateConvexFunction, ScalarFunction, catalog,
                           negative_entropy, resolve)
@@ -21,9 +20,8 @@ from .scenarios import ScenarioResult, emit_report, run_all, run_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "Channel", "Distribution", "SufficiencyScenario", "binary_channel",
-    "compose", "merge_transform", "proportional_pairs", "push_forward",
-    "split_transform",
+    "Channel", "Distribution", "SufficiencyScenario", "merge_transform",
+    "push_forward", "split_transform",
     "DivergenceError", "DivergenceSpec", "MultivariateConvexFunction",
     "ScalarFunction", "catalog", "negative_entropy", "resolve",
     "FamilyError", "HGenerator", "SymmetricConvexG", "bregman_from_symmetric_g",

@@ -157,8 +157,8 @@ def _best(batches):
 
 
 def _search(prop, trials, config, batches, confirm) -> CheckReport:
-    """Check the counts in `config`, run the search and judge it: the only
-    code that builds a CheckReport.
+    """Check the alphabet size and counts in `config`, run the search and
+    judge it: the only code that builds a CheckReport.
 
     `batches` yields `(gap, tol, point_of)`: the gaps of a batch, their
     tolerances and `point_of(k)`, the candidate at flat index k.  A best gap
@@ -166,6 +166,9 @@ def _search(prop, trials, config, batches, confirm) -> CheckReport:
     violation if the new gap exceeds tol, else a clean search noted as
     refuted, where a NaN gap is one more failure.
     """
+    if config.get("n") is not None and config["n"] < 2:
+        raise DivergenceError(f"{prop}: an alphabet needs at least 2 symbols, "
+                              f"got n={config['n']}")
     counts = {k: config[k] for k in ("grid", "random_trials", "trials")
               if config.get(k) is not None}
     if trials < 1 or min(counts.values()) < 0:
@@ -284,9 +287,9 @@ def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
 
     def confirm(point):
         P, Q, A, _, _ = dpi_local_refine(d, point)
-        # re-evaluate the refined point through evaluate_batch rows: a binary
-        # grid witness was flagged by a pair kernel, but both paths share their
-        # family's term helper, so this re-check is not independent (ROADMAP 1(c))
+        # re-evaluate the refined point through evaluate_batch rows: every
+        # witness, a binary grid one included, was flagged by the same family
+        # kernel, so this re-check is not independent (ROADMAP 1(c))
         p, q, ch = Distribution(P), Distribution(Q), Channel(A)
         vb, va = d.evaluate(p, q), d.evaluate(push_forward(p, ch), push_forward(q, ch))
         return _witness(P, Q, A, vb, va, va - vb), va - vb, _gap_tol(vb)

@@ -89,8 +89,11 @@ class _HermiteTable:
         return np.where(x <= self._mid, below, above)
 
     def __call__(self, x):
-        shape = np.shape(x)
-        x = np.ascontiguousarray(np.ravel(x), dtype=float)
+        # the values keep x's memory order, so broadcasts that follow run
+        # along the same axis as they would on x; out is a fresh dense copy
+        # of x, so its memory-order ravel is a view to write the values into
+        out = np.array(x, dtype=float, order="K")
+        x = out.ravel(order="K")
         bucket = np.clip(self._key(x), self._base, self._top)
         bucket -= self._base
         bucket >>= self._shift
@@ -100,7 +103,8 @@ class _HermiteTable:
         c0, c1, c2, c3 = self._c[:, i]
         s = x - self._knots[i]
         s2 = s * s
-        return (((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)).reshape(shape)
+        x[:] = ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+        return out
 
 
 class ScalarFunction:
@@ -222,14 +226,12 @@ def check_convex_on_simplex(G: MultivariateConvexFunction, n: int,
 
 
 # ---------------------------------------------------------------------------
-# batch evaluation kernels (rows of shape (m, n))
+# batch evaluation kernels: rows of shape (..., n) whose leading axes broadcast
 # ---------------------------------------------------------------------------
 
 def f_divergence_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """sum_i q_i f(p_i / q_i) over the last axis of the broadcast arguments,
     with the perspective convention where q_i = 0."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
     pos = Q > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         # where q_i = 0 the ratio is p_i / 1, a value the mask then discards
@@ -245,25 +247,11 @@ def f_divergence_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.nd
     return out
 
 
-def _kl_type_sum(P, fP, fQ) -> np.ndarray:
+def kl_type_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """sum_k p_k (f(q_k) - f(p_k)) over the last axis of the broadcast
     arguments; a coordinate with p_k = 0 adds 0."""
-    return row_sum(np.where(P > 0, P * (fQ - fP), 0.0))
-
-
-def kl_type_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _kl_type_sum(P, np.asarray(f(P)), np.asarray(f(Q)))
-
-
-def _bregman_sum(GP, GQ, g, P, Q) -> np.ndarray:
-    """G(P) - G(Q) - <g, P - Q> with g = grad G(Q), the inner product over the
-    last axis of the broadcast arguments."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = row_sum(np.where(P == Q, 0.0, g * (P - Q)))
-    return GP - GQ - inner
+        return row_sum(np.where(P > 0, P * (np.asarray(f(Q)) - np.asarray(f(P))), 0.0))
 
 
 def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray,
@@ -274,11 +262,10 @@ def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray,
     an infinite gradient with p_i != q_i makes the row +inf (Legendre-type
     convention of Banerjee et al., JMLR 2005).
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore"):
         g = G.gradient(Q)
-    return _bregman_sum(G.value(P), G.value(Q), g, P, Q)
+        inner = row_sum(np.where(P == Q, 0.0, g * (P - Q)))
+    return G.value(P) - G.value(Q) - inner
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +278,13 @@ FAMILIES = ("f_divergence", "bregman", "kl_type", "composed")
 class DivergenceSpec:
     """A closed, immutable description of one divergence.
 
-    evaluate(p, q) accepts Distribution objects or raw vectors; the
-    vectorised evaluate_batch(P, Q) takes row-stacked (m, n) arrays and is
-    what the property checkers drive, and evaluate_binary_pairs(U) evaluates
-    every pair of binary distributions on a grid of first coordinates.
+    evaluate(p, q) accepts Distribution objects or raw vectors.  The
+    vectorised evaluate_batch(P, Q) is what the property checkers drive: it
+    takes rows of shape (..., n) whose leading axes broadcast, such as two
+    (m, n) stacks or P[:, None] against Q[None, :] for every pair, and gives
+    one value per broadcast row.  Each family has one kernel, and
+    evaluate_binary_pairs(U), every pair of binary distributions on a grid of
+    first coordinates, only shapes its rows for evaluate_batch.
     """
 
     def __init__(self, family: str, label: str, *, f: ScalarFunction | None = None,
@@ -329,17 +319,22 @@ class DivergenceSpec:
         elif self.family == "bregman":
             check_convex_on_simplex(self.G, self.G.n or 3)
 
-    def _check_n(self, n: int) -> None:
-        if self.n is not None and n != self.n:
-            raise DivergenceError(
-                f"{self.label!r} is defined for alphabets of size {self.n}, got {n}")
-
     def evaluate_batch(self, P, Q) -> np.ndarray:
         P = np.atleast_2d(np.asarray(P, dtype=float))
         Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        if P.shape != Q.shape:
-            raise DivergenceError("argument batches differ in shape")
-        self._check_n(P.shape[1])
+        n = P.shape[-1]
+        if Q.shape[-1] != n:
+            raise DivergenceError(
+                f"argument rows differ in size: {n} and {Q.shape[-1]}")
+        try:
+            np.broadcast_shapes(P.shape[:-1], Q.shape[:-1])
+        except ValueError:
+            raise DivergenceError(
+                f"argument batches {P.shape[:-1]} and {Q.shape[:-1]} "
+                "do not broadcast") from None
+        if self.n is not None and n != self.n:
+            raise DivergenceError(
+                f"{self.label!r} is defined for alphabets of size {self.n}, got {n}")
         if self.family == "f_divergence":
             return f_divergence_batch(self.f, P, Q)
         if self.family == "kl_type":
@@ -352,34 +347,13 @@ class DivergenceSpec:
 
     def evaluate_binary_pairs(self, U) -> np.ndarray:
         """D((u_i, 1-u_i); (u_j, 1-u_j)) for every pair i, j on the last axis
-        of U, so shape (..., k) gives (..., k, k): the same bits as
-        evaluate_batch on those rows.
-
-        The pairs go through the term helper evaluate_batch uses, and what
-        does not depend on the pair runs once per point: f on the 2k
-        coordinates u and 1 - u for KL-type, G and grad G on the k points for
-        Bregman.  An f-divergence evaluates q f(p/q) on the pairs, and a
-        composed divergence applies its outer function to its base's pairs.
-        """
-        self._check_n(2)
-        if self.family == "composed":
-            return np.asarray(self.outer(self.base.evaluate_binary_pairs(U)))
+        of U, so shape (..., k) gives (..., k, k): evaluate_batch on the rows
+        of the k points, broadcast against each other."""
         U = np.asarray(U, dtype=float)
         # the rows (u, 1 - u), stored coordinate-first so that broadcasts
         # run along k rather than along the 2 coordinates
-        S = np.stack([U, 1.0 - U])
-        X = np.moveaxis(S, 0, -1)
-        P, Q = X[..., :, None, :], X[..., None, :, :]
-        if self.family == "f_divergence":
-            return f_divergence_batch(self.f, P, Q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if self.family == "kl_type":
-                fX = np.moveaxis(np.asarray(self.f(S)), 0, -1)
-                return _kl_type_sum(P, fX[..., :, None, :], fX[..., None, :, :])
-            g = self.G.gradient(X)  # bregman: G and grad G on the k points
-        v = self.G.value(X)
-        return _bregman_sum(v[..., :, None], v[..., None, :], g[..., None, :, :],
-                            P, Q)
+        X = np.moveaxis(np.stack([U, 1.0 - U]), 0, -1)
+        return self.evaluate_batch(X[..., :, None, :], X[..., None, :, :])
 
     def evaluate(self, p, q) -> float:
         if not isinstance(p, Distribution):

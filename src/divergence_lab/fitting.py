@@ -30,7 +30,8 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-from .divergences import DivergenceSpec, MultivariateConvexFunction, ScalarFunction
+from .divergences import (DivergenceSpec, MultivariateConvexFunction, ScalarFunction,
+                          bregman_batch, f_divergence_batch)
 from .simplex import binary_rows, interior_binary_points
 
 MAX_ITERS = 10_000
@@ -334,15 +335,9 @@ def bregman_f_residual(G: MultivariateConvexFunction, f: ScalarFunction,
         h(p) - h(q) - h'(q)(p-q) = q f(p/q) + (1-q) f((1-p)/(1-q))
 
     where h(p) = G((p, 1-p)).  Zero residual (within rounding) means the two
-    describe the same divergence.
+    describe the same divergence.  Both sides are the family kernels, on
+    every pair of interior binary rows.
     """
-    x = interior_binary_points(grid)
-    p, q = (a.ravel() for a in np.meshgrid(x, x, indexing="ij"))
-    rows_q = binary_rows(q)
-    h_p = np.asarray(G.value(binary_rows(p)))
-    h_q = np.asarray(G.value(rows_q))
-    gq = np.asarray(G.gradient(rows_q))
-    hprime_q = gq[:, 0] - gq[:, 1]  # d/dp of G((p,1-p))
-    breg = h_p - h_q - hprime_q * (p - q)
-    fdiv = q * np.asarray(f(p / q)) + (1 - q) * np.asarray(f((1 - p) / (1 - q)))
-    return float(np.max(np.abs(breg - fdiv)))
+    X = binary_rows(interior_binary_points(grid))
+    P, Q = X[:, None, :], X[None, :, :]
+    return float(np.max(np.abs(bregman_batch(G, P, Q) - f_divergence_batch(f, P, Q))))

@@ -159,13 +159,6 @@ class Channel:
         return f"Channel({np.array2string(self.matrix, separator=', ')})"
 
 
-def compose(first: Channel, then: Channel) -> Channel:
-    """The channel equivalent to applying `first` and then `then`."""
-    if first.n != then.n:
-        raise SimplexError("channel sizes differ")
-    return Channel(first.matrix @ then.matrix)
-
-
 def push_forward(p: Distribution, ch: Channel) -> Distribution:
     """Marginal of the channel output when the input is distributed as p."""
     if p.n != ch.n:
@@ -173,13 +166,6 @@ def push_forward(p: Distribution, ch: Channel) -> Distribution:
     # no renormalization: permutation channels must permute exactly, and the
     # Distribution invariants (sum within 1e-12) absorb the rounding dust
     return Distribution(p.probs @ ch.matrix)
-
-
-def binary_channel(alpha: float, beta: float) -> Channel:
-    """2x2 channel with rows (alpha, 1-alpha) and (beta, 1-beta)."""
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise SimplexError(f"parameters must be in [0,1], got ({alpha}, {beta})")
-    return Channel([[alpha, 1.0 - alpha], [beta, 1.0 - beta]])
 
 
 def merge_transform(i: int, j: int, n: int) -> Channel:
@@ -209,21 +195,6 @@ def split_transform(i: int, j: int, t: float, n: int) -> Channel:
     m[i, i] = t
     m[i, j] = 1.0 - t
     return Channel(m)
-
-
-def proportional_pairs(p: Distribution, q: Distribution,
-                       tol: float = PROPORTIONAL_TOL) -> list[tuple[int, int]]:
-    """All index pairs (i, j), i < j, with p_i*q_j == p_j*q_i within tol.
-
-    Exactly these merges are sufficient transformations for the pair (p, q).
-    The cross-product form stays well defined when coordinates are zero.
-    """
-    if p.n != q.n:
-        raise SimplexError("dimension mismatch")
-    a, b = p.probs, q.probs
-    cross = np.abs(np.outer(a, b) - np.outer(b, a))
-    ii, jj = np.where(np.triu(cross <= tol, k=1))
-    return list(zip(ii.tolist(), jj.tolist()))
 
 
 VALID_SCENARIO_KINDS = ("permutation", "merge", "split")

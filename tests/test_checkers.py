@@ -624,6 +624,17 @@ def test_empty_or_negative_search_is_an_error(check):
         check()
 
 
+@pytest.mark.parametrize("check", [
+    lambda n: check_dpi(catalog("kl"), n, grid=3, random_trials=100),
+    lambda n: check_sufficiency(catalog("kl"), n, trials=100),
+    lambda n: check_shannon_inequality(shannon_quadratic(), n, trials=100),
+], ids=["dpi", "sufficiency", "shannon"])
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_alphabet_below_two_is_an_error(check, n):
+    with pytest.raises(DivergenceError, match="at least 2 symbols"):
+        check(n)
+
+
 # ---------------------------------------------------------------------------
 # block-wise random scans
 # ---------------------------------------------------------------------------

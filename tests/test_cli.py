@@ -33,6 +33,12 @@ class TestEval:
         assert code == 1
         assert "error" in err
 
+    def test_alphabet_sizes_differ(self, capsys):
+        code, out, err = run_cli_capture(capsys, "eval", "--divergence", "kl",
+                                         "--p", "0.5,0.5", "--q", "0.2,0.3,0.5")
+        assert code == 1
+        assert out == "" and "differ in size" in err
+
     def test_unknown_divergence(self, capsys):
         code, _, err = run_cli_capture(capsys, "eval", "--divergence", "nope",
                                        "--p", "0.5,0.5", "--q", "0.5,0.5")
@@ -102,6 +108,16 @@ class TestCheck:
             "--grid", "0", "--trials", "0")
         assert code == 1
         assert out == "" and err.startswith("error: dpi: nothing to search")
+
+    @pytest.mark.parametrize("argv", [
+        ("dpi", "--n", "1"), ("dpi", "--n", "0"), ("dpi", "--n", "-1"),
+        ("sufficiency", "--n", "1"),
+        ("shannon", "--f", "clog:-1,0", "--n", "0"),
+        ("shannon", "--f", "clog:-1,0", "--n", "1")])
+    def test_alphabet_below_two_exit_one(self, capsys, argv):
+        code, out, err = run_cli_capture(capsys, "check", *argv, "--trials", "100")
+        assert code == 1
+        assert out == "" and "at least 2 symbols" in err
 
     def test_inconclusive_exit_one(self, capsys):
         # a NaN coefficient makes every evaluation fail

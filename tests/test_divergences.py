@@ -391,3 +391,47 @@ def test_binary_pairs_need_binary_alphabet():
     d = DivergenceSpec("bregman", "ternary", G=negative_entropy(3), n=3)
     with pytest.raises(DivergenceError, match="size 3"):
         d.evaluate_binary_pairs([0.2, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# evaluate_batch on broadcast rows
+# ---------------------------------------------------------------------------
+
+BROADCAST_SPECS = {
+    "kl": lambda n: catalog("kl"),
+    "chi2": lambda n: catalog("chi2"),
+    "euclidean": lambda n: catalog("euclidean"),
+    "tv_squared": lambda n: catalog("tv_squared"),
+    "negative_entropy": lambda n: DivergenceSpec("bregman", "negative_entropy",
+                                                 G=negative_entropy(n), n=n),
+}
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name in BROADCAST_SPECS
+                                    for n in (3, 4)
+                                    if (name, n) != ("negative_entropy", 4)])
+def test_broadcast_rows_match_explicit_rows(name, n):
+    d = BROADCAST_SPECS[name](n)
+    rng = np.random.default_rng(n)
+    P = rng.exponential(size=(5, n))
+    P[0, 0] = 0.0  # a face row, so the masked and escaped terms take part
+    P /= P.sum(axis=1, keepdims=True)
+    Q = rng.exponential(size=(4, n))
+    Q[1, -1] = 0.0
+    Q /= Q.sum(axis=1, keepdims=True)
+    got = d.evaluate_batch(P[:, None], Q[None, :])
+    want = d.evaluate_batch(np.repeat(P, len(Q), axis=0),
+                            np.tile(Q, (len(P), 1))).reshape(len(P), len(Q))
+    assert got.shape == (5, 4)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("P,Q,match", [
+    (np.full((3, 2), 0.5), np.full((3, 3), 1 / 3), "differ in size"),
+    (np.full((3, 2), 0.5), np.full((4, 2), 0.5), "do not broadcast"),
+    (np.full((2, 3, 2), 0.5), np.full((2, 2), 0.5), "do not broadcast"),
+])
+def test_rows_that_do_not_broadcast_are_rejected(P, Q, match):
+    for name in ("kl", "euclidean", "tv_squared"):
+        with pytest.raises(DivergenceError, match=match):
+            catalog(name).evaluate_batch(P, Q)

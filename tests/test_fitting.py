@@ -375,16 +375,20 @@ import numpy as np
 import divergence_lab
 from divergence_lab.checkers import (check_decomposable_binary, check_dpi,
                                      check_sufficiency)
-from divergence_lab.divergences import catalog
+from divergence_lab.divergences import catalog, negative_entropy
 from divergence_lab.families import (bregman_from_symmetric_g,
                                      h_generator_from_spec, kl_type_from_h,
                                      random_symmetric_convex_g)
-from divergence_lab.fitting import fit_bregman_binary
+from divergence_lab.fitting import bregman_f_residual, fit_bregman_binary
 ramp = kl_type_from_h(h_generator_from_spec("name:ramp"))
 breg = bregman_from_symmetric_g(random_symmetric_convex_g(np.random.default_rng(3)))
+kl_table = kl_type_from_h(h_generator_from_spec("name:kl"))
 check_dpi(ramp, n=2, grid=10)
 check_sufficiency(breg, 2)
 check_decomposable_binary(breg)
+kl_table.evaluate_binary_pairs(np.linspace(0.1, 0.9, 5))
+kl_table.evaluate([0.3, 0.7], [0.6, 0.4])
+bregman_f_residual(negative_entropy(2), catalog("kl").f, grid=20)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 print(fit_bregman_binary(catalog("kl"), iters=0).stop_reason)
@@ -392,8 +396,8 @@ print(fit_bregman_binary(catalog("kl"), iters=0).stop_reason)
 
 
 def test_only_fits_load_scipy():
-    # the package, its tables, samplers and checkers run on numpy alone;
-    # scipy is imported by the first fit
+    # the package, its tables, samplers, checkers and the identity residual
+    # run on numpy alone; scipy is imported by the first fit
     proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_PROBE],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divergence_lab.simplex import (Channel, Distribution, SimplexError,
-                                    SufficiencyScenario, binary_channel, compose,
-                                    merge_transform, proportional_pairs,
-                                    push_forward, row_sum,
-                                    split_transform)
+                                    SufficiencyScenario, merge_transform,
+                                    push_forward, row_sum, split_transform)
 
 
 def dist(*vals):
     return Distribution(np.array(vals))
+
+
+def binary(a, b):
+    """The binary channel with rows (a, 1-a) and (b, 1-b)."""
+    return Channel([[a, 1.0 - a], [b, 1.0 - b]])
 
 
 class TestDistribution:
@@ -68,32 +71,21 @@ class TestChannel:
 
 class TestPushForward:
     def test_identity(self):
-        out = push_forward(dist(0.3, 0.7), binary_channel(1.0, 0.0))
+        out = push_forward(dist(0.3, 0.7), binary(1.0, 0.0))
         assert np.allclose(out.probs, [0.3, 0.7])
 
     def test_constant_channel(self):
-        out = push_forward(dist(0.3, 0.7), binary_channel(0.4, 0.4))
+        out = push_forward(dist(0.3, 0.7), binary(0.4, 0.4))
         assert np.allclose(out.probs, [0.4, 0.6])
 
     def test_binary_arithmetic(self):
         # 0.3*0.9 + 0.7*0.2 = 0.41
-        out = push_forward(dist(0.3, 0.7), binary_channel(0.9, 0.2))
+        out = push_forward(dist(0.3, 0.7), binary(0.9, 0.2))
         assert np.allclose(out.probs, [0.41, 0.59], atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(SimplexError):
-            push_forward(dist(0.2, 0.3, 0.5), binary_channel(1.0, 0.0))
-
-
-class TestBinaryChannel:
-    def test_identity_swap_erasing(self):
-        assert np.allclose(binary_channel(1, 0).matrix, np.eye(2))
-        assert np.allclose(binary_channel(0, 1).matrix, [[0, 1], [1, 0]])
-        assert np.allclose(binary_channel(0.5, 0.5).matrix, 0.5 * np.ones((2, 2)))
-
-    def test_out_of_range(self):
-        with pytest.raises(SimplexError):
-            binary_channel(1.2, 0.0)
+            push_forward(dist(0.2, 0.3, 0.5), binary(1.0, 0.0))
 
 
 class TestMergeSplit:
@@ -131,24 +123,6 @@ class TestMergeSplit:
             split_transform(0, 1, 1.5, 3)
 
 
-class TestProportionalPairs:
-    def test_single_pair(self):
-        got = proportional_pairs(dist(0.2, 0.2, 0.6), dist(0.1, 0.1, 0.8))
-        assert got == [(0, 1)]
-
-    def test_identical_distributions_all_pairs(self):
-        got = proportional_pairs(dist(0.2, 0.3, 0.5), dist(0.2, 0.3, 0.5))
-        assert got == [(0, 1), (0, 2), (1, 2)]
-
-    def test_no_pairs(self):
-        # 0.5*0.75 != 0.5*0.25
-        assert proportional_pairs(dist(0.5, 0.5), dist(0.25, 0.75)) == []
-
-    def test_zero_coordinates_well_defined(self):
-        got = proportional_pairs(dist(0.0, 0.5, 0.5), dist(0.0, 0.25, 0.75))
-        assert (0, 1) in got and (0, 2) in got and (1, 2) not in got
-
-
 class TestSufficiencyScenario:
     def test_merge_requires_proportional(self):
         with pytest.raises(SimplexError):
@@ -170,7 +144,7 @@ class TestSufficiencyScenario:
     def test_unknown_kind(self):
         with pytest.raises(SimplexError):
             SufficiencyScenario(dist(0.5, 0.5), dist(0.5, 0.5),
-                                binary_channel(0, 1), "rotate")
+                                binary(0, 1), "rotate")
 
 
 simplex_vectors = st.integers(2, 6).flatmap(
@@ -198,7 +172,7 @@ def test_push_forward_composition(raw, seed):
     a = Channel(rows[0] / rows[0].sum(axis=1, keepdims=True))
     b = Channel(rows[1] / rows[1].sum(axis=1, keepdims=True))
     two_step = push_forward(push_forward(p, a), b)
-    one_step = push_forward(p, compose(a, b))
+    one_step = push_forward(p, Channel(a.matrix @ b.matrix))
     assert np.allclose(two_step.probs, one_step.probs, atol=1e-12)
 
 
@@ -224,7 +198,8 @@ def test_merged_proportional_pairs_stay_proportional():
                                    base_p[1], base_p[2]]))
         q = Distribution(np.array([t * base_q[0], (1 - t) * base_q[0],
                                    base_q[1], base_q[2]]))
-        assert (0, 1) in proportional_pairs(p, q, tol=1e-12)
+        # the split pair is proportional: p_0 q_1 = p_1 q_0
+        assert abs(p[0] * q[1] - p[1] * q[0]) <= 1e-12
         pa = push_forward(p, merge_transform(0, 1, 4))
         qa = push_forward(q, merge_transform(0, 1, 4))
         # unmerged coordinates do not change, so their cross-ratios persist
