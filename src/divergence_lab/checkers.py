@@ -14,9 +14,10 @@ is derived from the draws (mapped and transformed rows, divergence values,
 gaps) stays CHUNK-sized at any trial count.  Every kernel treats rows
 independently and a tie keeps the earlier candidate, so the blocks find the
 same best candidate, gap and failure count as one whole batch would.  Only
-the n >= 3 data-processing scan also draws per block; the other scans draw
-all their trials first, as before, because that draw order defines every
-report, and so hold O(trials) memory for the draws alone.
+the n >= 3 data-processing scan also draws per block, into one set of block
+buffers per call that every block refills; the other scans draw all their
+trials first, as before, because that draw order defines every report, and
+so hold O(trials) memory for the draws alone.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ BACKTRACK_STEPS = 0.05 * 0.5 ** np.arange(12)
 FD_STEP = 1e-5  # the step of its central differences
 # rows per block of every random scan: bounds the arrays derived from the
 # draws, and the draws too in the n >= 3 data-processing scan, which draws
-# per block; its reports follow this value, the other scans' do not
+# per block into buffers of min(trials, CHUNK) rows allocated once per call;
+# its reports follow this value, the other scans' do not
 CHUNK = 20_000
 
 
@@ -79,22 +81,27 @@ class CheckReport:
 # samplers
 # ---------------------------------------------------------------------------
 
-def sample_simplex(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """Uniform rows on the simplex via exponential normalization."""
-    g = rng.standard_exponential(size=(m, n))
+def sample_simplex(rng: np.random.Generator, m: int, n: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform rows on the simplex via exponential normalization, drawn into
+    `out` (shape (m, n)) if given: the same draws and bytes either way."""
+    g = rng.standard_exponential(size=(m, n), out=out)
     g /= row_sum(g)[:, None]
     return g
 
 
-def sample_channels(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+def sample_channels(rng: np.random.Generator, m: int, n: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Row-stochastic matrices: uniform rows, with a deterministic fraction of
     sharpened and vertex (deterministic-map) channels mixed in.
 
     Uniform rows alone concentrate far from the deterministic maps where
     data-processing violations of non-conforming divergences live, so every
     4th trial sharpens the rows and every 8th uses a random deterministic map.
+    A C-contiguous `out` of shape (m, n, n) receives the matrices.
     """
-    A = sample_simplex(rng, m * n, n).reshape(m, n, n)
+    flat = None if out is None else out.reshape(m * n, n)
+    A = sample_simplex(rng, m * n, n, out=flat).reshape(m, n, n)
     sharp = A[3::4]
     sharp **= 8
     sharp /= row_sum(sharp)[..., None]
@@ -249,14 +256,26 @@ def _dpi_scan_binary_random(d: DivergenceSpec, trials: int, rng: np.random.Gener
 
 
 def _dpi_scan_random(d: DivergenceSpec, n: int, trials: int, rng: np.random.Generator):
-    """Batches of up to CHUNK random (P, Q, channel) triples on n symbols."""
+    """Batches of up to CHUNK random (P, Q, channel) triples on n symbols.
+
+    Every block refills one set of arrays allocated once per call (a short
+    last block uses their leading rows), so the draws and the pushed rows are
+    not handed back to the allocator and faulted in again per block.
+    `point_of` copies its rows, and `_best` calls it before the next block
+    is drawn.
+    """
+    rows = min(trials, CHUNK)
+    buffers = [np.empty((rows, n)) for _ in range(4)]
+    channels = np.empty((rows, n, n))
     for s in _blocks(trials):
         m = s.stop - s.start
-        P = sample_simplex(rng, m, n)
-        Q = sample_simplex(rng, m, n)
-        A = sample_channels(rng, m, n)
-        PY = np.einsum("mi,mij->mj", P, A)
-        QY = np.einsum("mi,mij->mj", Q, A)
+        P, Q, PY, QY = (b[:m] for b in buffers)
+        A = channels[:m]
+        sample_simplex(rng, m, n, out=P)
+        sample_simplex(rng, m, n, out=Q)
+        sample_channels(rng, m, n, out=A)
+        np.einsum("mi,mij->mj", P, A, out=PY)
+        np.einsum("mi,mij->mj", Q, A, out=QY)
         before = d.evaluate_batch(P, Q)
         after = d.evaluate_batch(PY, QY)
         yield (after - before, _gap_tol(before),

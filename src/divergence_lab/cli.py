@@ -115,6 +115,24 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _load_config(path: str) -> dict:
+    """The JSON object in `path`; every key must be one of DEFAULTS and every
+    value of its default's type (a bool is not an int)."""
+    config = json.loads(Path(path).read_text())
+    if not isinstance(config, dict):
+        raise ValueError(f"config {path}: expected a JSON object, got "
+                         f"{type(config).__name__}")
+    for key, value in config.items():
+        if key not in DEFAULTS:
+            raise ValueError(f"config {path}: unknown key {key!r}; known: "
+                             f"{', '.join(DEFAULTS)}")
+        want = type(DEFAULTS[key])
+        if type(value) is not want:
+            raise ValueError(f"config {path}: {key!r} must be {want.__name__}, "
+                             f"got {json.dumps(value)}")
+    return config
+
+
 def _effective(args, key, config):
     val = getattr(args, key, None)
     if val is not None:
@@ -252,7 +270,7 @@ def main(argv=None) -> int:
     config = {}
     try:
         if args.config:
-            config = json.loads(Path(args.config).read_text())
+            config = _load_config(args.config)
         if args.show_config:
             print(json.dumps({**DEFAULTS, **config}, indent=2))
             return EXIT_OK

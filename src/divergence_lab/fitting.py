@@ -30,8 +30,8 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-from .divergences import (DivergenceSpec, MultivariateConvexFunction, ScalarFunction,
-                          bregman_batch, f_divergence_batch)
+from .divergences import (DivergenceError, DivergenceSpec, MultivariateConvexFunction,
+                          ScalarFunction, bregman_batch, f_divergence_batch)
 from .simplex import binary_rows, interior_binary_points
 
 MAX_ITERS = 10_000
@@ -276,6 +276,9 @@ def probe(kind: str, seed: int = 0, sample_pairs: int = 4000,
     if kind not in ("fdiv", "breg"):
         raise ValueError(f"unknown fit form {kind!r}; known: fdiv, breg")
     K = (2001 if kind == "fdiv" else 801) if knots is None else knots
+    if sample_pairs < 1 or K < 3:
+        raise DivergenceError(f"{kind} fit needs at least 1 sample pair and 3 "
+                              f"knots, got sample_pairs={sample_pairs}, knots={K}")
     rng = np.random.default_rng(seed)
     p = rng.uniform(SAMPLE_LO, SAMPLE_HI, sample_pairs)
     q = rng.uniform(SAMPLE_LO, SAMPLE_HI, sample_pairs)

@@ -75,6 +75,18 @@ class TestSamplers:
         is_det = np.all((A == 0) | (A == 1), axis=(1, 2))
         assert is_det.any()
 
+    @pytest.mark.parametrize("sampler, shape", [
+        (sample_simplex, lambda m, n: (m, n)),
+        (sample_channels, lambda m, n: (m, n, n))], ids=["simplex", "channels"])
+    @pytest.mark.parametrize("m, n", [(1, 2), (13, 3), (1003, 5)])
+    def test_out_fills_like_a_fresh_draw(self, sampler, shape, m, n):
+        rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
+        out = np.full(shape(m, n), np.nan)
+        got = sampler(rng, m, n, out=out)
+        assert np.shares_memory(got, out)
+        assert out.tobytes() == sampler(ref_rng, m, n).tobytes()
+        assert rng.uniform() == ref_rng.uniform()
+
     @pytest.mark.parametrize("m, n, seed", [(1, 2, 0), (5, 3, 1), (6, 4, 2),
                                             (13, 5, 3), (64, 3, 4), (1003, 2, 5),
                                             (2021, 5, 6)])
@@ -744,3 +756,76 @@ def test_scan_memory_is_its_draws_plus_a_block(case):
         tracemalloc.stop()
     assert report.verdict == "no_violation_found"
     assert peak <= draws + BLOCK_ALLOWANCE, (peak, draws)
+
+
+# ---------------------------------------------------------------------------
+# the n >= 3 data-processing scan refills one set of block buffers
+# ---------------------------------------------------------------------------
+
+BUFFER_TRIALS = 2 * checkers.CHUNK + 7  # two full blocks and a short one
+
+
+def dpi_scan_random_fresh(d, n, trials, rng):
+    """The n >= 3 data-processing scan with fresh arrays per block, kept as the
+    reference for the scan that refills its block buffers."""
+    for s in checkers._blocks(trials):
+        m = s.stop - s.start
+        P = sample_simplex(rng, m, n)
+        Q = sample_simplex(rng, m, n)
+        A = sample_channels(rng, m, n)
+        PY = np.einsum("mi,mij->mj", P, A)
+        QY = np.einsum("mi,mij->mj", Q, A)
+        before = d.evaluate_batch(P, Q)
+        after = d.evaluate_batch(PY, QY)
+        yield (after - before, _gap_tol(before),
+               lambda k: (P[k].copy(), Q[k].copy(), A[k].copy()))
+
+
+@pytest.mark.parametrize("name, verdict", [("kl", "no_violation_found"),
+                                           ("euclidean", "violation")])
+@pytest.mark.parametrize("n", [3, 5])
+def test_buffered_scan_reports_like_fresh_blocks(monkeypatch, name, verdict, n):
+    d = catalog(name)
+    buffered = check_dpi(d, n, random_trials=BUFFER_TRIALS, seed=42).to_json_dict()
+    monkeypatch.setattr(checkers, "_dpi_scan_random", dpi_scan_random_fresh)
+    fresh = check_dpi(d, n, random_trials=BUFFER_TRIALS, seed=42).to_json_dict()
+    assert buffered == fresh
+    assert buffered["verdict"] == verdict
+
+
+def test_point_keeps_its_values_after_the_next_block():
+    # the short second block refills row 2 of the buffers
+    d = catalog("kl")
+    scan = checkers._dpi_scan_random(d, 3, checkers.CHUNK + 5,
+                                     np.random.default_rng(5))
+    ref = dpi_scan_random_fresh(d, 3, checkers.CHUNK + 5, np.random.default_rng(5))
+    point, want = next(scan)[2](2), next(ref)[2](2)
+    later = next(scan)[2](2)
+    assert [x.tobytes() for x in point] == [x.tobytes() for x in want]
+    assert [x.tobytes() for x in later] == [x.tobytes() for x in next(ref)[2](2)]
+    assert not np.array_equal(point[0], later[0])
+
+
+def test_blocks_refill_one_set_of_buffers(monkeypatch):
+    """Every block hands the samplers the same arrays (a short last block
+    their leading rows), so a scan allocates its draws once."""
+    calls = []
+
+    def recording(sampler):
+        def wrapper(rng, m, n, **kw):
+            out = kw.get("out")
+            calls.append((sampler.__name__, m,
+                          None if out is None else out.__array_interface__["data"][0]))
+            return sampler(rng, m, n, **kw)
+        return wrapper
+    for sampler in (sample_simplex, sample_channels):
+        monkeypatch.setattr(checkers, sampler.__name__, recording(sampler))
+    check_dpi(catalog("kl"), 3, random_trials=BUFFER_TRIALS, seed=42)
+    # per block: P, Q, the channels, and the channels' rows inside them
+    blocks = [calls[i:i + 4] for i in range(0, len(calls), 4)]
+    assert [[m for _, m, _ in b] for b in blocks] == [
+        [m, m, m, 3 * m] for m in (checkers.CHUNK, checkers.CHUNK, 7)]
+    buffers = [[(name, ptr) for name, _, ptr in b] for b in blocks]
+    assert buffers[0] == buffers[1] == buffers[2]
+    assert None not in [ptr for _, ptr in buffers[0]]
+    assert len({ptr for _, ptr in buffers[0][:3]}) == 3

@@ -161,6 +161,15 @@ class TestGenerateAndFit:
         assert set(doc) >= {"residual", "passed", "threshold"}
         assert json.loads(out.strip())["residual"] == doc["residual"]
 
+    @pytest.mark.parametrize("argv", [
+        ("fdiv", "--pairs", "0"), ("fdiv", "--pairs", "-5"),
+        ("fdiv", "--knots", "2"), ("fdiv", "--knots", "0"),
+        ("bregman", "--knots", "2")])
+    def test_degenerate_fit_sizes_exit_one(self, capsys, argv):
+        code, out, err = run_cli_capture(capsys, "fit", *argv)
+        assert code == 1
+        assert out == "" and "at least 1 sample pair and 3 knots" in err
+
 
 class TestConfig:
     def test_show_config(self, capsys):
@@ -197,6 +206,23 @@ class TestConfig:
         doc = json.loads(out_path.read_text())
         assert doc["config"]["grid"] == 8
         assert doc["config"]["random_trials"] == 100
+
+    @pytest.mark.parametrize("doc, why", [
+        ([1, 2], "expected a JSON object"),
+        ("seed", "expected a JSON object"),
+        ({"sead": 3}, "unknown key 'sead'"),
+        ({"seed": "abc"}, "'seed' must be int"),
+        ({"seed": True}, "'seed' must be int"),
+        ({"trials": 1.5}, "'trials' must be int"),
+        ({"divergence": 3}, "'divergence' must be str")])
+    @pytest.mark.parametrize("argv", [("--show-config",),
+                                      ("check", "dpi", "--grid", "3", "--trials", "10")])
+    def test_bad_config_exit_one(self, capsys, tmp_path, doc, why, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli_capture(capsys, "--config", str(cfg), *argv)
+        assert code == 1
+        assert out == "" and err.startswith("error: config ") and why in err
 
     def test_usage_error_exit_one(self, capsys):
         # malformed usage exits with code 1, not argparse's default 2

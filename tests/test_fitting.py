@@ -9,7 +9,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from divergence_lab import fitting
-from divergence_lab.divergences import (MultivariateConvexFunction,
+from divergence_lab.divergences import (DivergenceError,
+                                        MultivariateConvexFunction,
                                         ScalarFunction, catalog,
                                         negative_entropy)
 from divergence_lab.fitting import (ConvexPiecewiseLinearFit, bregman_f_residual,
@@ -149,6 +150,24 @@ def test_shared_probe_carries_no_state_between_fits(kind, fresh):
             got = shared.fit(catalog(name), iters=300)
             assert got.values.tobytes() == want[name].values.tobytes(), name
             assert got.summary() == want[name].summary(), name
+
+
+@pytest.mark.parametrize("kind", ["fdiv", "breg"])
+@pytest.mark.parametrize("pairs, knots", [(0, None), (-5, None), (200, 2),
+                                          (200, 0), (200, -1)])
+def test_degenerate_fit_sizes_are_errors(kind, pairs, knots):
+    # no pairs, or too few knots for a convex interpolant, raise before any
+    # draw instead of iterating to the cap on nothing or failing inside numpy
+    with pytest.raises(DivergenceError, match="at least 1 sample pair and 3 knots"):
+        fitting.probe(kind, seed=0, sample_pairs=pairs, knots=knots)
+
+
+@pytest.mark.parametrize("fit", [fit_f_divergence, fit_bregman_binary])
+def test_three_knots_fit_cleanly(fit):
+    result = fit(catalog("kl"), sample_pairs=200, knots=3, seed=0)
+    assert result.stop_reason == "converged"
+    assert np.isfinite(result.residual) and np.isfinite(result.stationarity)
+    assert len(result.values) == 3
 
 
 class TestFitFDivergence:
