@@ -10,7 +10,11 @@ One regularized linear solve, by sparse LU in symmetric mode, provides the
 starting point; an accelerated projected-gradient loop with a monotone
 best-iterate record does the constrained polish, and stops once its
 projected step is stationary.  `probe(kind, seed)` builds all but the
-target once, so every `.fit(d)` of a form shares its design and LU factor.
+target once, so every `.fit(d)` of a form shares its design and LU factor;
+the diagonal preconditioner, the loop's Lipschitz constant and the warm-start
+system all come from one normal matrix A^T A.  The sample pairs are
+stratified over [SAMPLE_LO, SAMPLE_HI], with both ends sampled, so the fitted
+generator is held by data across the whole range it is checked on.
 numpy/scipy only, no external solver; only a probe imports scipy.
 
 The pass/fail threshold is scale-free (residual against the root-mean-square
@@ -23,12 +27,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 from .divergences import (DivergenceError, DivergenceSpec, MultivariateConvexFunction,
                           ScalarFunction, bregman_batch, f_divergence_batch)
@@ -120,40 +120,6 @@ class _SlopeParam:
         return self.dx * rc[1:]
 
 
-def _slope_column_weights(A: sp.csr_matrix, dx: np.ndarray, pin: int) -> np.ndarray:
-    """Squared column norms of the slope-space design, without forming it.
-
-    The column for slope j is dx_j * (sum of A's knot columns above j), minus
-    the row sums when j sits below the pinned knot.  Per-row prefix sums over
-    the sparse structure give every norm in O(nnz + K).
-    """
-    K = A.shape[1]
-    coo = A.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    r, c, v = coo.row[order], coo.col[order], coo.data[order]
-    cs = np.cumsum(v)
-    new_row = np.concatenate([[True], r[1:] != r[:-1]])
-    base_candidates = np.concatenate([[0.0], cs[:-1]])
-    first_idx = np.maximum.accumulate(np.where(new_row, np.arange(v.size), 0))
-    row_base = base_candidates[first_idx]
-    prefix_after = cs - row_base                     # row prefix incl. current nnz
-    prefix_before = prefix_after - v
-    totals = np.zeros(A.shape[0])
-    np.add.at(totals, r, v)
-    # ||C_j||^2 with C_j = sum of columns <= j, via difference arrays over j
-    d_sq = np.zeros(K)
-    np.add.at(d_sq, c, prefix_after ** 2 - prefix_before ** 2)
-    C2 = np.cumsum(d_sq)
-    d_cross = np.zeros(K)
-    np.add.at(d_cross, c, totals[r] * v)
-    TC = np.cumsum(d_cross)                          # sum_rows total * C_j
-    TT = float(np.sum(totals ** 2))
-    j = np.arange(K - 1)
-    col_sq = np.where(j < pin, C2[j], TT - 2 * TC[j] + C2[j])
-    w = dx ** 2 * np.maximum(col_sq, 0.0)
-    return np.maximum(w, 1e-12 * max(float(w.max()), 1e-300))
-
-
 def _interp_entries(x, knots, weights):
     j = np.clip(np.searchsorted(knots, x) - 1, 0, len(knots) - 2)
     t = (x - knots[j]) / (knots[j + 1] - knots[j])
@@ -169,10 +135,13 @@ class FitProbe:
 
     It holds the sampled binary rows, the sparse design A from (rows, cols,
     data) triples (repeated entries add), the slopes pinned to 0 at the middle
-    knot, the preconditioner w with its Lipschitz constant L, and `lu`, the
-    sparse LU of A^T A + WARM_SMOOTHING * scale * R + 1e-14 * scale * I (R
-    penalizes second differences, scale is the largest diagonal entry of
-    A^T A), or None when factorizing it failed.
+    knot, and three things derived from the normal matrix G = A^T A, which
+    is formed once: the preconditioner w (the squared column norms of the
+    slope design, summed from G's entries), its Lipschitz constant L (power
+    iteration with G), and `lu`, the sparse LU of
+    G + WARM_SMOOTHING * scale * R + 1e-14 * scale * I (R penalizes second
+    differences, scale is the largest diagonal entry of G), or None when
+    factorizing it failed.
     """
 
     def __init__(self, p: np.ndarray, q: np.ndarray, knots: np.ndarray, parts):
@@ -184,24 +153,34 @@ class FitProbe:
         self.At = At = A.T
         self.P, self.Q, self.knots = binary_rows(p), binary_rows(q), knots
         self.par = par = _SlopeParam(knots, K // 2)
-        self.w = _slope_column_weights(A, par.dx, par.pin)
+        G = (At @ A).tocsc()
+        # slope j moves every knot above j by dx_j, less the pinned knot's
+        # move, so its squared column norm is dx_j^2 times the sum of G_kl
+        # over k, l > j, or over k, l <= j when j < pin: upto[j] sums G over
+        # max(k, l) <= j and onward[j] over min(k, l) >= j
+        g = G.tocoo()
+        upto = np.cumsum(np.bincount(np.maximum(g.row, g.col), g.data, minlength=K))
+        onward = np.cumsum(np.bincount(np.minimum(g.row, g.col), g.data,
+                                       minlength=K)[::-1])[::-1]
+        j = np.arange(K - 1)
+        w = par.dx ** 2 * np.where(j < par.pin, upto[:-1], onward[1:])
+        self.w = np.maximum(w, 1e-12 * max(float(w.max()), 1e-300))
         self.winv = 1.0 / self.w
         sqrt_winv = np.sqrt(self.winv)
         # Lipschitz constant in the preconditioned metric via power iteration
         z = np.ones(K - 1) + 1e-3 * np.sin(np.arange(K - 1))
         nz = 1.0
         for _ in range(60):
-            z2 = sqrt_winv * par.grad_slopes(At @ (A @ par.values(sqrt_winv * z)))
+            z2 = sqrt_winv * par.grad_slopes(G @ par.values(sqrt_winv * z))
             nz = float(np.linalg.norm(z2))
             if nz == 0:
                 break
             z = z2 / nz
         self.L = max(nz * 1.01, 1e-300)
-        AtA = (At @ A).tocsc()
-        scale = max(float(AtA.diagonal().max()), 1e-300)
+        scale = max(float(G.diagonal().max()), 1e-300)
         D2 = sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(K - 2, K))
         R = (D2.T @ D2).tocsc()
-        M = (AtA + WARM_SMOOTHING * scale * R + 1e-14 * scale * sp.eye(K)).tocsc()
+        M = (G + WARM_SMOOTHING * scale * R + 1e-14 * scale * sp.eye(K)).tocsc()
         try:
             # M is symmetric positive definite: a symmetric minimum-degree
             # ordering without pivoting keeps the factor sparse
@@ -279,9 +258,17 @@ def probe(kind: str, seed: int = 0, sample_pairs: int = 4000,
     if sample_pairs < 1 or K < 3:
         raise DivergenceError(f"{kind} fit needs at least 1 sample pair and 3 "
                               f"knots, got sample_pairs={sample_pairs}, knots={K}")
+    # stratified draws: one uniform in each 1/m of [SAMPLE_LO, SAMPLE_HI] for
+    # p, and a permutation of a second stratified set for q, with each set's
+    # lowest and highest stratum pinned to the range's ends, so the samples
+    # span the range the fits are checked on.  The edge samples meet random
+    # partners: pairs (lo, lo) and (hi, hi) are zero rows in both forms, and
+    # pairs (lo, hi) and (hi, lo) lone extreme ratios that slow the f-fit
     rng = np.random.default_rng(seed)
-    p = rng.uniform(SAMPLE_LO, SAMPLE_HI, sample_pairs)
-    q = rng.uniform(SAMPLE_LO, SAMPLE_HI, sample_pairs)
+    strata = (np.arange(sample_pairs) + rng.uniform(size=(2, sample_pairs))) / sample_pairs
+    strata[:, 0], strata[:, -1] = 0.0, 1.0
+    p = SAMPLE_LO + (SAMPLE_HI - SAMPLE_LO) * strata[0]
+    q = SAMPLE_LO + (SAMPLE_HI - SAMPLE_LO) * rng.permutation(strata[1])
     if kind == "fdiv":
         grid = np.geomspace(RATIO_LO, RATIO_HI, K)
         grid[K // 2] = 1.0  # geometric center of [0.05, 20]; pin exactly
