@@ -3,9 +3,11 @@
 Every checker hands lazy batches of candidates to one loop, `_search`, which
 reduces each batch to the candidate that most exceeds its tolerance, keeps
 the best (the earlier on a tie) and re-evaluates it with the checker's own
-`confirm`.  It reports a violation with a concrete witness, or a clean
-search: no_violation_found (evidence, not a proof, and the reports say so),
-or inconclusive when some evaluations failed.  An empty search is an error.
+`confirm`; every divergence check confirms through `_recheck`, so each
+witness is a (P, Q, channel) triple with gap = value_after - value_before.
+It reports a violation with a concrete witness, or a clean search:
+no_violation_found (evidence, not a proof, and the reports say so), or
+inconclusive when some evaluations failed.  An empty search is an error.
 
 All randomness is drawn from a single seeded generator in a fixed batch
 order, so identical (spec, config, seed) always produce identical reports.
@@ -43,6 +45,8 @@ VIOLATION_SHOWN = "violation is shown by the witness: its gap exceeds the tolera
 INCONCLUSIVE = ("inconclusive: some evaluations failed (NaN) and no violation "
                 "was confirmed, so the search is not evidence")
 REFUTED = "the flagged candidate did not survive re-evaluation; "
+# the channel of a decomposability witness: the two symbols swap
+SWAP = ((0.0, 1.0), (1.0, 0.0))
 # line-search steps of the local refinement, tried together
 BACKTRACK_STEPS = 0.05 * 0.5 ** np.arange(12)
 FD_STEP = 1e-5  # the step of its central differences
@@ -208,6 +212,21 @@ def _witness(P, Q, channel, before, after, gap) -> dict:
     }
 
 
+def _recheck(d: DivergenceSpec, P, Q, A) -> dict:
+    """The witness of (P, Q, channel A): D(P; Q) and D(PA; QA) re-evaluated
+    through Distribution, Channel and push_forward, gap = after - before.
+
+    The confirm step of every divergence check runs through here.  The
+    values still come from the family kernel that flagged the candidate, so
+    this re-check is not independent (ROADMAP 1(c)); a reference evaluator
+    goes here.
+    """
+    p, q, ch = Distribution(P), Distribution(Q), Channel(A)
+    before = d.evaluate(p, q)
+    after = d.evaluate(push_forward(p, ch), push_forward(q, ch))
+    return _witness(P, Q, A, before, after, after - before)
+
+
 # ---------------------------------------------------------------------------
 # data processing
 # ---------------------------------------------------------------------------
@@ -305,13 +324,8 @@ def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
         batches = _dpi_scan_random(d, n, random_trials, rng)
 
     def confirm(point):
-        P, Q, A, _, _ = dpi_local_refine(d, point)
-        # re-evaluate the refined point through evaluate_batch rows: every
-        # witness, a binary grid one included, was flagged by the same family
-        # kernel, so this re-check is not independent (ROADMAP 1(c))
-        p, q, ch = Distribution(P), Distribution(Q), Channel(A)
-        vb, va = d.evaluate(p, q), d.evaluate(push_forward(p, ch), push_forward(q, ch))
-        return _witness(P, Q, A, vb, va, va - vb), va - vb, _gap_tol(vb)
+        w = _recheck(d, *dpi_local_refine(d, point)[:3])
+        return w, w["gap"], _gap_tol(w["value_before"])
     return _search("dpi", trials, config, batches, confirm)
 
 
@@ -456,10 +470,9 @@ def check_sufficiency(d: DivergenceSpec, n: int, trials: int = 10_000,
               "kinds": "permutation" if n == 2 else "permutation,merge,split"}
 
     def confirm(scenario):
-        before, after = evaluate_scenario(d, scenario)
-        wit = _witness(scenario.p.probs, scenario.q.probs, scenario.transform.matrix,
-                       before, after, after - before)
-        return dict(wit, kind=scenario.kind), _abs_delta(after, before), SUFFICIENCY_TOL
+        w = _recheck(d, scenario.p.probs, scenario.q.probs, scenario.transform.matrix)
+        return (dict(w, kind=scenario.kind),
+                _abs_delta(w["value_after"], w["value_before"]), SUFFICIENCY_TOL)
     return _search("sufficiency", trials, config, _suff_batches(d, n, trials, rng),
                    confirm)
 
@@ -480,8 +493,8 @@ def _scenario_from_batch(kind, P, Q, meta, n, k) -> SufficiencyScenario:
 
 def evaluate_scenario(d: DivergenceSpec, scenario: SufficiencyScenario):
     """(value before, value after) for one sufficiency scenario."""
-    pa, qa = scenario.apply()
-    return d.evaluate(scenario.p, scenario.q), d.evaluate(pa, qa)
+    w = _recheck(d, scenario.p.probs, scenario.q.probs, scenario.transform.matrix)
+    return w["value_before"], w["value_after"]
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +505,7 @@ def check_decomposable_binary(d: DivergenceSpec, grid: int = 200) -> CheckReport
     """Swap symmetry D((p,1-p);(q,1-q)) = D((1-p,p);(1-q,q)) on a grid.
 
     On binary alphabets this symmetry is equivalent to the divergence being a
-    coordinatewise sum.
+    coordinatewise sum.  A witness is the flagged pair with the swap channel.
     """
     config = {"grid": grid, "tol": DECOMPOSABLE_TOL, "divergence": d.label}
 
@@ -502,12 +515,10 @@ def check_decomposable_binary(d: DivergenceSpec, grid: int = 200) -> CheckReport
                DECOMPOSABLE_TOL, lambda k: (x[k // grid], x[k % grid]))
 
     def confirm(pq):
-        # re-evaluate the flagged pair (row 0) and its swap (row 1) in one batch
         p, q = pq
-        P2, Q2 = binary_rows([p, 1.0 - p]), binary_rows([q, 1.0 - q])
-        before, after = d.evaluate_batch(P2, Q2)
-        gap = _abs_delta(before, after)
-        return _witness(P2[0], Q2[0], None, before, after, gap), gap, DECOMPOSABLE_TOL
+        w = _recheck(d, [p, 1.0 - p], [q, 1.0 - q], SWAP)
+        return (w, _abs_delta(w["value_after"], w["value_before"]),
+                DECOMPOSABLE_TOL)
     return _search("decomposability", grid * grid, config, batches(), confirm)
 
 

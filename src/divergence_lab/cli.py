@@ -37,9 +37,9 @@ DEFAULTS = {
     "grid": 50,
     "trials": 100_000,
     "suff_trials": 10_000,
-    "pairs": 4000,
-    "fdiv_knots": 2001,
-    "bregman_knots": 801,
+    "pairs": fitting.SAMPLE_PAIRS,
+    "fdiv_knots": fitting.KNOTS["fdiv"],
+    "bregman_knots": fitting.KNOTS["breg"],
     "points": 512,
     "format": "json",
 }

@@ -10,7 +10,9 @@ nondecreasing outer function k):
 Boundary conventions follow the usual perspective limits: a term with
 q_i = 0 = p_i contributes 0, and a term with q_i = 0 < p_i contributes
 p_i * lim_{x->inf} f(x)/x, a limit every f-divergence generator declares
-(+inf when it diverges).  0*log(0) is 0.
+(+inf when it diverges).  Where p_i / q_i overflows at a subnormal
+q_i > 0 the term is that limit too if it is finite; an infinite one leaves
+the value unknown and raises DivergenceError.  0*log(0) is 0.
 Bregman generators carry their exact gradient, which may be infinite on a
 face of the simplex (negative entropy): a coordinate with p_i = q_i adds 0 to
 <grad G(Q), P - Q>, and an infinite gradient with p_i != q_i makes the
@@ -163,22 +165,22 @@ class ScalarFunction:
         return self._deriv(np.asarray(x, dtype=float))
 
 
-def check_f_generator(f: ScalarFunction, grid: int = 200) -> None:
+def check_f_generator(f: ScalarFunction) -> None:
     """Spot-check that f is convex on (0, inf) with f(1) = 0."""
     if abs(float(f(1.0))) > F_AT_ONE_TOL:
         raise DivergenceError(f"f(1) = {float(f(1.0)):.3g}, must be 0")
-    x = np.geomspace(0.01, 50.0, grid)
+    x = np.geomspace(0.01, 50.0, 200)
     mid = 0.5 * (x[:-1] + x[1:])
     gap = 0.5 * (f(x[:-1]) + f(x[1:])) - f(mid)
     if np.min(gap) < -CONVEXITY_TOL:
         raise DivergenceError(f"f fails midpoint convexity by {-np.min(gap):.3g}")
 
 
-def check_outer(k: ScalarFunction, grid: int = 200) -> None:
+def check_outer(k: ScalarFunction) -> None:
     """Spot-check that k is nondecreasing with k(0) = 0."""
     if abs(float(k(0.0))) > F_AT_ONE_TOL:
         raise DivergenceError(f"k(0) = {float(k(0.0)):.3g}, must be 0")
-    x = np.linspace(0.0, 10.0, grid)
+    x = np.linspace(0.0, 10.0, 200)
     v = np.asarray(k(x))
     if np.min(np.diff(v)) < -CONVEXITY_TOL:
         raise DivergenceError("outer function k must be nondecreasing")
@@ -212,11 +214,10 @@ class MultivariateConvexFunction:
         return self._grad(np.asarray(Q, dtype=float))
 
 
-def check_convex_on_simplex(G: MultivariateConvexFunction, n: int,
-                            trials: int = 1000, seed: int = 0) -> None:
+def check_convex_on_simplex(G: MultivariateConvexFunction, n: int) -> None:
     """Random midpoint convexity spot-check on the interior of the simplex."""
-    rng = np.random.default_rng(seed)
-    g = rng.exponential(size=(trials, 2, n))
+    rng = np.random.default_rng(0)
+    g = rng.exponential(size=(1000, 2, n))
     pts = g / g.sum(axis=2, keepdims=True)
     a, b = pts[:, 0, :], pts[:, 1, :]
     gap = 0.5 * (G.value(a) + G.value(b)) - G.value(0.5 * (a + b))
@@ -231,12 +232,27 @@ def check_convex_on_simplex(G: MultivariateConvexFunction, n: int,
 
 def f_divergence_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """sum_i q_i f(p_i / q_i) over the last axis of the broadcast arguments,
-    with the perspective convention where q_i = 0."""
+    with the perspective convention where q_i = 0.
+
+    Where p_i / q_i overflows at a tiny q_i > 0 (a subnormal one), the term
+    is its limit p_i * lim f(x)/x, as at q_i = 0; when that limit is +inf
+    the value is not known there, and DivergenceError is raised.
+    """
     pos = Q > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # where q_i = 0 the ratio is p_i / 1, a value the mask then discards
         terms = np.where(pos, Q * np.asarray(f(P / np.where(pos, Q, 1.0))), 0.0)
     out = row_sum(terms)
+    if not np.isfinite(out).all():
+        # f is finite on [1, inf), so an infinite term with p_i > q_i > 0 is
+        # an overflow of p_i / q_i or of f
+        over = np.isinf(terms) & (P > Q)
+        if np.any(over):
+            if not np.isfinite(f.perspective_limit):
+                raise DivergenceError(
+                    f"q f(p/q) overflows at a tiny q > 0 for f = {f.label or 'f'}, "
+                    "whose lim f(x)/x is +inf: the value is not known there")
+            out = row_sum(np.where(over, P * f.perspective_limit, terms))
     # q_i = 0 < p_i contributes p_i * lim f(x)/x; rows without escaped mass
     # add 0, never 0 * lim (NaN when the limit is +inf)
     escaped = (~pos) & (P > 0)
@@ -292,7 +308,6 @@ class DivergenceSpec:
                  base: "DivergenceSpec | None" = None,
                  outer: ScalarFunction | None = None,
                  n: int | None = None,
-                 source: dict | None = None,
                  validate: bool = True):
         if family not in FAMILIES:
             raise DivergenceError(f"unknown family {family!r}")
@@ -307,7 +322,6 @@ class DivergenceSpec:
         self.base = base
         self.outer = outer
         self.n = n  # fixed alphabet size, or None
-        self.source = source or {}
         if validate:
             self._validate()
 
@@ -362,15 +376,6 @@ class DivergenceSpec:
             q = Distribution(q)
         return float(self.evaluate_batch(p.probs[None, :], q.probs[None, :])[0])
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        if not self.source:
-            raise DivergenceError(
-                f"{self.label!r} was built programmatically and has no "
-                "serializable description")
-        return dict(self.source)
-
     def __repr__(self) -> str:
         return f"DivergenceSpec({self.family}, {self.label!r})"
 
@@ -402,51 +407,35 @@ def squared_norm_G(n: int | None = None,
         label=label, n=n)
 
 
-def _make_catalog(name: str) -> DivergenceSpec:
-    src = {"family": None, "name": name}
+def catalog(name: str) -> DivergenceSpec:
+    """Named divergences: kl, tv, hellinger, chi2, brier, euclidean, tv_squared."""
     if name == "kl":
         f = ScalarFunction(_xlogx, deriv=lambda x: np.log(x) + 1.0,
                            label="x*log(x)", perspective_limit=np.inf)
-        src["family"] = "f_divergence"
-        return DivergenceSpec("f_divergence", "kl", f=f, source=src)
+        return DivergenceSpec("f_divergence", "kl", f=f)
     if name == "tv":
         f = ScalarFunction(lambda x: np.abs(x - 1.0), deriv=lambda x: np.sign(x - 1.0),
                            label="|x-1|", perspective_limit=1.0)
-        src["family"] = "f_divergence"
-        return DivergenceSpec("f_divergence", "tv", f=f, source=src)
+        return DivergenceSpec("f_divergence", "tv", f=f)
     if name == "hellinger":
         f = ScalarFunction(lambda x: (np.sqrt(x) - 1.0) ** 2,
                            deriv=lambda x: 1.0 - 1.0 / np.sqrt(x),
                            label="(sqrt(x)-1)^2", perspective_limit=1.0)
-        src["family"] = "f_divergence"
-        return DivergenceSpec("f_divergence", "hellinger", f=f, source=src)
+        return DivergenceSpec("f_divergence", "hellinger", f=f)
     if name == "chi2":
         f = ScalarFunction(lambda x: (x - 1.0) ** 2, deriv=lambda x: 2.0 * (x - 1.0),
                            label="(x-1)^2", perspective_limit=np.inf)
-        src["family"] = "f_divergence"
-        return DivergenceSpec("f_divergence", "chi2", f=f, source=src)
+        return DivergenceSpec("f_divergence", "chi2", f=f)
     if name == "brier":
-        src["family"] = "bregman"
         return DivergenceSpec("bregman", "brier", G=squared_norm_G(2, "p^2+(1-p)^2"),
-                              n=2, source=src)
+                              n=2)
     if name == "euclidean":
-        src["family"] = "bregman"
-        return DivergenceSpec("bregman", "euclidean", G=squared_norm_G(), source=src)
+        return DivergenceSpec("bregman", "euclidean", G=squared_norm_G())
     if name == "tv_squared":
-        base = _make_catalog("tv")
-        outer = OUTER_FUNCTIONS["square"]()
-        src["family"] = "composed"
-        src["outer"] = "square"
-        src["name"] = "tv"
-        return DivergenceSpec("composed", "tv_squared", base=base, outer=outer,
-                              source=src)
+        return DivergenceSpec("composed", "tv_squared", base=catalog("tv"),
+                              outer=OUTER_FUNCTIONS["square"]())
     raise DivergenceError(f"unknown catalog name {name!r}; "
                           f"known: {', '.join(CATALOG_NAMES)}")
-
-
-def catalog(name: str) -> DivergenceSpec:
-    """Named divergences: kl, tv, hellinger, chi2, brier, euclidean, tv_squared."""
-    return _make_catalog(name)
 
 
 OUTER_FUNCTIONS = {
@@ -480,16 +469,12 @@ def from_json_dict(doc: dict) -> DivergenceSpec:
         label = "tv_squared" if (name, outer_name) == ("tv", "square") \
             else f"{outer_name}({name})"
         return DivergenceSpec("composed", label, base=base,
-                              outer=OUTER_FUNCTIONS[outer_name](), source=dict(doc))
+                              outer=OUTER_FUNCTIONS[outer_name]())
     spec = catalog(name)
     if family is not None and spec.family != family:
         raise DivergenceError(
             f"catalog entry {name!r} has family {spec.family!r}, not {family!r}")
     return spec
-
-
-def load(path) -> DivergenceSpec:
-    return from_json_dict(json.loads(Path(path).read_text()))
 
 
 def resolve(text: str) -> DivergenceSpec:
@@ -498,5 +483,5 @@ def resolve(text: str) -> DivergenceSpec:
         return catalog(text)
     p = Path(text)
     if p.exists():
-        return load(p)
+        return from_json_dict(json.loads(p.read_text()))
     raise DivergenceError(f"{text!r} is neither a catalog name nor a file")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -59,25 +58,13 @@ class HGenerator:
     label: str = "h"
     breakpoints: tuple[float, ...] = ()
 
-    def grid(self) -> np.ndarray:
-        return np.geomspace(QUAD_DOMAIN_LO, 0.5, 512)
-
     def validate(self) -> None:
-        x = self.grid()
-        v = np.asarray(self.h(x), dtype=float)
+        v = np.asarray(self.h(np.geomspace(QUAD_DOMAIN_LO, 0.5, 512)), dtype=float)
         if np.min(v) < -H_GRID_TOL:
             raise FamilyError(f"h({self.label}) is negative: min {np.min(v):.3g}")
         # flat segments are allowed, strict decreases are not
         if np.min(np.diff(v)) < -H_GRID_TOL:
             raise FamilyError(f"h({self.label}) decreases on (0, 1/2]")
-
-
-def _reflected_G(h: Callable) -> Callable:
-    def G(x):
-        x = np.asarray(x, dtype=float)
-        xl = np.where(x <= 0.5, x, 1.0 - x)
-        return (xl - 1.0) * np.asarray(h(xl)) / xl
-    return G
 
 
 def build_G_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
@@ -88,7 +75,11 @@ def build_G_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
     """
     if validate:
         gen.validate()
-    return ScalarFunction(_reflected_G(gen.h), label=f"G[{gen.label}]")
+
+    def G(x):
+        xl = np.where(x <= 0.5, x, 1.0 - x)
+        return (xl - 1.0) * np.asarray(gen.h(xl)) / xl
+    return ScalarFunction(G, label=f"G[{gen.label}]")
 
 
 def _panel_rules(fprime: Callable, a: np.ndarray, b: np.ndarray):
@@ -204,7 +195,6 @@ def kl_type_from_h(gen: HGenerator, validate: bool = True) -> DivergenceSpec:
     """The KL-type divergence generated by h, restricted to binary alphabets."""
     f = build_f_from_h(gen, validate=validate)
     return DivergenceSpec("kl_type", f"kl_type[{gen.label}]", f=f, n=2,
-                          source={"family": "kl_type", "h": gen.label},
                           validate=False)
 
 
@@ -222,9 +212,10 @@ H_CATALOG: dict[str, tuple[Callable, tuple[float, ...]]] = {
 }
 
 
-def parse_h(text: str) -> tuple[Callable, str, tuple[float, ...]]:
-    """Parse an h description: "name:<catalog>", "poly:c0,c1,..." (low-to-high
-    coefficients) or "table:<csv path>" with two columns x, h(x)."""
+def h_generator_from_spec(text: str) -> HGenerator:
+    """The h generator an h description names: "name:<catalog>",
+    "poly:c0,c1,..." (low-to-high coefficients) or "table:<csv path>" with
+    two columns x, h(x).  The description is the generator's label."""
     if ":" not in text:
         raise FamilyError(f"h spec {text!r} must look like name:..., poly:... or table:...")
     kind, _, rest = text.partition(":")
@@ -232,14 +223,14 @@ def parse_h(text: str) -> tuple[Callable, str, tuple[float, ...]]:
         if rest not in H_CATALOG:
             raise FamilyError(f"unknown h name {rest!r}; known: {', '.join(H_CATALOG)}")
         fn, breaks = H_CATALOG[rest]
-        return fn, text, breaks
+        return HGenerator(fn, label=text, breakpoints=breaks)
     if kind == "poly":
         try:
             coeffs = [float(c) for c in rest.split(",")]
         except ValueError as e:
             raise FamilyError(f"bad polynomial coefficients in {text!r}: {e}") from None
         poly = np.polynomial.Polynomial(coeffs)
-        return (lambda x: poly(np.asarray(x, dtype=float))), text, ()
+        return HGenerator(lambda x: poly(np.asarray(x, dtype=float)), label=text)
     if kind == "table":
         rows = np.loadtxt(rest, delimiter=",", ndmin=2)
         if rows.shape[1] != 2:
@@ -250,13 +241,8 @@ def parse_h(text: str) -> tuple[Callable, str, tuple[float, ...]]:
         from scipy.interpolate import CubicSpline  # only a table h needs scipy
         spline = CubicSpline(xs, hs)
         lo, hi = float(xs[0]), float(xs[-1])
-        return (lambda x: spline(np.clip(x, lo, hi))), text, ()
+        return HGenerator(lambda x: spline(np.clip(x, lo, hi)), label=text)
     raise FamilyError(f"unknown h spec kind {kind!r}")
-
-
-def h_generator_from_spec(text: str) -> HGenerator:
-    fn, label, breaks = parse_h(text)
-    return HGenerator(fn, label=label, breakpoints=breaks)
 
 
 def family_table(gen: HGenerator, points: int = 512,

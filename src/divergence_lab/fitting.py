@@ -38,6 +38,8 @@ MAX_ITERS = 10_000
 STATIONARITY_TOL = 1e-9          # converged iff L ||step||_W^2 <= this * max(f, f_pass)
 PASS_SCALE = 1e-5                # passed iff residual <= PASS_SCALE * rms(D)
 SAMPLE_LO, SAMPLE_HI = 0.05, 0.95
+SAMPLE_PAIRS = 4000              # default sample pairs of both fit forms
+KNOTS = {"fdiv": 2001, "breg": 801}  # default knots of each fit form
 RATIO_LO, RATIO_HI = 0.05, 20.0
 WARM_SMOOTHING = 1e-4            # second-difference weight of the warm start
 
@@ -248,13 +250,13 @@ class FitProbe:
                                         rms <= thr, it, stop_reason, stationarity)
 
 
-def probe(kind: str, seed: int = 0, sample_pairs: int = 4000,
+def probe(kind: str, seed: int = 0, sample_pairs: int = SAMPLE_PAIRS,
           knots: int | None = None) -> FitProbe:
     """The "fdiv" form of fit_f_divergence or the "breg" form of
-    fit_bregman_binary at `seed`, on `knots` knots (2001 and 801 if None)."""
-    if kind not in ("fdiv", "breg"):
+    fit_bregman_binary at `seed`, on `knots` knots (KNOTS[kind] if None)."""
+    if kind not in KNOTS:
         raise ValueError(f"unknown fit form {kind!r}; known: fdiv, breg")
-    K = (2001 if kind == "fdiv" else 801) if knots is None else knots
+    K = KNOTS[kind] if knots is None else knots
     if sample_pairs < 1 or K < 3:
         raise DivergenceError(f"{kind} fit needs at least 1 sample pair and 3 "
                               f"knots, got sample_pairs={sample_pairs}, knots={K}")
@@ -290,8 +292,8 @@ def probe(kind: str, seed: int = 0, sample_pairs: int = 4000,
     return FitProbe(p, q, grid, parts)
 
 
-def fit_f_divergence(d: DivergenceSpec, sample_pairs: int = 4000,
-                     knots: int = 2001, seed: int = 0,
+def fit_f_divergence(d: DivergenceSpec, sample_pairs: int = SAMPLE_PAIRS,
+                     knots: int = KNOTS["fdiv"], seed: int = 0,
                      iters: int = MAX_ITERS) -> ConvexPiecewiseLinearFit:
     """Least-squares fit of q f(p/q) + (1-q) f((1-p)/(1-q)) to d on binary pairs.
 
@@ -304,8 +306,8 @@ def fit_f_divergence(d: DivergenceSpec, sample_pairs: int = 4000,
     return probe("fdiv", seed, sample_pairs, knots).fit(d, iters)
 
 
-def fit_bregman_binary(d: DivergenceSpec, sample_pairs: int = 4000,
-                       knots: int = 801, seed: int = 0,
+def fit_bregman_binary(d: DivergenceSpec, sample_pairs: int = SAMPLE_PAIRS,
+                       knots: int = KNOTS["breg"], seed: int = 0,
                        iters: int = MAX_ITERS) -> ConvexPiecewiseLinearFit:
     """Least-squares fit of g2(p) - g2(q) - g2'(q)(p-q) to d on binary pairs.
 

@@ -94,10 +94,6 @@ class Distribution:
             raise SimplexError(f"cannot parse distribution {text!r}: {e}") from None
         return cls(vals)
 
-    @classmethod
-    def uniform(cls, n: int) -> "Distribution":
-        return cls(np.full(n, 1.0 / n))
-
     def __getitem__(self, i: int) -> float:
         return float(self.probs[i])
 
@@ -139,10 +135,6 @@ class Channel:
         except ValueError as e:
             raise SimplexError(f"cannot parse channel {text!r}: {e}") from None
         return cls(m)
-
-    @classmethod
-    def identity(cls, n: int) -> "Channel":
-        return cls(np.eye(n))
 
     @classmethod
     def permutation(cls, perm: Sequence[int]) -> "Channel":

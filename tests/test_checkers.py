@@ -396,11 +396,13 @@ def decomposable_rows(d, grid=200):
     b = d.evaluate_batch(binary_rows(1.0 - Pf), binary_rows(1.0 - Qf))
 
     def confirm(k):
-        P2 = binary_rows([Pf[k], 1.0 - Pf[k]])
-        Q2 = binary_rows([Qf[k], 1.0 - Qf[k]])
-        before, after = d.evaluate_batch(P2, Q2)
-        gap = _abs_delta(before, after)
-        return _witness(P2[0], Q2[0], None, before, after, gap), gap, DECOMPOSABLE_TOL
+        # the flagged pair (row 0) and its swap (row 1), with the swap channel
+        p, q = Pf[k], Qf[k]
+        before, after = d.evaluate_batch([[p, 1.0 - p], [1.0 - p, p]],
+                                         [[q, 1.0 - q], [1.0 - q, q]])
+        wit = _witness([p, 1.0 - p], [q, 1.0 - q], [[0.0, 1.0], [1.0, 0.0]],
+                       before, after, after - before)
+        return wit, _abs_delta(before, after), DECOMPOSABLE_TOL
     return _search("decomposability", grid * grid, config,
                    [(_abs_delta(a, b), DECOMPOSABLE_TOL, lambda k: k)], confirm)
 
@@ -442,9 +444,9 @@ class TestDecomposable:
         rep = check_decomposable_binary(lopsided(), grid=100)
         assert rep.verdict == "violation"
         assert rep.note == VIOLATION_SHOWN
-        # at (p,q)=(0.3,0.5): 0.04*1.3 vs 0.04*1.7
+        # at (p,q)=(0.3,0.5): 0.04*1.3 vs 0.04*1.7; the gap is signed
         w = rep.witness
-        assert w["gap"] > 0.001
+        assert abs(w["gap"]) > 0.001
 
     def test_report_includes_witness_values(self):
         rep = check_decomposable_binary(lopsided(), grid=100)
@@ -453,6 +455,28 @@ class TestDecomposable:
             (p - q) ** 2 * (p + 2 * q), abs=1e-12)
         assert rep.witness["value_after"] == pytest.approx(
             (p - q) ** 2 * (3 - p - 2 * q), abs=1e-12)
+
+
+WITNESS_CASES = {
+    "dpi": lambda: (catalog("euclidean"), check_dpi(catalog("euclidean"), 3)),
+    "sufficiency": lambda: (catalog("euclidean"),
+                            check_sufficiency(catalog("euclidean"), 3)),
+    "decomposability": lambda: (lopsided(),
+                                check_decomposable_binary(lopsided(), grid=100)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+def test_witness_reproduces_its_values(case):
+    """Every divergence witness is a (P, Q, channel) triple: evaluating it
+    through push_forward gives its values exactly, and its gap is signed."""
+    d, rep = WITNESS_CASES[case]()
+    assert rep.verdict == "violation"
+    w = rep.witness
+    p, q, ch = Distribution(w["P"]), Distribution(w["Q"]), Channel(w["channel"])
+    assert d.evaluate(p, q) == w["value_before"]
+    assert d.evaluate(push_forward(p, ch), push_forward(q, ch)) == w["value_after"]
+    assert w["gap"] == w["value_after"] - w["value_before"]
 
 
 class TestShannon:

@@ -73,6 +73,18 @@ class TestFDivergence:
         assert got[0] == np.inf
         assert got[1] == pytest.approx(0.04 / 0.5 + 0.04 / 0.5, abs=1e-12)
 
+    def test_subnormal_q_takes_the_perspective_limit(self):
+        # p/q overflows at q = 5e-324: tv and hellinger take the limit term
+        # p * lim f(x)/x = 0.5, and kl and chi2, whose limit is +inf, raise
+        # rather than give a silent inf
+        P, Q = [0.5, 0.5], [5e-324, 1.0 - 5e-324]
+        assert catalog("tv").evaluate(P, Q) == 1.0
+        assert catalog("hellinger").evaluate(P, Q) == pytest.approx(
+            0.585786437626905, abs=1e-15)
+        for name in ("kl", "chi2"):
+            with pytest.raises(DivergenceError, match="overflows"):
+                catalog(name).evaluate(P, Q)
+
     def test_chi2_value(self):
         got = fdiv("chi2").evaluate([0.3, 0.7], [0.5, 0.5])
         assert got == pytest.approx(0.04 / 0.5 + 0.04 / 0.5, abs=1e-12)
@@ -266,6 +278,15 @@ class TestComposed:
             DivergenceSpec("composed", "bad", base=catalog("tv"), outer=bad)
 
 
+# the spec document of each catalog entry, as `--divergence path.json` reads it
+CATALOG_DOCS = {
+    **{name: {"family": "f_divergence", "name": name}
+       for name in ("kl", "tv", "hellinger", "chi2")},
+    **{name: {"family": "bregman", "name": name} for name in ("brier", "euclidean")},
+    "tv_squared": {"family": "composed", "name": "tv", "outer": "square"},
+}
+
+
 class TestCatalogAndSerialization:
     def test_catalog_names(self):
         for name in CATALOG_NAMES:
@@ -282,7 +303,7 @@ class TestCatalogAndSerialization:
     def test_round_trip(self, tmp_path):
         for name in CATALOG_NAMES:
             d = catalog(name)
-            doc = d.to_json_dict()
+            doc = CATALOG_DOCS[name]
             d2 = from_json_dict(json.loads(json.dumps(doc)))
             assert d2.family == d.family
             p, q = [0.3, 0.7], [0.6, 0.4]
@@ -292,7 +313,7 @@ class TestCatalogAndSerialization:
 
     def test_resolve_path(self, tmp_path):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(catalog("tv_squared").to_json_dict()))
+        path.write_text(json.dumps(CATALOG_DOCS["tv_squared"]))
         d = resolve(str(path))
         assert d.label == "tv_squared"
         assert d.evaluate([0.3, 0.7], [0.5, 0.5]) == pytest.approx(0.16, abs=1e-12)
@@ -375,12 +396,18 @@ def pairs_by_rows(d, U):
 def test_binary_pairs_match_rows(name, U):
     d = pair_spec(name)
     U = np.array(U)
-    # a ratio p / q overflows at a subnormal q in both paths alike
-    with np.errstate(over="ignore"):
+    try:
         want = pairs_by_rows(d, U)
-        got = d.evaluate_binary_pairs(U)
-        got2 = d.evaluate_binary_pairs(np.stack([U, U[::-1]]))
-        want2 = np.stack([want, pairs_by_rows(d, U[::-1])])
+    except DivergenceError:
+        # kl and chi2 raise where p / q overflows at a subnormal q, and the
+        # pair path must raise there too
+        for V in (U, np.stack([U, U[::-1]])):
+            with pytest.raises(DivergenceError, match="overflows"):
+                d.evaluate_binary_pairs(V)
+        return
+    got = d.evaluate_binary_pairs(U)
+    got2 = d.evaluate_binary_pairs(np.stack([U, U[::-1]]))
+    want2 = np.stack([want, pairs_by_rows(d, U[::-1])])
     assert got.shape == (U.size, U.size)
     assert got.tobytes() == want.tobytes()
     assert got2.shape == (2, U.size, U.size)

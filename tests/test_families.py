@@ -11,7 +11,7 @@ from divergence_lab.families import (DEFAULT_SAMPLES, QUAD_ABS_TOL, QUAD_TOL,
                                      bregman_from_symmetric_g, build_G_from_h,
                                      build_f_from_h, family_table,
                                      h_generator_from_spec, kl_type_from_h,
-                                     parse_h, random_symmetric_convex_g,
+                                     random_symmetric_convex_g,
                                      write_family_csv)
 from divergence_lab.simplex import binary_rows
 
@@ -370,10 +370,10 @@ class TestSymmetricConvexG:
 
 class TestParsing:
     def test_poly(self):
-        fn, label, breaks = parse_h("poly:0,0,1")
+        g = h_generator_from_spec("poly:0,0,1")
         x = np.linspace(0, 0.5, 11)
-        assert np.allclose(fn(x), x ** 2)
-        assert breaks == ()
+        assert np.allclose(g.h(x), x ** 2)
+        assert g.breakpoints == ()
 
     def test_poly_family_matches_named(self):
         d1 = kl_type_from_h(h_generator_from_spec("poly:0,0,1"))
@@ -385,13 +385,13 @@ class TestParsing:
         path = tmp_path / "h.csv"
         x = np.linspace(1e-4, 0.5, 64)
         np.savetxt(path, np.column_stack([x, x ** 2]), delimiter=",")
-        fn, label, breaks = parse_h(f"table:{path}")
-        assert float(fn(0.25)) == pytest.approx(0.0625, abs=1e-6)
+        g = h_generator_from_spec(f"table:{path}")
+        assert float(g.h(0.25)) == pytest.approx(0.0625, abs=1e-6)
 
     def test_bad_specs(self):
         for text in ("square", "name:nope", "poly:a,b", "knots:1,2"):
             with pytest.raises(FamilyError):
-                parse_h(text)
+                h_generator_from_spec(text)
 
     def test_family_csv(self, tmp_path):
         path = tmp_path / "fam.csv"
