@@ -11,15 +11,16 @@ inconclusive when some evaluations failed.  An empty search is an error.
 
 All randomness is drawn from a single seeded generator in a fixed batch
 order, so identical (spec, config, seed) always produce identical reports.
-The random scans evaluate their candidates in blocks of CHUNK rows, so what
-is derived from the draws (mapped and transformed rows, divergence values,
-gaps) stays CHUNK-sized at any trial count.  Every kernel treats rows
-independently and a tie keeps the earlier candidate, so the blocks find the
-same best candidate, gap and failure count as one whole batch would.  Only
-the n >= 3 data-processing scan also draws per block, into one set of block
-buffers per call that every block refills; the other scans draw all their
-trials first, as before, because that draw order defines every report, and
-so hold O(trials) memory for the draws alone.
+The random scans build everything they derive from their draws (normalised,
+mapped and transformed rows, divergence values, gaps) one slice of SLICE
+rows at a time, so it stays slice-sized at any trial count.  Every kernel
+treats rows independently and a tie keeps the earlier candidate, so the
+slices find the same best candidate, gap and failure count as one whole
+batch would, and no report depends on SLICE.  Only the n >= 3
+data-processing scan draws per block of CHUNK rows, into one set of block
+buffers per call that every block refills, and so its reports follow CHUNK;
+the other scans draw all their trials first, because that draw order
+defines every report, and so hold O(trials) memory for the draws alone.
 """
 
 from __future__ import annotations
@@ -50,11 +51,13 @@ SWAP = ((0.0, 1.0), (1.0, 0.0))
 # line-search steps of the local refinement, tried together
 BACKTRACK_STEPS = 0.05 * 0.5 ** np.arange(12)
 FD_STEP = 1e-5  # the step of its central differences
-# rows per block of every random scan: bounds the arrays derived from the
-# draws, and the draws too in the n >= 3 data-processing scan, which draws
-# per block into buffers of min(trials, CHUNK) rows allocated once per call;
-# its reports follow this value, the other scans' do not
+# rows per draw block of the n >= 3 data-processing scan, which draws into
+# buffers of min(trials, CHUNK) rows allocated once per call: its reports
+# follow this value, and it is the only constant any report follows
 CHUNK = 20_000
+# rows per evaluation slice of every random scan: bounds what is derived from
+# the draws, and nothing else, so no report follows it
+SLICE = 4_096
 
 
 @dataclass
@@ -88,9 +91,11 @@ class CheckReport:
 def sample_simplex(rng: np.random.Generator, m: int, n: int,
                    out: np.ndarray | None = None) -> np.ndarray:
     """Uniform rows on the simplex via exponential normalization, drawn into
-    `out` (shape (m, n)) if given: the same draws and bytes either way."""
+    `out` (shape (m, n)) if given: the same draws and bytes either way.  The
+    rows are normalised one slice at a time."""
     g = rng.standard_exponential(size=(m, n), out=out)
-    g /= row_sum(g)[:, None]
+    for s in _blocks(m):
+        g[s] /= row_sum(g[s])[:, None]
     return g
 
 
@@ -108,17 +113,20 @@ def sample_channels(rng: np.random.Generator, m: int, n: int,
     A = sample_simplex(rng, m * n, n, out=flat).reshape(m, n, n)
     sharp = A[3::4]
     sharp **= 8
-    sharp /= row_sum(sharp)[..., None]
+    for s in _blocks(len(sharp)):
+        sharp[s] /= row_sum(sharp[s])[..., None]
     det = A[5::8]
     if len(det):
-        det[:] = np.eye(n)[rng.integers(0, n, size=det.shape[:2])]
+        det[:] = 0.0
+        np.put_along_axis(det, rng.integers(0, n, size=det.shape[:2])[..., None],
+                          1.0, axis=-1)
     return A
 
 
 def _blocks(m: int):
-    """Slices of the consecutive CHUNK-row blocks of m rows."""
-    for lo in range(0, m, CHUNK):
-        yield slice(lo, min(lo + CHUNK, m))
+    """The consecutive slices of SLICE rows (the last may be short) of m rows."""
+    for lo in range(0, m, SLICE):
+        yield slice(lo, min(lo + SLICE, m))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +268,7 @@ def _dpi_scan_binary_grid(d: DivergenceSpec, grid: int):
 
 def _dpi_scan_binary_random(d: DivergenceSpec, trials: int, rng: np.random.Generator):
     """Random interior (p, q) and channels (alpha, beta), all drawn first and
-    evaluated in blocks of CHUNK rows."""
+    evaluated one slice at a time."""
     p = np.clip(rng.uniform(size=trials), 1e-9, 1 - 1e-9)
     q = np.clip(rng.uniform(size=trials), 1e-9, 1 - 1e-9)
     a = rng.uniform(size=trials)
@@ -275,30 +283,35 @@ def _dpi_scan_binary_random(d: DivergenceSpec, trials: int, rng: np.random.Gener
 
 
 def _dpi_scan_random(d: DivergenceSpec, n: int, trials: int, rng: np.random.Generator):
-    """Batches of up to CHUNK random (P, Q, channel) triples on n symbols.
+    """Batches of random (P, Q, channel) triples on n symbols, one per slice.
 
-    Every block refills one set of arrays allocated once per call (a short
-    last block uses their leading rows), so the draws and the pushed rows are
-    not handed back to the allocator and faulted in again per block.
-    `point_of` copies its rows, and `_best` calls it before the next block
-    is drawn.
+    The triples are drawn per block of CHUNK rows; every block refills one
+    set of arrays allocated once per call (a short last block uses their
+    leading rows), so the draws are not handed back to the allocator and
+    faulted in again per block.  Each slice of a block is pushed forward into
+    slice-sized rows, evaluated and reduced before the next.  `point_of`
+    copies its rows, and `_best` calls it before the next block is drawn.
     """
     rows = min(trials, CHUNK)
-    buffers = [np.empty((rows, n)) for _ in range(4)]
+    draws = [np.empty((rows, n)) for _ in range(2)]
     channels = np.empty((rows, n, n))
-    for s in _blocks(trials):
-        m = s.stop - s.start
-        P, Q, PY, QY = (b[:m] for b in buffers)
+    pushed = [np.empty((min(rows, SLICE), n)) for _ in range(2)]
+    for lo in range(0, trials, CHUNK):
+        m = min(CHUNK, trials - lo)
+        P, Q = (b[:m] for b in draws)
         A = channels[:m]
         sample_simplex(rng, m, n, out=P)
         sample_simplex(rng, m, n, out=Q)
         sample_channels(rng, m, n, out=A)
-        np.einsum("mi,mij->mj", P, A, out=PY)
-        np.einsum("mi,mij->mj", Q, A, out=QY)
-        before = d.evaluate_batch(P, Q)
-        after = d.evaluate_batch(PY, QY)
-        yield (after - before, _gap_tol(before),
-               lambda k: (P[k].copy(), Q[k].copy(), A[k].copy()))
+        for s in _blocks(m):
+            Ps, Qs, As = P[s], Q[s], A[s]
+            PY, QY = (b[:len(Ps)] for b in pushed)
+            np.einsum("mi,mij->mj", Ps, As, out=PY)
+            np.einsum("mi,mij->mj", Qs, As, out=QY)
+            before = d.evaluate_batch(Ps, Qs)
+            after = d.evaluate_batch(PY, QY)
+            yield (after - before, _gap_tol(before),
+                   lambda k: (Ps[k].copy(), Qs[k].copy(), As[k].copy()))
 
 
 def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
@@ -398,7 +411,7 @@ def dpi_local_refine(d: DivergenceSpec, witness, iters: int = 200):
 # ---------------------------------------------------------------------------
 
 def _suff_batches(d: DivergenceSpec, n: int, trials: int, rng: np.random.Generator):
-    """Batches of sufficiency scenarios, CHUNK rows each, kind after kind.
+    """Batches of sufficiency scenarios, one per slice, kind after kind.
 
     Three scenario kinds: permutations of random pairs, merges of pairs built
     with a proportional coordinate pair, and splits into an empty coordinate.
@@ -433,28 +446,31 @@ def _permutation_batches(d, n, m, rng):
                           np.take_along_axis(Q[s], perm, 1), {"perm": perm})
 
 
+def _merge_split_rows(base, t, sigma):
+    """The merged and split rows of one slice, base's columns scattered by
+    sigma: sigma[:, 0] hosts base[:, 0] (split t : 1 - t with sigma[:, 1],
+    which the merged rows leave empty) and sigma[:, 2:] take base[:, 1:]."""
+    rows = np.arange(len(base))
+    merged = np.zeros(sigma.shape)
+    merged[rows[:, None], sigma[:, 2:]] = base[:, 1:]
+    split = merged.copy()
+    merged[rows, sigma[:, 0]] = base[:, 0]
+    split[rows, sigma[:, 0]] = t * base[:, 0]
+    split[rows, sigma[:, 1]] = (1 - t) * base[:, 0]
+    return merged, split
+
+
 def _merge_split_batches(d, kind, n, m, rng):
     baseP = sample_simplex(rng, m, n - 1)
     baseQ = sample_simplex(rng, m, n - 1)
     t = rng.uniform(size=m)
     u = rng.uniform(size=(m, n))
     for s in _blocks(m):
-        bP, bQ, tb = baseP[s], baseQ[s], t[s]
+        tb = t[s]
         sigma = np.argsort(u[s], axis=1)
-        mb = len(sigma)
-        rows = np.arange(mb)[:, None]
-        merged_P = np.zeros((mb, n))
-        merged_Q = np.zeros((mb, n))
-        split_P = np.zeros((mb, n))
-        split_Q = np.zeros((mb, n))
-        # sigma[:,0] hosts the kept/split coordinate, sigma[:,1] its partner
-        merged_P[rows, sigma] = np.column_stack([bP[:, 0], np.zeros(mb), bP[:, 1:]])
-        merged_Q[rows, sigma] = np.column_stack([bQ[:, 0], np.zeros(mb), bQ[:, 1:]])
-        split_P[rows, sigma] = np.column_stack([tb * bP[:, 0], (1 - tb) * bP[:, 0],
-                                                bP[:, 1:]])
-        split_Q[rows, sigma] = np.column_stack([tb * bQ[:, 0], (1 - tb) * bQ[:, 0],
-                                                bQ[:, 1:]])
-        meta = {"i": sigma[:, 0], "j": sigma[:, 1], "t": tb}
+        merged_P, split_P = _merge_split_rows(baseP[s], tb, sigma)
+        merged_Q, split_Q = _merge_split_rows(baseQ[s], tb, sigma)
+        meta = {"i": sigma[:, 0].copy(), "j": sigma[:, 1].copy(), "t": tb}
         if kind == "merge":
             yield _suff_batch(d, kind, n, split_P, split_Q, merged_P, merged_Q, meta)
         else:

@@ -226,7 +226,7 @@ def _cmd_generate(args, config) -> int:
 def _cmd_fit(args, config) -> int:
     d = resolve(_effective(args, "divergence", config))
     seed = _effective(args, "seed", config)
-    pairs = _effective(args, "pairs", config) if args.pairs is None else args.pairs
+    pairs = _effective(args, "pairs", config)
     if args.kind == "fdiv":
         knots = _effective(args, "fdiv_knots", config) if args.knots is None \
             else args.knots

@@ -228,6 +228,3 @@ class SufficiencyScenario:
                 raise SimplexError("split scenario needs indices i, j")
             if self.p[self.j] > 0 or self.q[self.j] > 0:
                 raise SimplexError("split destination must carry no mass")
-
-    def apply(self) -> tuple[Distribution, Distribution]:
-        return push_forward(self.p, self.transform), push_forward(self.q, self.transform)

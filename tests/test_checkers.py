@@ -712,28 +712,37 @@ BLOCK_CASES = {
         shannon_quadratic(), 3, trials=BLOCK_TRIALS, seed=3),
     "shannon-capped-n3": lambda: check_shannon_inequality(shannon_capped(), 3,
                                                           trials=BLOCK_TRIALS, seed=3),
+    "dpi-kl-n3": lambda: check_dpi(catalog("kl"), 3, random_trials=BLOCK_TRIALS,
+                                   seed=3),
+    "dpi-euclidean-n5": lambda: check_dpi(catalog("euclidean"), 5,
+                                          random_trials=BLOCK_TRIALS, seed=3),
+    # a second, short draw block
+    "dpi-kl-n4-two-draw-blocks": lambda: check_dpi(
+        catalog("kl"), 4, random_trials=checkers.CHUNK + 7, seed=3),
 }
 
 
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
 def test_reports_do_not_depend_on_the_block_size(monkeypatch, case):
-    """A scan that draws all its trials first reports the same bytes in
-    blocks of 997 rows (which divides none of the counts, so some blocks are
-    short) as in one block.  At seed 3 the best candidate of several cases
-    lies in a late block, and the capped Shannon case sums failures over
-    blocks.  check_dpi at n >= 3 is not among them: it draws per block, so
-    CHUNK is part of its draw order and its reports follow it."""
+    """Every scan reports the same bytes in evaluation slices of 997 rows
+    (which divides none of the counts, so some slices are short), of the
+    default size, and of CHUNK rows, one slice per draw block.  At seed 3 the
+    best candidate of several cases lies in a late slice, and the capped
+    Shannon case sums failures over slices.  check_dpi at n >= 3 draws per
+    CHUNK block at every slice size: CHUNK is part of its draw order, and the
+    only constant its reports follow."""
     reports = []
-    for chunk in (997, BLOCK_TRIALS):
-        monkeypatch.setattr(checkers, "CHUNK", chunk)
+    for rows in (997, checkers.SLICE, checkers.CHUNK):
+        monkeypatch.setattr(checkers, "SLICE", rows)
         reports.append(json.dumps(BLOCK_CASES[case]().to_json_dict()))
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 MEMORY_TRIALS = 400_000
-# what a block may add to the draws: 64 float64 columns of CHUNK rows, which
-# also holds the samplers' one-column normaliser at MEMORY_TRIALS
-BLOCK_ALLOWANCE = 64 * checkers.CHUNK * 8
+# what a scan may add to its draws: 48 float64 columns of SLICE rows (1.5 MiB).
+# The cases use 9-35; whole CHUNK-row blocks need 100-180, so the bound
+# catches a scan that builds more than a slice at a time.
+SLICE_ALLOWANCE = 48 * checkers.SLICE * 8
 
 
 def _f64_bytes(*shape):
@@ -761,17 +770,25 @@ def _memory_case(case):
         d = catalog("kl")
         return (lambda: check_sufficiency(d, 5, trials=trials),
                 _sufficiency_draw_bytes(trials, 5))
+    if case == "dpi-kl-n5":
+        d, rows = catalog("kl"), checkers.CHUNK
+        return (lambda: check_dpi(d, 5, random_trials=trials),
+                2 * _f64_bytes(rows, 5) + _f64_bytes(rows, 5, 5))  # P, Q, channels
     f = shannon_clog()
     return (lambda: check_shannon_inequality(f, 4, trials=trials),
             2 * _f64_bytes(trials, 4))                   # P, Q
 
 
-@pytest.mark.parametrize("case", ["dpi-kl-type-n2", "sufficiency-kl-n5", "shannon-n4"])
+@pytest.mark.parametrize("case", ["dpi-kl-type-n2", "sufficiency-kl-n5", "shannon-n4",
+                                  "dpi-kl-n5"])
 def test_scan_memory_is_its_draws_plus_a_block(case):
-    """What a random scan derives from its draws (rows, divergence values,
-    gaps) is built one CHUNK-row block at a time, so its traced peak stays
-    within the draws plus a block's temporaries at any trial count."""
+    """What a random scan derives from its draws (normalised, pushed and
+    transformed rows, divergence values, gaps) is built one SLICE-row slice
+    at a time, so its traced peak stays within the draws plus a slice's
+    temporaries at any trial count.  The draws of the n >= 3 data-processing
+    scan are its CHUNK-row block buffers."""
     check, draws = _memory_case(case)
+    np.random.default_rng()  # numpy imports its random module on first use
     tracemalloc.start()
     try:
         report = check()
@@ -779,7 +796,7 @@ def test_scan_memory_is_its_draws_plus_a_block(case):
     finally:
         tracemalloc.stop()
     assert report.verdict == "no_violation_found"
-    assert peak <= draws + BLOCK_ALLOWANCE, (peak, draws)
+    assert peak <= draws + SLICE_ALLOWANCE, (peak, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -790,10 +807,11 @@ BUFFER_TRIALS = 2 * checkers.CHUNK + 7  # two full blocks and a short one
 
 
 def dpi_scan_random_fresh(d, n, trials, rng):
-    """The n >= 3 data-processing scan with fresh arrays per block, kept as the
-    reference for the scan that refills its block buffers."""
-    for s in checkers._blocks(trials):
-        m = s.stop - s.start
+    """The n >= 3 data-processing scan with fresh arrays per CHUNK-row draw
+    block, each evaluated whole, kept as the reference for the scan that
+    refills its block buffers and evaluates them one slice at a time."""
+    for lo in range(0, trials, checkers.CHUNK):
+        m = min(checkers.CHUNK, trials - lo)
         P = sample_simplex(rng, m, n)
         Q = sample_simplex(rng, m, n)
         A = sample_channels(rng, m, n)
@@ -818,13 +836,15 @@ def test_buffered_scan_reports_like_fresh_blocks(monkeypatch, name, verdict, n):
 
 
 def test_point_keeps_its_values_after_the_next_block():
-    # the short second block refills row 2 of the buffers
+    # the short second draw block, the scan's last slice, refills row 2 of the
+    # buffers
     d = catalog("kl")
     scan = checkers._dpi_scan_random(d, 3, checkers.CHUNK + 5,
                                      np.random.default_rng(5))
     ref = dpi_scan_random_fresh(d, 3, checkers.CHUNK + 5, np.random.default_rng(5))
     point, want = next(scan)[2](2), next(ref)[2](2)
-    later = next(scan)[2](2)
+    *_, last = scan
+    later = last[2](2)
     assert [x.tobytes() for x in point] == [x.tobytes() for x in want]
     assert [x.tobytes() for x in later] == [x.tobytes() for x in next(ref)[2](2)]
     assert not np.array_equal(point[0], later[0])
