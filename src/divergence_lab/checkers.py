@@ -9,18 +9,14 @@ It reports a violation with a concrete witness, or a clean search:
 no_violation_found (evidence, not a proof, and the reports say so), or
 inconclusive when some evaluations failed.  An empty search is an error.
 
-All randomness is drawn from a single seeded generator in a fixed batch
-order, so identical (spec, config, seed) always produce identical reports.
-The random scans build everything they derive from their draws (normalised,
-mapped and transformed rows, divergence values, gaps) one slice of SLICE
-rows at a time, so it stays slice-sized at any trial count.  Every kernel
-treats rows independently and a tie keeps the earlier candidate, so the
-slices find the same best candidate, gap and failure count as one whole
-batch would, and no report depends on SLICE.  Only the n >= 3
-data-processing scan draws per block of CHUNK rows, into one set of block
-buffers per call that every block refills, and so its reports follow CHUNK;
-the other scans draw all their trials first, because that draw order
-defines every report, and so hold O(trials) memory for the draws alone.
+All randomness is drawn from a single seeded generator in a fixed order, so
+identical (spec, config, seed) always produce identical reports.  Every
+random scan draws one block of SLICE rows, evaluates it and yields it before
+the next block is drawn, so it holds one block's draws and what it derives
+from them (normalised, mapped and transformed rows, divergence values, gaps)
+at any trial count.  SLICE is the one block constant: it sets both memory
+and the draw order, so the reports of a scan with more than SLICE random
+trials follow it.
 """
 
 from __future__ import annotations
@@ -51,12 +47,8 @@ SWAP = ((0.0, 1.0), (1.0, 0.0))
 # line-search steps of the local refinement, tried together
 BACKTRACK_STEPS = 0.05 * 0.5 ** np.arange(12)
 FD_STEP = 1e-5  # the step of its central differences
-# rows per draw block of the n >= 3 data-processing scan, which draws into
-# buffers of min(trials, CHUNK) rows allocated once per call: its reports
-# follow this value, and it is the only constant any report follows
-CHUNK = 20_000
-# rows per evaluation slice of every random scan: bounds what is derived from
-# the draws, and nothing else, so no report follows it
+# rows per block of every random scan, drawn and evaluated together: it
+# bounds a scan's memory and is part of its draw order
 SLICE = 4_096
 
 
@@ -88,33 +80,25 @@ class CheckReport:
 # samplers
 # ---------------------------------------------------------------------------
 
-def sample_simplex(rng: np.random.Generator, m: int, n: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Uniform rows on the simplex via exponential normalization, drawn into
-    `out` (shape (m, n)) if given: the same draws and bytes either way.  The
-    rows are normalised one slice at a time."""
-    g = rng.standard_exponential(size=(m, n), out=out)
-    for s in _blocks(m):
-        g[s] /= row_sum(g[s])[:, None]
+def sample_simplex(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """Uniform rows on the simplex via exponential normalization."""
+    g = rng.standard_exponential(size=(m, n))
+    g /= row_sum(g)[:, None]
     return g
 
 
-def sample_channels(rng: np.random.Generator, m: int, n: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def sample_channels(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     """Row-stochastic matrices: uniform rows, with a deterministic fraction of
     sharpened and vertex (deterministic-map) channels mixed in.
 
     Uniform rows alone concentrate far from the deterministic maps where
     data-processing violations of non-conforming divergences live, so every
     4th trial sharpens the rows and every 8th uses a random deterministic map.
-    A C-contiguous `out` of shape (m, n, n) receives the matrices.
     """
-    flat = None if out is None else out.reshape(m * n, n)
-    A = sample_simplex(rng, m * n, n, out=flat).reshape(m, n, n)
+    A = sample_simplex(rng, m * n, n).reshape(m, n, n)
     sharp = A[3::4]
     sharp **= 8
-    for s in _blocks(len(sharp)):
-        sharp[s] /= row_sum(sharp[s])[..., None]
+    sharp /= row_sum(sharp)[..., None]
     det = A[5::8]
     if len(det):
         det[:] = 0.0
@@ -124,9 +108,10 @@ def sample_channels(rng: np.random.Generator, m: int, n: int,
 
 
 def _blocks(m: int):
-    """The consecutive slices of SLICE rows (the last may be short) of m rows."""
+    """The sizes of the consecutive blocks of SLICE rows (the last may be
+    short) that make up m rows."""
     for lo in range(0, m, SLICE):
-        yield slice(lo, min(lo + SLICE, m))
+        yield min(SLICE, m - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -267,51 +252,31 @@ def _dpi_scan_binary_grid(d: DivergenceSpec, grid: int):
 
 
 def _dpi_scan_binary_random(d: DivergenceSpec, trials: int, rng: np.random.Generator):
-    """Random interior (p, q) and channels (alpha, beta), all drawn first and
-    evaluated one slice at a time."""
-    p = np.clip(rng.uniform(size=trials), 1e-9, 1 - 1e-9)
-    q = np.clip(rng.uniform(size=trials), 1e-9, 1 - 1e-9)
-    a = rng.uniform(size=trials)
-    b = rng.uniform(size=trials)
-    for s in _blocks(trials):
-        pb, qb, ab, bb = p[s], q[s], a[s], b[s]
-        before = d.evaluate_batch(binary_rows(pb), binary_rows(qb))
-        after = d.evaluate_batch(binary_rows(pb * ab + bb * (1 - pb)),
-                                 binary_rows(qb * ab + bb * (1 - qb)))
+    """Random interior (p, q) and channels (alpha, beta), one block at a time."""
+    for m in _blocks(trials):
+        p = np.clip(rng.uniform(size=m), 1e-9, 1 - 1e-9)
+        q = np.clip(rng.uniform(size=m), 1e-9, 1 - 1e-9)
+        a = rng.uniform(size=m)
+        b = rng.uniform(size=m)
+        before = d.evaluate_batch(binary_rows(p), binary_rows(q))
+        after = d.evaluate_batch(binary_rows(p * a + b * (1 - p)),
+                                 binary_rows(q * a + b * (1 - q)))
         yield (after - before, _gap_tol(before),
-               lambda k: _binary_triple(pb[k], qb[k], ab[k], bb[k]))
+               lambda k: _binary_triple(p[k], q[k], a[k], b[k]))
 
 
 def _dpi_scan_random(d: DivergenceSpec, n: int, trials: int, rng: np.random.Generator):
-    """Batches of random (P, Q, channel) triples on n symbols, one per slice.
-
-    The triples are drawn per block of CHUNK rows; every block refills one
-    set of arrays allocated once per call (a short last block uses their
-    leading rows), so the draws are not handed back to the allocator and
-    faulted in again per block.  Each slice of a block is pushed forward into
-    slice-sized rows, evaluated and reduced before the next.  `point_of`
-    copies its rows, and `_best` calls it before the next block is drawn.
-    """
-    rows = min(trials, CHUNK)
-    draws = [np.empty((rows, n)) for _ in range(2)]
-    channels = np.empty((rows, n, n))
-    pushed = [np.empty((min(rows, SLICE), n)) for _ in range(2)]
-    for lo in range(0, trials, CHUNK):
-        m = min(CHUNK, trials - lo)
-        P, Q = (b[:m] for b in draws)
-        A = channels[:m]
-        sample_simplex(rng, m, n, out=P)
-        sample_simplex(rng, m, n, out=Q)
-        sample_channels(rng, m, n, out=A)
-        for s in _blocks(m):
-            Ps, Qs, As = P[s], Q[s], A[s]
-            PY, QY = (b[:len(Ps)] for b in pushed)
-            np.einsum("mi,mij->mj", Ps, As, out=PY)
-            np.einsum("mi,mij->mj", Qs, As, out=QY)
-            before = d.evaluate_batch(Ps, Qs)
-            after = d.evaluate_batch(PY, QY)
-            yield (after - before, _gap_tol(before),
-                   lambda k: (Ps[k].copy(), Qs[k].copy(), As[k].copy()))
+    """Random (P, Q, channel) triples on n symbols, one block at a time.
+    `point_of` copies its rows, so the best point does not hold its block."""
+    for m in _blocks(trials):
+        P = sample_simplex(rng, m, n)
+        Q = sample_simplex(rng, m, n)
+        A = sample_channels(rng, m, n)
+        before = d.evaluate_batch(P, Q)
+        after = d.evaluate_batch(np.einsum("mi,mij->mj", P, A),
+                                 np.einsum("mi,mij->mj", Q, A))
+        yield (after - before, _gap_tol(before),
+               lambda k: (P[k].copy(), Q[k].copy(), A[k].copy()))
 
 
 def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
@@ -330,8 +295,7 @@ def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
     if n == 2:
         trials = grid ** 4 + random_trials
         batches = chain(_dpi_scan_binary_grid(d, grid) if grid else (),
-                        _dpi_scan_binary_random(d, random_trials, rng)
-                        if random_trials else ())
+                        _dpi_scan_binary_random(d, random_trials, rng))
     else:
         trials = random_trials
         batches = _dpi_scan_random(d, n, random_trials, rng)
@@ -411,22 +375,18 @@ def dpi_local_refine(d: DivergenceSpec, witness, iters: int = 200):
 # ---------------------------------------------------------------------------
 
 def _suff_batches(d: DivergenceSpec, n: int, trials: int, rng: np.random.Generator):
-    """Batches of sufficiency scenarios, one per slice, kind after kind.
+    """Batches of sufficiency scenarios, one per block, kind after kind.
 
     Three scenario kinds: permutations of random pairs, merges of pairs built
     with a proportional coordinate pair, and splits into an empty coordinate.
-    Binary alphabets only admit permutations.  Each kind draws all its trials
-    before its first batch.
+    Binary alphabets only admit permutations.
     """
     kinds = ["permutation"] if n == 2 else ["permutation", "merge", "split"]
     share = {k: trials // len(kinds) for k in kinds}
     share[kinds[0]] += trials - sum(share.values())
-    m = share.pop("permutation")
-    if m:
-        yield from _permutation_batches(d, n, m, rng)
+    yield from _permutation_batches(d, n, share.pop("permutation"), rng)
     for kind, m in share.items():
-        if m:
-            yield from _merge_split_batches(d, kind, n, m, rng)
+        yield from _merge_split_batches(d, kind, n, m, rng)
 
 
 def _suff_batch(d, kind, n, Pb, Qb, Pa, Qa, meta):
@@ -436,18 +396,16 @@ def _suff_batch(d, kind, n, Pb, Qb, Pa, Qa, meta):
 
 
 def _permutation_batches(d, n, m, rng):
-    P = sample_simplex(rng, m, n)
-    Q = sample_simplex(rng, m, n)
-    u = rng.uniform(size=(m, n))
-    for s in _blocks(m):
-        perm = np.argsort(u[s], axis=1)
-        yield _suff_batch(d, "permutation", n, P[s], Q[s],
-                          np.take_along_axis(P[s], perm, 1),
-                          np.take_along_axis(Q[s], perm, 1), {"perm": perm})
+    for k in _blocks(m):
+        P = sample_simplex(rng, k, n)
+        Q = sample_simplex(rng, k, n)
+        perm = np.argsort(rng.uniform(size=(k, n)), axis=1)
+        yield _suff_batch(d, "permutation", n, P, Q, np.take_along_axis(P, perm, 1),
+                          np.take_along_axis(Q, perm, 1), {"perm": perm})
 
 
 def _merge_split_rows(base, t, sigma):
-    """The merged and split rows of one slice, base's columns scattered by
+    """The merged and split rows of one block, base's columns scattered by
     sigma: sigma[:, 0] hosts base[:, 0] (split t : 1 - t with sigma[:, 1],
     which the merged rows leave empty) and sigma[:, 2:] take base[:, 1:]."""
     rows = np.arange(len(base))
@@ -461,16 +419,14 @@ def _merge_split_rows(base, t, sigma):
 
 
 def _merge_split_batches(d, kind, n, m, rng):
-    baseP = sample_simplex(rng, m, n - 1)
-    baseQ = sample_simplex(rng, m, n - 1)
-    t = rng.uniform(size=m)
-    u = rng.uniform(size=(m, n))
-    for s in _blocks(m):
-        tb = t[s]
-        sigma = np.argsort(u[s], axis=1)
-        merged_P, split_P = _merge_split_rows(baseP[s], tb, sigma)
-        merged_Q, split_Q = _merge_split_rows(baseQ[s], tb, sigma)
-        meta = {"i": sigma[:, 0].copy(), "j": sigma[:, 1].copy(), "t": tb}
+    for k in _blocks(m):
+        baseP = sample_simplex(rng, k, n - 1)
+        baseQ = sample_simplex(rng, k, n - 1)
+        t = rng.uniform(size=k)
+        sigma = np.argsort(rng.uniform(size=(k, n)), axis=1)
+        merged_P, split_P = _merge_split_rows(baseP, t, sigma)
+        merged_Q, split_Q = _merge_split_rows(baseQ, t, sigma)
+        meta = {"i": sigma[:, 0], "j": sigma[:, 1], "t": t}
         if kind == "merge":
             yield _suff_batch(d, kind, n, split_P, split_Q, merged_P, merged_Q, meta)
         else:
@@ -542,6 +498,18 @@ def check_decomposable_binary(d: DivergenceSpec, grid: int = 200) -> CheckReport
 # Shannon-type inequality
 # ---------------------------------------------------------------------------
 
+def _shannon_batches(f, n: int, trials: int, rng: np.random.Generator):
+    """Random pairs (P, Q) on n symbols, one block at a time."""
+    for m in _blocks(trials):
+        P = sample_simplex(rng, m, n)
+        Q = sample_simplex(rng, m, n)
+        lhs = row_sum(P * np.asarray(f(P)))
+        rhs = row_sum(P * np.asarray(f(Q)))
+        with np.errstate(invalid="ignore"):  # inf - inf: a failure _reduce counts
+            gap = lhs - rhs
+        yield gap, _gap_tol(lhs), lambda k: (P[k], Q[k])
+
+
 def check_shannon_inequality(f, n: int, trials: int = 100_000,
                              seed: int = 42) -> CheckReport:
     """Search for sum_k p_k f(p_k) > sum_k p_k f(q_k) over interior pairs."""
@@ -550,19 +518,11 @@ def check_shannon_inequality(f, n: int, trials: int = 100_000,
               "rel_tol": DPI_REL_TOL,
               "f": getattr(f, "label", None) or repr(f)}
 
-    def batches():
-        P = sample_simplex(rng, trials, n)
-        Q = sample_simplex(rng, trials, n)
-        for s in _blocks(trials):
-            Pb, Qb = P[s], Q[s]
-            lhs = row_sum(Pb * np.asarray(f(Pb)))
-            yield (lhs - row_sum(Pb * np.asarray(f(Qb))), _gap_tol(lhs),
-                   lambda k: (Pb[k], Qb[k]))
-
     def confirm(pq):
         # re-evaluate the flagged pair in the scalar path
         p, q = pq
         lhs = float(sum(pi * float(f(pi)) for pi in p))
         rhs = float(sum(pi * float(f(qi)) for pi, qi in zip(p, q)))
         return _witness(p, q, None, lhs, rhs, lhs - rhs), lhs - rhs, _gap_tol(lhs)
-    return _search("shannon_inequality", trials, config, batches(), confirm)
+    return _search("shannon_inequality", trials, config,
+                   _shannon_batches(f, n, trials, rng), confirm)

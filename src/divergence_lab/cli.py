@@ -258,9 +258,10 @@ def _cmd_verify(args, config) -> int:
         print(f"{r.scenario_id}: {r.status} ({r.runtime_seconds:.2f}s)")
     if args.out:
         scenarios.emit_report(results, args.out, fmt=fmt, seed=seed)
+    elif fmt == "json":
+        print(json.dumps(scenarios.report_json_dict(results, seed), indent=2))
     else:
-        if fmt == "json":
-            print(json.dumps(scenarios.report_json_dict(results, seed), indent=2))
+        print(scenarios.report_markdown(results, seed), end="")
     return EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATION
 
 

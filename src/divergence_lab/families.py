@@ -248,6 +248,8 @@ def h_generator_from_spec(text: str) -> HGenerator:
 def family_table(gen: HGenerator, points: int = 512,
                  validate: bool = True) -> np.ndarray:
     """Columns (x, G(x), f(x)) on an interior grid, ready for plotting."""
+    if points < 1:
+        raise FamilyError(f"a family table needs at least 1 point, got {points}")
     G = build_G_from_h(gen, validate=validate)
     f = build_f_from_h(gen, validate=validate)
     x = np.linspace(0.005, 0.995, points)

@@ -127,16 +127,6 @@ class Channel:
         return self.matrix.shape[0]
 
     @classmethod
-    def parse(cls, text: str) -> "Channel":
-        """Parse row-major text, rows separated by ';', entries by ','."""
-        rows = [r for r in text.split(";") if r.strip() != ""]
-        try:
-            m = [[float(t) for t in r.split(",")] for r in rows]
-        except ValueError as e:
-            raise SimplexError(f"cannot parse channel {text!r}: {e}") from None
-        return cls(m)
-
-    @classmethod
     def permutation(cls, perm: Sequence[int]) -> "Channel":
         """Deterministic channel sending symbol x to perm[x]."""
         perm = np.asarray(perm, dtype=int)

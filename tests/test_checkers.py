@@ -75,18 +75,6 @@ class TestSamplers:
         is_det = np.all((A == 0) | (A == 1), axis=(1, 2))
         assert is_det.any()
 
-    @pytest.mark.parametrize("sampler, shape", [
-        (sample_simplex, lambda m, n: (m, n)),
-        (sample_channels, lambda m, n: (m, n, n))], ids=["simplex", "channels"])
-    @pytest.mark.parametrize("m, n", [(1, 2), (13, 3), (1003, 5)])
-    def test_out_fills_like_a_fresh_draw(self, sampler, shape, m, n):
-        rng, ref_rng = np.random.default_rng(m), np.random.default_rng(m)
-        out = np.full(shape(m, n), np.nan)
-        got = sampler(rng, m, n, out=out)
-        assert np.shares_memory(got, out)
-        assert out.tobytes() == sampler(ref_rng, m, n).tobytes()
-        assert rng.uniform() == ref_rng.uniform()
-
     @pytest.mark.parametrize("m, n, seed", [(1, 2, 0), (5, 3, 1), (6, 4, 2),
                                             (13, 5, 3), (64, 3, 4), (1003, 2, 5),
                                             (2021, 5, 6)])
@@ -511,6 +499,13 @@ class TestShannon:
         assert rep.verdict == "violation" and rep.failures > 0
         assert 0.0 < rep.max_gap < np.inf
 
+    def test_infinite_minus_infinite_gap_is_a_failure(self):
+        # above 1/2, f is +inf, so every binary pair has inf on both sides: each
+        # gap is inf - inf, a failed evaluation, counted without a warning
+        f = ScalarFunction(lambda x: np.where(np.asarray(x) > 0.5, np.inf, 0.0))
+        rep = check_shannon_inequality(f, 2, trials=1000, seed=42)
+        assert rep.verdict == "inconclusive" and rep.failures == 1000
+
     def test_determinism(self):
         f = ScalarFunction(lambda x: 0.5 * np.square(x) - np.asarray(x, dtype=float),
                            label="q")
@@ -675,7 +670,85 @@ def test_alphabet_below_two_is_an_error(check, n):
 # block-wise random scans
 # ---------------------------------------------------------------------------
 
+def fresh_block_sizes(trials):
+    """Blocks of SLICE rows, then the short rest: what every random scan draws
+    and evaluates, one block after another."""
+    full, rest = divmod(trials, checkers.SLICE)
+    return [checkers.SLICE] * full + [rest] * (rest > 0)
+
+
+# Reference scans, one per scan kind: each draws every block into fresh arrays
+# through the reference samplers, in the checker's order, and evaluates it
+# whole.  Each point_of binds its own block, so it stays valid after the next.
+
+def dpi_binary_reference(d, trials, rng):
+    for m in fresh_block_sizes(trials):
+        p = np.clip(rng.uniform(size=m), 1e-9, 1 - 1e-9)
+        q = np.clip(rng.uniform(size=m), 1e-9, 1 - 1e-9)
+        a = rng.uniform(size=m)
+        b = rng.uniform(size=m)
+        before = d.evaluate_batch(binary_rows(p), binary_rows(q))
+        after = d.evaluate_batch(binary_rows(p * a + b * (1 - p)),
+                                 binary_rows(q * a + b * (1 - q)))
+        yield (after - before, _gap_tol(before),
+               lambda k, p=p, q=q, a=a, b=b: _binary_triple(p[k], q[k], a[k], b[k]))
+
+
+def dpi_reference(d, n, trials, rng):
+    for m in fresh_block_sizes(trials):
+        P = sample_simplex_divided(rng, m, n)
+        Q = sample_simplex_divided(rng, m, n)
+        A = sample_channels_masked(rng, m, n)
+        before = d.evaluate_batch(P, Q)
+        after = d.evaluate_batch(np.einsum("mi,mij->mj", P, A),
+                                 np.einsum("mi,mij->mj", Q, A))
+        yield (after - before, _gap_tol(before),
+               lambda k, P=P, Q=Q, A=A: (P[k], Q[k], A[k]))
+
+
+def permutation_reference(d, n, trials, rng):
+    for m in fresh_block_sizes(trials):
+        P = sample_simplex_divided(rng, m, n)
+        Q = sample_simplex_divided(rng, m, n)
+        perm = np.argsort(rng.uniform(size=(m, n)), axis=1)
+        rows = np.arange(m)[:, None]
+        yield checkers._suff_batch(d, "permutation", n, P, Q, P[rows, perm],
+                                   Q[rows, perm], {"perm": perm})
+
+
+def merge_split_reference(d, kind, n, trials, rng):
+    for m in fresh_block_sizes(trials):
+        baseP = sample_simplex_divided(rng, m, n - 1)
+        baseQ = sample_simplex_divided(rng, m, n - 1)
+        t = rng.uniform(size=m)
+        sigma = np.argsort(rng.uniform(size=(m, n)), axis=1)
+        merged_P, split_P = checkers._merge_split_rows(baseP, t, sigma)
+        merged_Q, split_Q = checkers._merge_split_rows(baseQ, t, sigma)
+        before, after = (split_P, split_Q), (merged_P, merged_Q)
+        if kind == "split":
+            before, after = after, before
+        yield checkers._suff_batch(d, kind, n, *before, *after,
+                                   {"i": sigma[:, 0], "j": sigma[:, 1], "t": t})
+
+
+def shannon_reference(f, n, trials, rng):
+    for m in fresh_block_sizes(trials):
+        P = sample_simplex_divided(rng, m, n)
+        Q = sample_simplex_divided(rng, m, n)
+        lhs, rhs = (P * f(P)).sum(axis=1), (P * f(Q)).sum(axis=1)
+        with np.errstate(invalid="ignore"):
+            gap = lhs - rhs
+        yield gap, _gap_tol(lhs), lambda k, P=P, Q=Q: (P[k], Q[k])
+
+
+SCAN_REFERENCES = {"_dpi_scan_binary_random": dpi_binary_reference,
+                   "_dpi_scan_random": dpi_reference,
+                   "_permutation_batches": permutation_reference,
+                   "_merge_split_batches": merge_split_reference,
+                   "_shannon_batches": shannon_reference}
+
 BLOCK_TRIALS = 6000
+LATE_TRIALS = 5976  # 4,096 + 1,880 and 5 * 997 + 991 rows
 
 
 def shannon_capped():
@@ -716,132 +789,48 @@ BLOCK_CASES = {
                                    seed=3),
     "dpi-euclidean-n5": lambda: check_dpi(catalog("euclidean"), 5,
                                           random_trials=BLOCK_TRIALS, seed=3),
-    # a second, short draw block
-    "dpi-kl-n4-two-draw-blocks": lambda: check_dpi(
-        catalog("kl"), 4, random_trials=checkers.CHUNK + 7, seed=3),
+    # at seed 9 the best candidate lies in the last, short block at both sizes
+    "dpi-euclidean-n5-late-block": lambda: check_dpi(catalog("euclidean"), 5,
+                                                     random_trials=LATE_TRIALS, seed=9),
 }
 
 
+def noting_blocks(reference, noted):
+    """`reference`, with every point_of noting (block index, block rows) of
+    its block in `noted`: the last note is the best candidate's block."""
+    def scan(*args):
+        for i, (gap, tol, point_of) in enumerate(reference(*args)):
+            def noting(k, i=i, rows=len(gap), point_of=point_of):
+                noted.append((i, rows))
+                return point_of(k)
+            yield gap, tol, noting
+    return scan
+
+
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
-def test_reports_do_not_depend_on_the_block_size(monkeypatch, case):
-    """Every scan reports the same bytes in evaluation slices of 997 rows
-    (which divides none of the counts, so some slices are short), of the
-    default size, and of CHUNK rows, one slice per draw block.  At seed 3 the
-    best candidate of several cases lies in a late slice, and the capped
-    Shannon case sums failures over slices.  check_dpi at n >= 3 draws per
-    CHUNK block at every slice size: CHUNK is part of its draw order, and the
-    only constant its reports follow."""
-    reports = []
-    for rows in (997, checkers.SLICE, checkers.CHUNK):
-        monkeypatch.setattr(checkers, "SLICE", rows)
-        reports.append(json.dumps(BLOCK_CASES[case]().to_json_dict()))
-    assert reports[0] == reports[1] == reports[2]
-
-
-MEMORY_TRIALS = 400_000
-# what a scan may add to its draws: 48 float64 columns of SLICE rows (1.5 MiB).
-# The cases use 9-35; whole CHUNK-row blocks need 100-180, so the bound
-# catches a scan that builds more than a slice at a time.
-SLICE_ALLOWANCE = 48 * checkers.SLICE * 8
-
-
-def _f64_bytes(*shape):
-    return 8 * math.prod(shape)
-
-
-def _sufficiency_draw_bytes(trials, n):
-    """The draws of the largest scenario kind: each kind's draws are dropped
-    before the next kind draws."""
-    m = trials // 3
-    permutation = 3 * _f64_bytes(trials - 2 * m, n)      # P, Q, uniforms
-    merge = (2 * _f64_bytes(m, n - 1) + _f64_bytes(m)   # bases, t, uniforms
-             + _f64_bytes(m, n))
-    return max(permutation, merge)
-
-
-def _memory_case(case):
-    """(the check, its draw bytes), the divergence built before tracing."""
-    trials = MEMORY_TRIALS
-    if case == "dpi-kl-type-n2":
-        d = kl_type_family("square")
-        return (lambda: check_dpi(d, 2, grid=0, random_trials=trials),
-                4 * _f64_bytes(trials))                  # p, q, alpha, beta
-    if case == "sufficiency-kl-n5":
-        d = catalog("kl")
-        return (lambda: check_sufficiency(d, 5, trials=trials),
-                _sufficiency_draw_bytes(trials, 5))
-    if case == "dpi-kl-n5":
-        d, rows = catalog("kl"), checkers.CHUNK
-        return (lambda: check_dpi(d, 5, random_trials=trials),
-                2 * _f64_bytes(rows, 5) + _f64_bytes(rows, 5, 5))  # P, Q, channels
-    f = shannon_clog()
-    return (lambda: check_shannon_inequality(f, 4, trials=trials),
-            2 * _f64_bytes(trials, 4))                   # P, Q
-
-
-@pytest.mark.parametrize("case", ["dpi-kl-type-n2", "sufficiency-kl-n5", "shannon-n4",
-                                  "dpi-kl-n5"])
-def test_scan_memory_is_its_draws_plus_a_block(case):
-    """What a random scan derives from its draws (normalised, pushed and
-    transformed rows, divergence values, gaps) is built one SLICE-row slice
-    at a time, so its traced peak stays within the draws plus a slice's
-    temporaries at any trial count.  The draws of the n >= 3 data-processing
-    scan are its CHUNK-row block buffers."""
-    check, draws = _memory_case(case)
-    np.random.default_rng()  # numpy imports its random module on first use
-    tracemalloc.start()
-    try:
-        report = check()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.verdict == "no_violation_found"
-    assert peak <= draws + SLICE_ALLOWANCE, (peak, draws)
-
-
-# ---------------------------------------------------------------------------
-# the n >= 3 data-processing scan refills one set of block buffers
-# ---------------------------------------------------------------------------
-
-BUFFER_TRIALS = 2 * checkers.CHUNK + 7  # two full blocks and a short one
-
-
-def dpi_scan_random_fresh(d, n, trials, rng):
-    """The n >= 3 data-processing scan with fresh arrays per CHUNK-row draw
-    block, each evaluated whole, kept as the reference for the scan that
-    refills its block buffers and evaluates them one slice at a time."""
-    for lo in range(0, trials, checkers.CHUNK):
-        m = min(checkers.CHUNK, trials - lo)
-        P = sample_simplex(rng, m, n)
-        Q = sample_simplex(rng, m, n)
-        A = sample_channels(rng, m, n)
-        PY = np.einsum("mi,mij->mj", P, A)
-        QY = np.einsum("mi,mij->mj", Q, A)
-        before = d.evaluate_batch(P, Q)
-        after = d.evaluate_batch(PY, QY)
-        yield (after - before, _gap_tol(before),
-               lambda k: (P[k].copy(), Q[k].copy(), A[k].copy()))
-
-
-@pytest.mark.parametrize("name, verdict", [("kl", "no_violation_found"),
-                                           ("euclidean", "violation")])
-@pytest.mark.parametrize("n", [3, 5])
-def test_buffered_scan_reports_like_fresh_blocks(monkeypatch, name, verdict, n):
-    d = catalog(name)
-    buffered = check_dpi(d, n, random_trials=BUFFER_TRIALS, seed=42).to_json_dict()
-    monkeypatch.setattr(checkers, "_dpi_scan_random", dpi_scan_random_fresh)
-    fresh = check_dpi(d, n, random_trials=BUFFER_TRIALS, seed=42).to_json_dict()
-    assert buffered == fresh
-    assert buffered["verdict"] == verdict
+@pytest.mark.parametrize("rows", [997, checkers.SLICE], ids=["997", "default"])
+def test_scans_report_like_fresh_blocks(monkeypatch, case, rows):
+    """Every random scan reports the bytes of its reference, which draws each
+    block fresh.  Blocks of 997 rows divide none of the counts, so every scan
+    ends on a short block; the capped Shannon case sums failures over
+    blocks."""
+    monkeypatch.setattr(checkers, "SLICE", rows)
+    got = json.dumps(BLOCK_CASES[case]().to_json_dict())
+    noted = []
+    for name, reference in SCAN_REFERENCES.items():
+        monkeypatch.setattr(checkers, name, noting_blocks(reference, noted))
+    assert got == json.dumps(BLOCK_CASES[case]().to_json_dict())
+    if case == "dpi-euclidean-n5-late-block":
+        blocks = fresh_block_sizes(LATE_TRIALS)
+        assert noted[-1] == (len(blocks) - 1, blocks[-1]) and blocks[-1] < rows
 
 
 def test_point_keeps_its_values_after_the_next_block():
-    # the short second draw block, the scan's last slice, refills row 2 of the
-    # buffers
+    # _best holds the best point while later blocks are drawn and evaluated
     d = catalog("kl")
-    scan = checkers._dpi_scan_random(d, 3, checkers.CHUNK + 5,
-                                     np.random.default_rng(5))
-    ref = dpi_scan_random_fresh(d, 3, checkers.CHUNK + 5, np.random.default_rng(5))
+    trials = checkers.SLICE + 5
+    scan = checkers._dpi_scan_random(d, 3, trials, np.random.default_rng(5))
+    ref = dpi_reference(d, 3, trials, np.random.default_rng(5))
     point, want = next(scan)[2](2), next(ref)[2](2)
     *_, last = scan
     later = last[2](2)
@@ -850,26 +839,41 @@ def test_point_keeps_its_values_after_the_next_block():
     assert not np.array_equal(point[0], later[0])
 
 
-def test_blocks_refill_one_set_of_buffers(monkeypatch):
-    """Every block hands the samplers the same arrays (a short last block
-    their leading rows), so a scan allocates its draws once."""
-    calls = []
+# what a scan may hold at once: 80 float64 columns of SLICE rows (2.5 MiB).  A
+# block's draws and what is derived from them take 27-70 columns; scans that
+# drew all their trials first peaked at 130-205 columns at 100,000 trials.
+BLOCK_ALLOWANCE = 80 * checkers.SLICE * 8
 
-    def recording(sampler):
-        def wrapper(rng, m, n, **kw):
-            out = kw.get("out")
-            calls.append((sampler.__name__, m,
-                          None if out is None else out.__array_interface__["data"][0]))
-            return sampler(rng, m, n, **kw)
-        return wrapper
-    for sampler in (sample_simplex, sample_channels):
-        monkeypatch.setattr(checkers, sampler.__name__, recording(sampler))
-    check_dpi(catalog("kl"), 3, random_trials=BUFFER_TRIALS, seed=42)
-    # per block: P, Q, the channels, and the channels' rows inside them
-    blocks = [calls[i:i + 4] for i in range(0, len(calls), 4)]
-    assert [[m for _, m, _ in b] for b in blocks] == [
-        [m, m, m, 3 * m] for m in (checkers.CHUNK, checkers.CHUNK, 7)]
-    buffers = [[(name, ptr) for name, _, ptr in b] for b in blocks]
-    assert buffers[0] == buffers[1] == buffers[2]
-    assert None not in [ptr for _, ptr in buffers[0]]
-    assert len({ptr for _, ptr in buffers[0][:3]}) == 3
+
+def _memory_case(case, trials):
+    """The check, its divergence built before tracing."""
+    if case == "dpi-kl-type-n2":
+        d = kl_type_family("square")
+        return lambda: check_dpi(d, 2, grid=0, random_trials=trials)
+    if case == "sufficiency-kl-n5":
+        d = catalog("kl")
+        return lambda: check_sufficiency(d, 5, trials=trials)
+    if case == "dpi-kl-n5":
+        d = catalog("kl")
+        return lambda: check_dpi(d, 5, random_trials=trials)
+    f = shannon_clog()
+    return lambda: check_shannon_inequality(f, 4, trials=trials)
+
+
+@pytest.mark.parametrize("case", ["dpi-kl-type-n2", "sufficiency-kl-n5", "shannon-n4",
+                                  "dpi-kl-n5"])
+def test_scan_memory_is_its_draws_plus_a_block(case):
+    """A random scan holds one block's draws plus what it derives from them
+    (normalised, pushed and transformed rows, divergence values, gaps), so
+    its traced peak stays within one bound at any trial count."""
+    np.random.default_rng()  # numpy imports its random module on first use
+    for trials in (100_000, 400_000):
+        check = _memory_case(case, trials)
+        tracemalloc.start()
+        try:
+            report = check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "no_violation_found"
+        assert peak <= BLOCK_ALLOWANCE, (trials, peak)

@@ -137,6 +137,15 @@ class TestGenerateAndFit:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert rows.shape == (64, 3)
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_generate_needs_a_point(self, capsys, tmp_path, points):
+        out = tmp_path / "fam.csv"
+        code, _, err = run_cli_capture(capsys, "generate", "--h", "name:square",
+                                       "--out", str(out), "--points", points)
+        assert code == 1
+        assert f"at least 1 point, got {points}" in err
+        assert not out.exists()
+
     def test_generate_invalid_h_rejected(self, capsys, tmp_path):
         code, _, err = run_cli_capture(
             capsys, "generate", "--h", "name:decreasing",
@@ -264,6 +273,15 @@ class TestVerify:
         text = out_path.read_text()
         assert "| scenario | status |" in text
         assert "q2-example-fidelity" in text
+
+    def test_markdown_report_without_out_is_printed(self, capsys):
+        code, out, _ = run_cli_capture(
+            capsys, "verify", "q2-example-fidelity", "--seed", "42",
+            "--format", "markdown")
+        assert code == 0
+        assert "# divergence-lab verification report" in out
+        assert "| q2-example-fidelity | pass |" in out
+        assert "## q2-example-fidelity" in out
 
 
 def test_console_entry_point_exists():

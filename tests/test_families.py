@@ -406,3 +406,8 @@ class TestParsing:
         t = family_table(gen("zero"), points=16)
         assert t.shape == (16, 3)
         assert np.allclose(t[:, 1:], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_family_table_needs_a_point(self, points):
+        with pytest.raises(FamilyError, match=f"at least 1 point, got {points}"):
+            family_table(gen("zero"), points=points)

@@ -54,10 +54,6 @@ class TestChannel:
         with pytest.raises(SimplexError):
             Channel([[0.5, 0.4], [0.5, 0.5]])
 
-    def test_parse_text(self):
-        ch = Channel.parse("0.9,0.1;0.2,0.8")
-        assert np.allclose(ch.matrix, [[0.9, 0.1], [0.2, 0.8]])
-
     def test_permutation(self):
         ch = Channel.permutation([2, 0, 1])
         out = push_forward(dist(0.5, 0.3, 0.2), ch)
