@@ -6,16 +6,16 @@ of a piecewise-linear convex function on a knot grid.  Feasibility is kept
 at every iterate by parameterizing with segment slopes and projecting onto
 nondecreasing slope sequences with scipy's isotonic regression (pool adjacent
 violators), which is exactly the convexity constraint on second differences.
-One regularized linear solve, by sparse LU in symmetric mode, provides the
-starting point; an accelerated projected-gradient loop with a monotone
-best-iterate record does the constrained polish, and stops once its
-projected step is stationary.  `probe(kind, seed)` builds all but the
-target once, so every `.fit(d)` of a form shares its design and LU factor;
-the diagonal preconditioner, the loop's Lipschitz constant and the warm-start
-system all come from one normal matrix A^T A.  The sample pairs are
-stratified over [SAMPLE_LO, SAMPLE_HI], with both ends sampled, so the fitted
-generator is held by data across the whole range it is checked on.
-numpy/scipy only, no external solver; only a probe imports scipy.
+One regularized linear solve, by conjugate gradients preconditioned with a
+banded Cholesky factor, gives the starting point; an accelerated
+projected-gradient loop with a monotone best-iterate record does the
+constrained polish, and stops once its projected step is stationary.
+`probe(kind, seed)` builds all but the target once, so every `.fit(d)` of a
+form shares its design and band factor; the diagonal preconditioner, the
+loop's Lipschitz constant and the warm-start system all come from one normal
+matrix A^T A.  The sample pairs are stratified over [SAMPLE_LO, SAMPLE_HI],
+with both ends sampled, so the fitted generator is held by data across the
+whole range it is checked on.  numpy/scipy only; only a probe imports scipy.
 
 The pass/fail threshold is scale-free (residual against the root-mean-square
 of the divergence over the sample set) and is surfaced in every result
@@ -137,18 +137,18 @@ class FitProbe:
 
     It holds the sampled binary rows, the sparse design A from (rows, cols,
     data) triples (repeated entries add), the slopes pinned to 0 at the middle
-    knot, and three things derived from the normal matrix G = A^T A, which
-    is formed once: the preconditioner w (the squared column norms of the
-    slope design, summed from G's entries), its Lipschitz constant L (power
-    iteration with G), and `lu`, the sparse LU of
-    G + WARM_SMOOTHING * scale * R + 1e-14 * scale * I (R penalizes second
-    differences, scale is the largest diagonal entry of G), or None when
-    factorizing it failed.
+    knot, and what derives from the normal matrix G = A^T A, formed once: the
+    preconditioner w (the squared column norms of the slope design, summed
+    from G's entries), its Lipschitz constant L (power iteration with G), the
+    warm-start matrix M = G + WARM_SMOOTHING * scale * R + 1e-14 * scale * I
+    (R penalizes second differences, scale is G's largest diagonal entry) and
+    `chol`, the lower banded Cholesky factor of M's band of width 2, or of
+    M's diagonal alone when that band is not positive definite.
     """
 
     def __init__(self, p: np.ndarray, q: np.ndarray, knots: np.ndarray, parts):
+        import scipy.linalg as sla
         import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
         K = len(knots)
         rows, cols, data = (np.concatenate(x) for x in zip(*parts))
         self.A = A = sp.csr_matrix((data, (rows, cols)), shape=(len(p), K))
@@ -182,14 +182,13 @@ class FitProbe:
         scale = max(float(G.diagonal().max()), 1e-300)
         D2 = sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(K - 2, K))
         R = (D2.T @ D2).tocsc()
-        M = (G + WARM_SMOOTHING * scale * R + 1e-14 * scale * sp.eye(K)).tocsc()
+        self.M = M = (G + WARM_SMOOTHING * scale * R + 1e-14 * scale * sp.eye(K)).tocsr()
+        # the band holds R's full width and G's coupling within each half
+        band = np.array([np.pad(M.diagonal(-k), (0, k)) for k in range(3)])
         try:
-            # M is symmetric positive definite: a symmetric minimum-degree
-            # ordering without pivoting keeps the factor sparse
-            self.lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                options={"SymmetricMode": True})
-        except RuntimeError:
-            self.lu = None
+            self.chol = sla.cholesky_banded(band, lower=True)
+        except sla.LinAlgError:
+            self.chol = np.sqrt(band[:1])
 
     def fit(self, d: DivergenceSpec,
             iters: int = MAX_ITERS) -> ConvexPiecewiseLinearFit:
@@ -197,46 +196,47 @@ class FitProbe:
         preconditioned projected gradient over slopes.
 
         The warm start solves the regularized system for A^T y and projects
-        the slopes of the solution onto nondecreasing sequences; a failed
-        factor or a non-finite solve starts from zero slopes.  The PAV
-        projection runs in the preconditioner's metric, so every iterate is
-        feasible (nondecreasing slopes, i.e. nonnegative second differences).
-        The fit passes when its residual is at most PASS_SCALE * rms(y), that
-        is when the objective is at most f_pass.  The stop test scales by
-        f_pass at least: progress below it cannot change the verdict, only
-        chase rounding.
+        the slopes of the solution onto nondecreasing sequences; a solve that
+        fails or is not finite starts from zero slopes.  A target that is not
+        finite at every sample pair is an error.  The PAV projection runs in
+        the preconditioner's metric, so every iterate is feasible
+        (nondecreasing slopes, i.e. nonnegative second differences).  The fit
+        passes when its residual is at most PASS_SCALE * rms(y), that is when
+        the objective is at most f_pass; the stop test scales by f_pass at
+        least, since progress below it cannot change the verdict.
         """
+        import scipy.linalg as sla
+        import scipy.sparse.linalg as spla
         A, At, par, w, winv, L = self.A, self.At, self.par, self.w, self.winv, self.L
         y = d.evaluate_batch(self.P, self.Q)
+        if bad := np.count_nonzero(~np.isfinite(y)):
+            raise DivergenceError(f"{d.label} is not finite at {bad} of {len(y)} fit pairs")
 
         def objective(s):
             r = A @ par.values(s) - y
             return 0.5 * float(r @ r), r
 
-        v0 = None if self.lu is None else self.lu.solve(At @ y)
-        if v0 is None or not np.all(np.isfinite(v0)):
-            s = np.zeros(len(self.knots) - 1)
-        else:
-            s = pav_nondecreasing(np.diff(v0) / np.diff(self.knots))
-        s_prev = s.copy()
-        tk = 1.0
-        f_best, _ = objective(s)
-        s_best = s.copy()
+        pre = spla.LinearOperator(self.M.shape, lambda x: sla.cho_solve_banded((self.chol, True), x))
+        v0, info = spla.cg(self.M, At @ y, rtol=1e-12, M=pre)
+        if info != 0 or not np.all(np.isfinite(v0)):
+            v0 = np.zeros(len(self.knots))  # zero slopes
+        s = pav_nondecreasing(np.diff(v0) / np.diff(self.knots))
+        f_best, r = objective(s)
+        s_prev, r_prev, s_best, tk = s, r, s, 1.0
         f_pass = 0.5 * PASS_SCALE ** 2 * float(y @ y)
-        stationarity = np.inf
-        it = 0
-        stop_reason = "max_iters"
+        it, stop_reason, stationarity = 0, "max_iters", np.inf
         while it < iters:
             it += 1
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-            yk = s + ((tk - 1.0) / t_next) * (s - s_prev)
-            _, ry = objective(yk)
-            gy = par.grad_slopes(At @ ry)
+            c = (tk - 1.0) / t_next
+            yk = s + c * (s - s_prev)
+            # values() is linear, so the residual at yk extrapolates r, r_prev
+            gy = par.grad_slopes(At @ (r + c * (r - r_prev)))
             s_new = pav_nondecreasing(yk - winv * gy / L, w)
-            f_new, _ = objective(s_new)
+            f_new, r_new = objective(s_new)
             if f_new < f_best:
-                f_best, s_best = f_new, s_new.copy()
-            s_prev, s, tk = s, s_new, t_next
+                f_best, s_best = f_new, s_new
+            s_prev, s, r_prev, r, tk = s, s_new, r, r_new, t_next
             step = yk - s_new
             stationarity = L * float(step @ (w * step)) / max(f_best, f_pass, 1e-300)
             if stationarity <= STATIONARITY_TOL:

@@ -73,7 +73,8 @@ def _fit_memo(seed: int):
     """fit(kind, name): the "fdiv" or "breg" fit of a catalog divergence at
     `seed`, computed once per memo.  The fits of a form share one
     `fitting.probe(kind, seed)`, built on that form's first fit, so a run
-    that fits nothing factorizes nothing; each run builds its own memo."""
+    that fits nothing builds no probe and no band factor; each run builds its
+    own memo."""
     probe = functools.cache(lambda kind: fitting.probe(kind, seed))
     return functools.cache(lambda kind, name: probe(kind).fit(catalog(name)))
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from divergence_lab import cli, scenarios
+from divergence_lab.divergences import DivergenceSpec, ScalarFunction
 
 
 def run_cli(*argv):
@@ -178,6 +179,21 @@ class TestGenerateAndFit:
         code, out, err = run_cli_capture(capsys, "fit", *argv)
         assert code == 1
         assert out == "" and "at least 1 sample pair and 3 knots" in err
+
+    @pytest.mark.parametrize("kind", ["fdiv", "bregman"])
+    def test_fit_of_a_target_that_is_not_finite_exits_one(self, capsys, monkeypatch,
+                                                          kind):
+        # (x - 1)^2 with NaN above 15 is NaN at some fit pairs; such a fit ran
+        # every iteration on NaN and printed a NaN residual with exit 0
+        f = ScalarFunction(lambda x: np.where(np.asarray(x) > 15, np.nan,
+                                              (np.asarray(x) - 1.0) ** 2),
+                           perspective_limit=np.inf)
+        nan = DivergenceSpec("f_divergence", "nan_above_15", f=f, validate=False)
+        monkeypatch.setattr(cli, "resolve", lambda text: nan)
+        code, out, err = run_cli_capture(capsys, "fit", kind, "--pairs", "400",
+                                         "--knots", "101")
+        assert code == 1
+        assert out == "" and "nan_above_15 is not finite at" in err
 
 
 class TestConfig:

@@ -9,7 +9,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from divergence_lab import fitting
-from divergence_lab.divergences import (DivergenceError,
+from divergence_lab.divergences import (DivergenceError, DivergenceSpec,
                                         MultivariateConvexFunction,
                                         ScalarFunction, catalog,
                                         negative_entropy)
@@ -102,39 +102,101 @@ def brier_fit():
     return fit_bregman_binary(catalog("brier"), seed=0)
 
 
+def recording(monkeypatch, module, name):
+    """Replace module.name by a wrapper that appends (args, result) of every
+    call to the returned list."""
+    calls, real = [], getattr(module, name)
+
+    def record(*args, **kw):
+        calls.append((args, real(*args, **kw)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def dense_warm_start(pr, Aty):
+    """A times the dense solve of the probe's regularized system M v = A^T y."""
+    return pr.A @ scipy.linalg.solve(pr.M.toarray(), Aty, assume_a="pos")
+
+
 @pytest.mark.parametrize("fit, knots", [(fit_f_divergence, 2001),
                                          (fit_bregman_binary, 801)])
 def test_warm_start_solve_matches_dense(monkeypatch, fit, knots):
-    # record the probe a fit builds and every factorization it makes, then
-    # re-solve the one regularized system densely
-    probes, factors = [], []
-    probe, splu = fitting.probe, scipy.sparse.linalg.splu
-
-    def recording_probe(*args):
-        probes.append(probe(*args))
-        return probes[-1]
-
-    def recording_splu(M, **kw):
-        lu = splu(M, **kw)
-        factors.append((M, lu))
-        return lu
-
-    monkeypatch.setattr(fitting, "probe", recording_probe)
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+    # record the probe a fit builds, its band factorization and its solve,
+    # then re-solve the one regularized system densely
+    probes = recording(monkeypatch, fitting, "probe")
+    factors = recording(monkeypatch, scipy.linalg, "cholesky_banded")
+    solves = recording(monkeypatch, scipy.sparse.linalg, "cg")
     kl = catalog("kl")
     start = fit(kl, knots=knots, seed=0, iters=0)
-    [pr] = probes
+    [(_, pr)] = probes
     A, y = pr.A, kl.evaluate_batch(pr.P, pr.Q)
     assert A.shape[1] == knots and len(factors) == 1
-    [(M, lu)] = factors
-    assert pr.lu is lu
-    Aty = A.T @ y
-    want = A @ scipy.linalg.solve(M.toarray(), Aty, assume_a="pos")
-    v = lu.solve(Aty)
+    [((band,), chol)] = factors
+    assert pr.chol is chol
+    # the factored band is M's, lower form: row k holds M[j + k, j]
+    M = pr.M.toarray()
+    for k in range(3):
+        assert np.array_equal(band[k, :knots - k], np.diag(M, -k))
+    [((system, Aty), (v, info))] = solves
+    assert system is pr.M and info == 0
+    assert np.array_equal(Aty, A.T @ y)
+    want = dense_warm_start(pr, Aty)
     assert np.linalg.norm(A @ v - want) <= 1e-9 * np.linalg.norm(want)
     # with no iterations the fit is the projected warm start
     slopes = pav_nondecreasing(np.diff(v) / np.diff(pr.knots))
     assert np.array_equal(start.values, pr.par.values(slopes))
+
+
+@pytest.mark.parametrize("kind", ["fdiv", "breg"])
+def test_warm_start_falls_back_to_the_diagonal(monkeypatch, kind):
+    # a band that is not positive definite leaves M's diagonal, which always
+    # is, as the preconditioner: the start is the same solve, not zero slopes
+    def indefinite(band, **kw):
+        raise scipy.linalg.LinAlgError("band is not positive definite")
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", indefinite)
+    solves = recording(monkeypatch, scipy.sparse.linalg, "cg")
+    pr = fitting.probe(kind, seed=0)
+    assert np.array_equal(pr.chol, np.sqrt(pr.M.diagonal())[None, :])
+    pr.fit(catalog("kl"), iters=0)
+    [((_, Aty), (v, info))] = solves
+    assert info == 0
+    want = dense_warm_start(pr, Aty)
+    assert np.linalg.norm(pr.A @ v - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["fdiv", "breg"])
+@pytest.mark.parametrize("seed", [0, 42, 1305])
+def test_warm_start_solve_converges(monkeypatch, kind, seed):
+    # the band factor holds and conjugate gradients reach rtol 1e-12 for
+    # both targets of the representability scenarios
+    solves = recording(monkeypatch, scipy.sparse.linalg, "cg")
+    pr = fitting.probe(kind, seed)
+    assert pr.chol.shape == (3, fitting.KNOTS[kind])
+    for name in ("kl", "tv_squared"):
+        pr.fit(catalog(name), iters=0)
+    assert [info for _, (_, info) in solves] == [0, 0]
+
+
+def nan_above_15():
+    """(x - 1)^2 with NaN above x = 15: an f-divergence that is NaN at the
+    fit pairs whose likelihood ratio exceeds 15."""
+    f = ScalarFunction(lambda x: np.where(np.asarray(x) > 15, np.nan,
+                                          (np.asarray(x) - 1.0) ** 2),
+                       label="nan_above_15", perspective_limit=np.inf)
+    return DivergenceSpec("f_divergence", "nan_above_15", f=f, validate=False)
+
+
+@pytest.mark.parametrize("fit", [fit_f_divergence, fit_bregman_binary])
+def test_target_that_is_not_finite_is_an_error(monkeypatch, fit):
+    # before any solve: a NaN target ran the whole loop on NaN, up to the cap
+    solves = recording(monkeypatch, scipy.sparse.linalg, "cg")
+    with pytest.raises(DivergenceError,
+                       match=r"nan_above_15 is not finite at \d+ of 4000 fit pairs"):
+        fit(nan_above_15(), seed=0)
+    assert solves == []
 
 
 @pytest.mark.parametrize("kind, fresh", [("fdiv", fit_f_divergence),

@@ -1,13 +1,14 @@
-import scipy.sparse.linalg
+import scipy.linalg
 
 from divergence_lab import fitting, scenarios
 
 
 def test_each_run_fits_once_per_kind_and_divergence(monkeypatch):
     # q1 and q4 share two f-fits within a run, the fits of a form share one
-    # probe and its one factorization, and a second run builds its own
+    # probe and its one band factorization, and a second run builds its own
     probes, fits, factors = [], [], []
-    probe, fit, splu = fitting.probe, fitting.FitProbe.fit, scipy.sparse.linalg.splu
+    probe, fit = fitting.probe, fitting.FitProbe.fit
+    cholesky_banded = scipy.linalg.cholesky_banded
 
     def counting_probe(kind, *args):
         probes.append(kind)
@@ -17,13 +18,13 @@ def test_each_run_fits_once_per_kind_and_divergence(monkeypatch):
         fits.append(d.label)
         return fit(self, d, iters=5)  # the count matters, not the fit
 
-    def counting_splu(*args, **kw):
+    def counting_cholesky_banded(*args, **kw):
         factors.append(args[0].shape)
-        return splu(*args, **kw)
+        return cholesky_banded(*args, **kw)
 
     monkeypatch.setattr(fitting, "probe", counting_probe)
     monkeypatch.setattr(fitting.FitProbe, "fit", counting_fit)
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting_cholesky_banded)
 
     every = scenarios.SCENARIOS
 
