@@ -2,27 +2,28 @@
 
 Every checker hands lazy batches of candidates to one loop, `_search`, which
 reduces each batch to the candidate that most exceeds its tolerance, keeps
-the best (the earlier on a tie) and re-evaluates it with the checker's own
-`confirm`; every divergence check confirms through `_recheck`, so each
-witness is a (P, Q, channel) triple with gap = value_after - value_before.
-It reports a violation with a concrete witness, or a clean search:
-no_violation_found (evidence, not a proof, and the reports say so), or
-inconclusive when some evaluations failed.  An empty search is an error.
+the best (the earlier on a tie) and re-checks it under the rule its batches
+were judged by, `judge(before, after) -> (gap, tol)`.  Data processing,
+sufficiency and decomposability candidates are (P, Q, channel) triples that
+`_search` re-checks through `_recheck` (after local refinement, for data
+processing); the Shannon check re-evaluates its pairs in its own scalar
+path.  A report is a violation with a concrete witness, or a clean search:
+no_violation_found (evidence, not a proof), or inconclusive when some
+evaluations failed.  An empty search is an error.
 
 All randomness is drawn from a single seeded generator in a fixed order, so
 identical (spec, config, seed) always produce identical reports.  Every
-random scan draws one block of SLICE rows, evaluates it and yields it before
-the next block is drawn, so it holds one block's draws and what it derives
-from them (normalised, mapped and transformed rows, divergence values, gaps)
-at any trial count.  SLICE is the one block constant: it sets both memory
-and the draw order, so the reports of a scan with more than SLICE random
-trials follow it.
+random divergence scan runs one block loop, `_scan`, over its kind's draw:
+blocks of SLICE rows before and after their channels, each evaluated, judged
+and yielded before the next is drawn, so a scan holds about one block at any
+trial count.  SLICE is the one block constant: it sets both memory and the
+draw order, so the reports of a scan with more than SLICE random trials
+follow it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from itertools import chain
 from typing import Any
 
@@ -115,7 +116,7 @@ def _blocks(m: int):
 
 
 # ---------------------------------------------------------------------------
-# the one search loop: scan -> reduce -> confirm
+# the one search loop: scan -> reduce -> re-check
 # ---------------------------------------------------------------------------
 
 def _gap_tol(before):
@@ -129,6 +130,19 @@ def _abs_delta(a, b):
     delta = np.abs(a - b)
     return np.where(np.isinf(a) & (a == b), 0.0,
                     np.where(np.isfinite(delta), delta, np.nan))
+
+
+# the judges (before, after) -> (gap, tol): data processing bounds the signed gain
+def _dpi_judge(before, after):
+    return after - before, _gap_tol(before)
+
+
+def _suff_judge(before, after):
+    return _abs_delta(after, before), SUFFICIENCY_TOL
+
+
+def _decomposability_judge(before, after):
+    return _abs_delta(after, before), DECOMPOSABLE_TOL
 
 
 def _reduce(gap: np.ndarray, tol):
@@ -160,13 +174,35 @@ def _best(batches):
     return (*best, failures)
 
 
-def _search(prop, trials, config, batches, confirm) -> CheckReport:
+def _witness(P, Q, channel, before, after, gap) -> dict:
+    return {"P": [float(v) for v in P], "Q": [float(v) for v in Q],
+            "channel": None if channel is None else np.asarray(channel, float).tolist(),
+            "value_before": float(before), "value_after": float(after),
+            "gap": float(gap)}
+
+
+def _recheck(d: DivergenceSpec, P, Q, A, kind=None) -> dict:
+    """The witness of (P, Q, channel A): D(P; Q) and D(PA; QA) re-evaluated
+    through Distribution, Channel and push_forward, gap = after - before; a
+    sufficiency candidate adds its `kind`.  Every divergence candidate is
+    re-checked here, still through the family kernel that flagged it, so not
+    independently (ROADMAP 1(c)); a reference evaluator goes here."""
+    p, q, ch = Distribution(P), Distribution(Q), Channel(A)
+    before = d.evaluate(p, q)
+    after = d.evaluate(push_forward(p, ch), push_forward(q, ch))
+    w = _witness(P, Q, A, before, after, after - before)
+    return w if kind is None else dict(w, kind=kind)
+
+
+def _search(prop, trials, config, batches, judge, d, refine=None,
+            recheck=_recheck) -> CheckReport:
     """Check the alphabet size and counts in `config`, run the search and
     judge it: the only code that builds a CheckReport.
 
     `batches` yields `(gap, tol, point_of)`: the gaps of a batch, their
     tolerances and `point_of(k)`, the candidate at flat index k.  A best gap
-    above its tolerance goes to `confirm(point) -> (witness, gap, tol)`: a
+    above its tolerance goes through `refine(d, point)`, if given, and
+    `recheck(d, *point) -> witness`, and `judge` rules on its values again: a
     violation if the new gap exceeds tol, else a clean search noted as
     refuted, where a NaN gap is one more failure.
     """
@@ -181,7 +217,10 @@ def _search(prop, trials, config, batches, confirm) -> CheckReport:
     margin, gap, point, failures = _best(batches)
     prefix = ""
     if margin > 0:
-        witness, gap, tol = confirm(point)
+        if refine is not None:
+            point = refine(d, point)[:3]
+        witness = recheck(d, *point)
+        gap, tol = judge(witness["value_before"], witness["value_after"])
         if gap > tol:
             return CheckReport(prop, "violation", trials, float(gap), witness,
                                failures, config, note=VIOLATION_SHOWN)
@@ -193,31 +232,19 @@ def _search(prop, trials, config, batches, confirm) -> CheckReport:
                        note=prefix + note)
 
 
-def _witness(P, Q, channel, before, after, gap) -> dict:
-    return {
-        "P": [float(v) for v in P],
-        "Q": [float(v) for v in Q],
-        "channel": None if channel is None else [[float(v) for v in row]
-                                                 for row in channel],
-        "value_before": float(before),
-        "value_after": float(after),
-        "gap": float(gap),
-    }
-
-
-def _recheck(d: DivergenceSpec, P, Q, A) -> dict:
-    """The witness of (P, Q, channel A): D(P; Q) and D(PA; QA) re-evaluated
-    through Distribution, Channel and push_forward, gap = after - before.
-
-    The confirm step of every divergence check runs through here.  The
-    values still come from the family kernel that flagged the candidate, so
-    this re-check is not independent (ROADMAP 1(c)); a reference evaluator
-    goes here.
-    """
-    p, q, ch = Distribution(P), Distribution(Q), Channel(A)
-    before = d.evaluate(p, q)
-    after = d.evaluate(push_forward(p, ch), push_forward(q, ch))
-    return _witness(P, Q, A, before, after, after - before)
+def _scan(d: DivergenceSpec, judge, blocks):
+    """The block loop of every random divergence scan.  A kind's draw,
+    `blocks`, yields each block's rows before and after their channels and
+    `point_of(k)`: row k's (P, Q, channel) triple, copied out of the block,
+    its channel built for that row alone.  The draw frees its last block one
+    array at a time as it draws the next: freed whole, a block lets glibc's
+    malloc trim the heap, to fault it in again (10,000 faults a check, n = 5)."""
+    for P, Q, PT, QT, point_of in blocks:
+        before = d.evaluate_batch(P, Q)
+        gap, tol = judge(before, d.evaluate_batch(PT, QT))
+        yield gap, tol, point_of
+        # hold nothing of this block while the draw makes the next
+        del P, Q, PT, QT, before, gap, tol, point_of
 
 
 # ---------------------------------------------------------------------------
@@ -251,43 +278,34 @@ def _dpi_scan_binary_grid(d: DivergenceSpec, grid: int):
         yield after - before[None, :], tol, point_of
 
 
-def _dpi_scan_binary_random(d: DivergenceSpec, trials: int, rng: np.random.Generator):
-    """Random interior (p, q) and channels (alpha, beta), one block at a time."""
+def _draw_binary(rng: np.random.Generator, trials: int):
+    """Interior (p, q) and channels x -> x alpha + beta (1 - x), by blocks."""
     for m in _blocks(trials):
         p = np.clip(rng.uniform(size=m), 1e-9, 1 - 1e-9)
         q = np.clip(rng.uniform(size=m), 1e-9, 1 - 1e-9)
         a = rng.uniform(size=m)
         b = rng.uniform(size=m)
-        before = d.evaluate_batch(binary_rows(p), binary_rows(q))
-        after = d.evaluate_batch(binary_rows(p * a + b * (1 - p)),
-                                 binary_rows(q * a + b * (1 - q)))
-        yield (after - before, _gap_tol(before),
+        yield (binary_rows(p), binary_rows(q), binary_rows(p * a + b * (1 - p)),
+               binary_rows(q * a + b * (1 - q)),
                lambda k: _binary_triple(p[k], q[k], a[k], b[k]))
 
 
-def _dpi_scan_random(d: DivergenceSpec, n: int, trials: int, rng: np.random.Generator):
-    """Random (P, Q, channel) triples on n symbols, one block at a time.
-    `point_of` copies its rows, so the best point does not hold its block."""
+def _draw_channels(rng: np.random.Generator, trials: int, n: int):
+    """(P, Q, channel) triples on n symbols and the rows they map to, by blocks."""
     for m in _blocks(trials):
         P = sample_simplex(rng, m, n)
         Q = sample_simplex(rng, m, n)
         A = sample_channels(rng, m, n)
-        before = d.evaluate_batch(P, Q)
-        after = d.evaluate_batch(np.einsum("mi,mij->mj", P, A),
-                                 np.einsum("mi,mij->mj", Q, A))
-        yield (after - before, _gap_tol(before),
+        yield (P, Q, np.einsum("mi,mij->mj", P, A), np.einsum("mi,mij->mj", Q, A),
                lambda k: (P[k].copy(), Q[k].copy(), A[k].copy()))
 
 
 def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
               random_trials: int = 100_000, seed: int = 42) -> CheckReport:
-    """Search for D(P_Y; Q_Y) > D(P_X; Q_X) + tol over channels on n symbols.
-
-    Binary alphabets get an exhaustive (p, q, alpha, beta) grid plus random
-    trials; larger alphabets use random (P, Q, channel) triples.  The best
-    point of all scans is polished by local refinement and re-evaluated
-    before being reported.
-    """
+    """Search for D(P_Y; Q_Y) > D(P_X; Q_X) + tol over channels on n symbols:
+    an exhaustive (p, q, alpha, beta) grid and random trials on binary
+    alphabets, random (P, Q, channel) triples on larger ones.  The best point
+    is polished by local refinement before it is re-checked."""
     rng = np.random.default_rng(seed)
     config = {"n": n, "grid": grid if n == 2 else None, "random_trials": random_trials,
               "seed": seed, "abs_tol": DPI_ABS_TOL, "rel_tol": DPI_REL_TOL,
@@ -295,15 +313,12 @@ def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
     if n == 2:
         trials = grid ** 4 + random_trials
         batches = chain(_dpi_scan_binary_grid(d, grid) if grid else (),
-                        _dpi_scan_binary_random(d, random_trials, rng))
+                        _scan(d, _dpi_judge, _draw_binary(rng, random_trials)))
     else:
         trials = random_trials
-        batches = _dpi_scan_random(d, n, random_trials, rng)
-
-    def confirm(point):
-        w = _recheck(d, *dpi_local_refine(d, point)[:3])
-        return w, w["gap"], _gap_tol(w["value_before"])
-    return _search("dpi", trials, config, batches, confirm)
+        batches = _scan(d, _dpi_judge, _draw_channels(rng, random_trials, n))
+    return _search("dpi", trials, config, batches, _dpi_judge, d,
+                   refine=dpi_local_refine)
 
 
 def _project_simplex(V: np.ndarray) -> np.ndarray:
@@ -374,34 +389,16 @@ def dpi_local_refine(d: DivergenceSpec, witness, iters: int = 200):
 # sufficiency
 # ---------------------------------------------------------------------------
 
-def _suff_batches(d: DivergenceSpec, n: int, trials: int, rng: np.random.Generator):
-    """Batches of sufficiency scenarios, one per block, kind after kind.
-
-    Three scenario kinds: permutations of random pairs, merges of pairs built
-    with a proportional coordinate pair, and splits into an empty coordinate.
-    Binary alphabets only admit permutations.
-    """
-    kinds = ["permutation"] if n == 2 else ["permutation", "merge", "split"]
-    share = {k: trials // len(kinds) for k in kinds}
-    share[kinds[0]] += trials - sum(share.values())
-    yield from _permutation_batches(d, n, share.pop("permutation"), rng)
-    for kind, m in share.items():
-        yield from _merge_split_batches(d, kind, n, m, rng)
-
-
-def _suff_batch(d, kind, n, Pb, Qb, Pa, Qa, meta):
-    before = d.evaluate_batch(Pb, Qb)
-    return (_abs_delta(d.evaluate_batch(Pa, Qa), before), SUFFICIENCY_TOL,
-            partial(_scenario_from_batch, kind, Pb, Qb, meta, n))
-
-
-def _permutation_batches(d, n, m, rng):
-    for k in _blocks(m):
-        P = sample_simplex(rng, k, n)
-        Q = sample_simplex(rng, k, n)
-        perm = np.argsort(rng.uniform(size=(k, n)), axis=1)
-        yield _suff_batch(d, "permutation", n, P, Q, np.take_along_axis(P, perm, 1),
-                          np.take_along_axis(Q, perm, 1), {"perm": perm})
+def _draw_permutation(rng: np.random.Generator, trials: int, n: int):
+    """Pairs on n symbols and their rows with the symbols permuted, by blocks."""
+    for m in _blocks(trials):
+        P = sample_simplex(rng, m, n)
+        Q = sample_simplex(rng, m, n)
+        perm = np.argsort(rng.uniform(size=(m, n)), axis=1)
+        # row k after is P[k, perm[k]]: channel column y is the unit vector perm[k, y]
+        yield (P, Q, np.take_along_axis(P, perm, 1), np.take_along_axis(Q, perm, 1),
+               lambda k: (P[k].copy(), Q[k].copy(), np.eye(n)[:, perm[k]],
+                          "permutation"))
 
 
 def _merge_split_rows(base, t, sigma):
@@ -418,49 +415,43 @@ def _merge_split_rows(base, t, sigma):
     return merged, split
 
 
-def _merge_split_batches(d, kind, n, m, rng):
-    for k in _blocks(m):
-        baseP = sample_simplex(rng, k, n - 1)
-        baseQ = sample_simplex(rng, k, n - 1)
-        t = rng.uniform(size=k)
-        sigma = np.argsort(rng.uniform(size=(k, n)), axis=1)
+def _draw_merge_split(rng: np.random.Generator, trials: int, n: int, kind: str):
+    """Pairs on n symbols through a merge of sigma[:, 1] into sigma[:, 0],
+    where split rows are proportional, or a split of merged rows' sigma[:, 0]
+    into the empty sigma[:, 1], by blocks."""
+    for m in _blocks(trials):
+        baseP = sample_simplex(rng, m, n - 1)
+        baseQ = sample_simplex(rng, m, n - 1)
+        t = rng.uniform(size=m)
+        sigma = np.argsort(rng.uniform(size=(m, n)), axis=1)
         merged_P, split_P = _merge_split_rows(baseP, t, sigma)
         merged_Q, split_Q = _merge_split_rows(baseQ, t, sigma)
-        meta = {"i": sigma[:, 0], "j": sigma[:, 1], "t": t}
-        if kind == "merge":
-            yield _suff_batch(d, kind, n, split_P, split_Q, merged_P, merged_Q, meta)
-        else:
-            yield _suff_batch(d, kind, n, merged_P, merged_Q, split_P, split_Q, meta)
+        rows = ((split_P, split_Q, merged_P, merged_Q) if kind == "merge"
+                else (merged_P, merged_Q, split_P, split_Q))
+
+        def point_of(k):
+            i, j = int(sigma[k, 0]), int(sigma[k, 1])
+            ch = (merge_transform(i, j, n) if kind == "merge"
+                  else split_transform(i, j, float(t[k]), n))
+            return rows[0][k].copy(), rows[1][k].copy(), ch.matrix, kind
+        yield (*rows, point_of)
 
 
 def check_sufficiency(d: DivergenceSpec, n: int, trials: int = 10_000,
                       seed: int = 42) -> CheckReport:
-    """Equality-form sufficiency: |D before - D after| <= tol over scenarios."""
+    """Equality-form sufficiency, |D before - D after| <= tol, under
+    permutations, merges of a proportional pair and splits into an empty
+    symbol, which share the trials; binary alphabets only permute."""
     rng = np.random.default_rng(seed)
+    kinds = ["permutation"] if n == 2 else ["permutation", "merge", "split"]
+    share = {k: trials // len(kinds) for k in kinds}
+    share[kinds[0]] += trials - sum(share.values())
     config = {"n": n, "trials": trials, "seed": seed, "tol": SUFFICIENCY_TOL,
-              "divergence": d.label,
-              "kinds": "permutation" if n == 2 else "permutation,merge,split"}
-
-    def confirm(scenario):
-        w = _recheck(d, scenario.p.probs, scenario.q.probs, scenario.transform.matrix)
-        return (dict(w, kind=scenario.kind),
-                _abs_delta(w["value_after"], w["value_before"]), SUFFICIENCY_TOL)
-    return _search("sufficiency", trials, config, _suff_batches(d, n, trials, rng),
-                   confirm)
-
-
-def _scenario_from_batch(kind, P, Q, meta, n, k) -> SufficiencyScenario:
-    """Scenario k of a batch of `kind` on n symbols, before its transform."""
-    p, q = Distribution(P[k]), Distribution(Q[k])
-    if kind == "permutation":
-        # the batch used after[i] = P[perm[i]]; as a channel that is the map
-        # x -> argsort(perm)[x]
-        return SufficiencyScenario(p, q, Channel.permutation(np.argsort(meta["perm"][k])),
-                                   kind)
-    i, j = int(meta["i"][k]), int(meta["j"][k])
-    ch = (merge_transform(i, j, n) if kind == "merge"
-          else split_transform(i, j, float(meta["t"][k]), n))
-    return SufficiencyScenario(p, q, ch, kind, i=i, j=j)
+              "divergence": d.label, "kinds": ",".join(k for k in kinds if share[k] > 0)}
+    blocks = chain(_draw_permutation(rng, share.pop("permutation"), n),
+                   *(_draw_merge_split(rng, m, n, kind) for kind, m in share.items()))
+    batches = _scan(d, _suff_judge, blocks)
+    return _search("sufficiency", trials, config, batches, _suff_judge, d)
 
 
 def evaluate_scenario(d: DivergenceSpec, scenario: SufficiencyScenario):
@@ -473,41 +464,47 @@ def evaluate_scenario(d: DivergenceSpec, scenario: SufficiencyScenario):
 # decomposability (binary)
 # ---------------------------------------------------------------------------
 
+def _swap_grid(d: DivergenceSpec, grid: int):
+    """The one batch of the decomposability grid: all interior (p, q) pairs."""
+    x = interior_binary_points(grid)
+    gap, tol = _decomposability_judge(d.evaluate_binary_pairs(x),
+                                      d.evaluate_binary_pairs(1.0 - x))
+    yield gap, tol, lambda k: (*binary_rows(x[[k // grid, k % grid]]), SWAP)
+
+
 def check_decomposable_binary(d: DivergenceSpec, grid: int = 200) -> CheckReport:
-    """Swap symmetry D((p,1-p);(q,1-q)) = D((1-p,p);(1-q,q)) on a grid.
-
-    On binary alphabets this symmetry is equivalent to the divergence being a
-    coordinatewise sum.  A witness is the flagged pair with the swap channel.
-    """
+    """Swap symmetry D((p,1-p);(q,1-q)) = D((1-p,p);(1-q,q)) on a grid, which
+    on binary alphabets is equivalent to the divergence being a coordinatewise
+    sum.  A witness is the flagged pair with the swap channel."""
     config = {"grid": grid, "tol": DECOMPOSABLE_TOL, "divergence": d.label}
-
-    def batches():
-        x = interior_binary_points(grid)
-        yield (_abs_delta(d.evaluate_binary_pairs(x), d.evaluate_binary_pairs(1.0 - x)),
-               DECOMPOSABLE_TOL, lambda k: (x[k // grid], x[k % grid]))
-
-    def confirm(pq):
-        p, q = pq
-        w = _recheck(d, [p, 1.0 - p], [q, 1.0 - q], SWAP)
-        return (w, _abs_delta(w["value_after"], w["value_before"]),
-                DECOMPOSABLE_TOL)
-    return _search("decomposability", grid * grid, config, batches(), confirm)
+    return _search("decomposability", grid * grid, config, _swap_grid(d, grid),
+                   _decomposability_judge, d)
 
 
 # ---------------------------------------------------------------------------
 # Shannon-type inequality
 # ---------------------------------------------------------------------------
 
+def _shannon_judge(lhs, rhs):
+    with np.errstate(invalid="ignore"):  # inf - inf: a failure _reduce counts
+        return lhs - rhs, _gap_tol(lhs)
+
+
 def _shannon_batches(f, n: int, trials: int, rng: np.random.Generator):
     """Random pairs (P, Q) on n symbols, one block at a time."""
     for m in _blocks(trials):
         P = sample_simplex(rng, m, n)
         Q = sample_simplex(rng, m, n)
-        lhs = row_sum(P * np.asarray(f(P)))
-        rhs = row_sum(P * np.asarray(f(Q)))
-        with np.errstate(invalid="ignore"):  # inf - inf: a failure _reduce counts
-            gap = lhs - rhs
-        yield gap, _gap_tol(lhs), lambda k: (P[k], Q[k])
+        gap, tol = _shannon_judge(row_sum(P * np.asarray(f(P))),
+                                  row_sum(P * np.asarray(f(Q))))
+        yield gap, tol, lambda k: (P[k], Q[k])
+
+
+def _shannon_recheck(f, p, q) -> dict:
+    """The pair's sum p f(p) and sum p f(q), re-evaluated in the scalar path."""
+    lhs = float(sum(pi * float(f(pi)) for pi in p))
+    rhs = float(sum(pi * float(f(qi)) for pi, qi in zip(p, q)))
+    return _witness(p, q, None, lhs, rhs, lhs - rhs)
 
 
 def check_shannon_inequality(f, n: int, trials: int = 100_000,
@@ -517,12 +514,6 @@ def check_shannon_inequality(f, n: int, trials: int = 100_000,
     config = {"n": n, "trials": trials, "seed": seed, "abs_tol": DPI_ABS_TOL,
               "rel_tol": DPI_REL_TOL,
               "f": getattr(f, "label", None) or repr(f)}
-
-    def confirm(pq):
-        # re-evaluate the flagged pair in the scalar path
-        p, q = pq
-        lhs = float(sum(pi * float(f(pi)) for pi in p))
-        rhs = float(sum(pi * float(f(qi)) for pi, qi in zip(p, q)))
-        return _witness(p, q, None, lhs, rhs, lhs - rhs), lhs - rhs, _gap_tol(lhs)
     return _search("shannon_inequality", trials, config,
-                   _shannon_batches(f, n, trials, rng), confirm)
+                   _shannon_batches(f, n, trials, rng), _shannon_judge, f,
+                   recheck=_shannon_recheck)

@@ -108,7 +108,7 @@ def _build_parser() -> _Parser:
     f.add_argument("--summary-out", help="write the JSON summary here")
 
     v = sub.add_parser("verify", help="run verification scenarios")
-    v.add_argument("target", help="'all' or a scenario id")
+    v.add_argument("target", nargs="?", help="'all' or a scenario id")
     common(v, "seed", "out")
     v.add_argument("--format", choices=["json", "markdown"], dest="format")
     v.add_argument("--list", action="store_true", help="list scenario ids")
@@ -144,19 +144,22 @@ def _effective(args, key, config):
 
 def _parse_scalar_f(text: str) -> ScalarFunction:
     kind, _, rest = text.partition(":")
-    if kind == "clog":
-        c, b = (float(t) for t in rest.split(","))
+    try:
+        vals = [float(t) for t in rest.split(",")]
+    except ValueError:
+        vals = []
+    if kind == "clog" and len(vals) == 2:
+        c, b = vals
         return ScalarFunction(lambda x: c * np.log(x) + b,
                               deriv=lambda x: c / np.asarray(x, dtype=float),
                               label=f"{c}*log(x)+{b}")
-    if kind == "poly":
-        coeffs = [float(t) for t in rest.split(",")]
-        poly = np.polynomial.Polynomial(coeffs)
+    if kind == "poly" and vals:
+        poly = np.polynomial.Polynomial(vals)
         dpoly = poly.deriv()
         return ScalarFunction(lambda x: poly(np.asarray(x, dtype=float)),
                               deriv=lambda x: dpoly(np.asarray(x, dtype=float)),
                               label=f"poly:{rest}")
-    raise DivergenceError(f"cannot parse scalar function {text!r}")
+    raise DivergenceError(f"cannot parse scalar function {text!r}: not clog:c,b or poly:c0,...")
 
 
 def _print_witness(witness: dict) -> None:
@@ -248,6 +251,8 @@ def _cmd_verify(args, config) -> int:
         for sid, (claim, _) in scenarios.SCENARIOS.items():
             print(f"{sid}: {claim}")
         return EXIT_OK
+    if args.target is None:
+        raise DivergenceError("verify needs a target: 'all' or a scenario id, or --list")
     seed = _effective(args, "seed", config)
     fmt = _effective(args, "format", config)
     if args.target == "all":

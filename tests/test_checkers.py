@@ -10,7 +10,7 @@ from divergence_lab import checkers, families
 from divergence_lab.checkers import (DECOMPOSABLE_TOL, INCONCLUSIVE, NOT_A_PROOF,
                                      REFUTED, VIOLATION_SHOWN, CheckReport,
                                      _abs_delta, _best, _binary_triple,
-                                     _dpi_scan_binary_grid, _gap_tol, _reduce,
+                                     _dpi_scan_binary_grid, _gap_tol, _recheck, _reduce,
                                      _search, _witness, check_decomposable_binary,
                                      check_dpi, check_shannon_inequality,
                                      check_sufficiency, dpi_local_refine,
@@ -21,7 +21,7 @@ from divergence_lab.divergences import (DivergenceError, DivergenceSpec,
                                         catalog)
 from divergence_lab.simplex import (Channel, Distribution, SufficiencyScenario,
                                     binary_rows, merge_transform, push_forward,
-                                    row_sum)
+                                    row_sum, split_transform)
 
 
 def sample_channels_masked(rng, m, n):
@@ -337,6 +337,50 @@ class TestSufficiency:
         b = check_sufficiency(catalog("kl"), 4, trials=1000, seed=5)
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
+    @pytest.mark.parametrize("trials, kinds", [(1, "permutation"), (2, "permutation"),
+                                               (3, "permutation,merge,split"),
+                                               (7, "permutation,merge,split")])
+    def test_kinds_are_those_that_ran(self, trials, kinds):
+        # below 3 trials at n >= 3 every trial is a permutation
+        rep = check_sufficiency(catalog("kl"), 3, trials=trials, seed=42)
+        assert rep.config["kinds"] == kinds and rep.trials == trials
+
+
+SUFFICIENT_DRAWS = [(2, "permutation")] + [(n, kind) for n in (3, 4, 5)
+                                           for kind in ("permutation", "merge", "split")]
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("n, kind", SUFFICIENT_DRAWS)
+def test_sufficiency_draws_are_sufficient_scenarios(n, kind, seed):
+    """Every row of a sufficiency draw and its witness channel form a valid
+    SufficiencyScenario (a merged pair proportional, a split destination
+    empty), and the channel maps the row before to the row after."""
+    rng = np.random.default_rng(seed)
+    m = 200
+    blocks = (checkers._draw_permutation(rng, m, n) if kind == "permutation"
+              else checkers._draw_merge_split(rng, m, n, kind))
+    (P, Q, PT, QT, point_of), = blocks
+    for k in range(m):
+        p, q, A, got = point_of(k)
+        assert got == kind
+        assert p.tobytes() == P[k].tobytes() and q.tobytes() == Q[k].tobytes()
+        i = j = None
+        if kind == "permutation":
+            assert np.isin(A, (0.0, 1.0)).all() and np.array_equal(A.sum(axis=0), np.ones(n))
+        else:
+            # the one symbol the channel moves (j of a merge, i of a split) and
+            # the other symbol of its row
+            (r,) = np.flatnonzero(np.diag(A) != 1.0)
+            (c,) = np.flatnonzero((A[r] > 0) & (np.arange(n) != r))
+            i, j = (int(c), int(r)) if kind == "merge" else (int(r), int(c))
+        s = SufficiencyScenario(Distribution(p), Distribution(q), Channel(A), kind,
+                                i=i, j=j)
+        # a merge adds t b and (1 - t) b back up, which may round off b's last bit
+        for before, after in ((s.p, PT[k]), (s.q, QT[k])):
+            assert np.allclose(push_forward(before, s.transform).probs, after,
+                               rtol=0.0, atol=1e-15)
+
 
 def lopsided():
     """The binary Bregman divergence of G(P) = p_0^3, not swap symmetric:
@@ -383,16 +427,19 @@ def decomposable_rows(d, grid=200):
     a = d.evaluate_batch(binary_rows(Pf), binary_rows(Qf))
     b = d.evaluate_batch(binary_rows(1.0 - Pf), binary_rows(1.0 - Qf))
 
-    def confirm(k):
+    def recheck(d, k):
         # the flagged pair (row 0) and its swap (row 1), with the swap channel
         p, q = Pf[k], Qf[k]
         before, after = d.evaluate_batch([[p, 1.0 - p], [1.0 - p, p]],
                                          [[q, 1.0 - q], [1.0 - q, q]])
-        wit = _witness([p, 1.0 - p], [q, 1.0 - q], [[0.0, 1.0], [1.0, 0.0]],
-                       before, after, after - before)
-        return wit, _abs_delta(before, after), DECOMPOSABLE_TOL
+        return _witness([p, 1.0 - p], [q, 1.0 - q], [[0.0, 1.0], [1.0, 0.0]],
+                        before, after, after - before)
+
+    def judge(before, after):
+        return _abs_delta(before, after), DECOMPOSABLE_TOL
     return _search("decomposability", grid * grid, config,
-                   [(_abs_delta(a, b), DECOMPOSABLE_TOL, lambda k: k)], confirm)
+                   [(_abs_delta(a, b), DECOMPOSABLE_TOL, lambda k: (k,))], judge, d,
+                   recheck=recheck)
 
 
 def kl_type_family(name):
@@ -569,21 +616,23 @@ class TestSearch:
     """The one search loop, on synthetic batches."""
 
     @staticmethod
-    def search(batches, confirm):
-        return _search("synthetic", 4, {"trials": 4}, batches, confirm)
+    def search(batches, after=None, tol=0.0):
+        """_search on synthetic batches: the re-check of a point is
+        {"point": point, "value_before": 0.0, "value_after": after}, judged
+        as a gap of after - before against tol; after=None forbids it."""
+        def recheck(d, *point):
+            assert after is not None, "a clean search was re-checked"
+            return {"point": point, "value_before": 0.0, "value_after": after}
+        return _search("synthetic", 4, {"trials": 4}, batches,
+                       lambda before, after: (after - before, tol), None,
+                       recheck=recheck)
 
     def test_tie_keeps_the_earlier_batch(self):
-        seen = []
-
-        def confirm(point):
-            seen.append(point)
-            return {"point": point}, 1.0, 0.0
         rep = self.search([(np.array([0.5, 0.1]), 0.0, lambda k: ("first", k)),
                            (np.array([0.2, 0.5]), 0.0, lambda k: ("second", k))],
-                          confirm)
-        assert seen == [("first", 0)]
+                          after=1.0)
         assert rep.verdict == "violation" and rep.note == VIOLATION_SHOWN
-        assert rep.witness == {"point": ("first", 0)} and rep.max_gap == 1.0
+        assert rep.witness["point"] == ("first", 0) and rep.max_gap == 1.0
 
     def test_strictly_greater_margin_replaces_the_best(self):
         margin, gap, point, failures = _best(
@@ -599,25 +648,39 @@ class TestSearch:
         assert margin == pytest.approx(0.4)
 
     def test_clean_search_is_never_confirmed(self):
-        def confirm(point):
-            raise AssertionError("confirm called on a clean search")
-        rep = self.search([(np.array([-1.0, 0.5]), 1.0, lambda k: k)], confirm)
+        rep = self.search([(np.array([-1.0, 0.5]), 1.0, lambda k: (k,))])
         assert rep.verdict == "no_violation_found" and rep.note == NOT_A_PROOF
         assert rep.max_gap == 0.5 and rep.failures == 0 and rep.witness is None
 
     def test_refuted_candidate_is_a_clean_search(self):
-        rep = self.search([(np.array([0.5, 0.1]), 0.0, lambda k: k)],
-                          lambda k: ({"k": k}, 1e-12, 1e-9))
+        rep = self.search([(np.array([0.5, 0.1]), 0.0, lambda k: (k,))],
+                          after=1e-12, tol=1e-9)
         assert rep.verdict == "no_violation_found"
         assert rep.note == REFUTED + NOT_A_PROOF
         assert rep.max_gap == 1e-12 and rep.witness is None and rep.failures == 0
 
     def test_nan_reevaluation_is_one_more_failure(self):
-        rep = self.search([(np.array([0.5, 0.1]), 0.0, lambda k: k)],
-                          lambda k: ({"k": k}, np.nan, 1e-9))
+        rep = self.search([(np.array([0.5, 0.1]), 0.0, lambda k: (k,))],
+                          after=np.nan, tol=1e-9)
         assert rep.verdict == "inconclusive"
         assert rep.note == REFUTED + INCONCLUSIVE
         assert rep.failures == 1 and rep.witness is None
+
+    def test_divergence_candidate_is_refined_then_rechecked(self):
+        d = catalog("euclidean")
+        start = (np.array([0.2, 0.2, 0.6]), np.array([0.1, 0.1, 0.8]),
+                 merge_transform(0, 1, 3).matrix)
+        seen = []
+
+        def refine(d, point):
+            seen.append(point)
+            return dpi_local_refine(d, point, iters=5)
+        rep = _search("dpi", 1, {"trials": 1}, [(np.array([1.0]), 0.0, lambda k: start)],
+                      checkers._dpi_judge, d, refine=refine)
+        assert len(seen) == 1 and seen[0] is start
+        assert rep.verdict == "violation"
+        assert rep.witness == _recheck(d, *dpi_local_refine(d, start, iters=5)[:3])
+        assert rep.max_gap == rep.witness["gap"] > 0.02
 
     def test_counts_are_checked_before_any_batch(self):
         def batches():
@@ -626,7 +689,7 @@ class TestSearch:
         for trials, config in ((0, {"trials": 0}), (-5, {"trials": -5}),
                                (16, {"grid": -2, "random_trials": 0})):
             with pytest.raises(DivergenceError, match="nothing to search"):
-                _search("synthetic", trials, config, batches(), None)
+                _search("synthetic", trials, config, batches(), None, None)
 
 
 def shannon_quadratic():
@@ -677,58 +740,83 @@ def fresh_block_sizes(trials):
     return [checkers.SLICE] * full + [rest] * (rest > 0)
 
 
-# Reference scans, one per scan kind: each draws every block into fresh arrays
-# through the reference samplers, in the checker's order, and evaluates it
-# whole.  Each point_of binds its own block, so it stays valid after the next.
+# Reference scans: a block loop that evaluates each block whole, and one draw
+# per scan kind that draws every block fresh through the reference samplers,
+# in the checker's order.  Each point_of binds its own block, so it stays
+# valid after the next.
 
-def dpi_binary_reference(d, trials, rng):
+def reference_scan(d, judge, blocks):
+    for P, Q, PT, QT, point_of in blocks:
+        before = d.evaluate_batch(P, Q)
+        yield (*judge(before, d.evaluate_batch(PT, QT)), point_of)
+
+
+def dpi_binary_reference(rng, trials):
     for m in fresh_block_sizes(trials):
         p = np.clip(rng.uniform(size=m), 1e-9, 1 - 1e-9)
         q = np.clip(rng.uniform(size=m), 1e-9, 1 - 1e-9)
         a = rng.uniform(size=m)
         b = rng.uniform(size=m)
-        before = d.evaluate_batch(binary_rows(p), binary_rows(q))
-        after = d.evaluate_batch(binary_rows(p * a + b * (1 - p)),
-                                 binary_rows(q * a + b * (1 - q)))
-        yield (after - before, _gap_tol(before),
+        yield (binary_rows(p), binary_rows(q), binary_rows(p * a + b * (1 - p)),
+               binary_rows(q * a + b * (1 - q)),
                lambda k, p=p, q=q, a=a, b=b: _binary_triple(p[k], q[k], a[k], b[k]))
 
 
-def dpi_reference(d, n, trials, rng):
+def dpi_reference(rng, trials, n):
     for m in fresh_block_sizes(trials):
         P = sample_simplex_divided(rng, m, n)
         Q = sample_simplex_divided(rng, m, n)
         A = sample_channels_masked(rng, m, n)
-        before = d.evaluate_batch(P, Q)
-        after = d.evaluate_batch(np.einsum("mi,mij->mj", P, A),
-                                 np.einsum("mi,mij->mj", Q, A))
-        yield (after - before, _gap_tol(before),
+        yield (P, Q, np.einsum("mi,mij->mj", P, A), np.einsum("mi,mij->mj", Q, A),
                lambda k, P=P, Q=Q, A=A: (P[k], Q[k], A[k]))
 
 
-def permutation_reference(d, n, trials, rng):
+def permutation_reference(rng, trials, n):
     for m in fresh_block_sizes(trials):
         P = sample_simplex_divided(rng, m, n)
         Q = sample_simplex_divided(rng, m, n)
         perm = np.argsort(rng.uniform(size=(m, n)), axis=1)
         rows = np.arange(m)[:, None]
-        yield checkers._suff_batch(d, "permutation", n, P, Q, P[rows, perm],
-                                   Q[rows, perm], {"perm": perm})
+        # after[y] = P[perm[y]]: the channel sends symbol x to argsort(perm)[x]
+        yield (P, Q, P[rows, perm], Q[rows, perm],
+               lambda k, P=P, Q=Q, perm=perm: (
+                   P[k], Q[k], Channel.permutation(np.argsort(perm[k])).matrix,
+                   "permutation"))
 
 
-def merge_split_reference(d, kind, n, trials, rng):
+def merge_split_rows_reference(base, t, sigma):
+    """One column at a time: base[:, c] goes to sigma[:, c + 1] for c >= 1, and
+    base[:, 0] to sigma[:, 0], or split t : 1 - t with sigma[:, 1]."""
+    m, n = sigma.shape
+    rows = np.arange(m)
+    merged = np.zeros((m, n))
+    for c in range(1, n - 1):
+        merged[rows, sigma[:, c + 1]] = base[:, c]
+    split = merged.copy()
+    merged[rows, sigma[:, 0]] = base[:, 0]
+    split[rows, sigma[:, 0]] = t * base[:, 0]
+    split[rows, sigma[:, 1]] = (1 - t) * base[:, 0]
+    return merged, split
+
+
+def merge_split_reference(rng, trials, n, kind):
     for m in fresh_block_sizes(trials):
         baseP = sample_simplex_divided(rng, m, n - 1)
         baseQ = sample_simplex_divided(rng, m, n - 1)
         t = rng.uniform(size=m)
         sigma = np.argsort(rng.uniform(size=(m, n)), axis=1)
-        merged_P, split_P = checkers._merge_split_rows(baseP, t, sigma)
-        merged_Q, split_Q = checkers._merge_split_rows(baseQ, t, sigma)
-        before, after = (split_P, split_Q), (merged_P, merged_Q)
-        if kind == "split":
-            before, after = after, before
-        yield checkers._suff_batch(d, kind, n, *before, *after,
-                                   {"i": sigma[:, 0], "j": sigma[:, 1], "t": t})
+        merged_P, split_P = merge_split_rows_reference(baseP, t, sigma)
+        merged_Q, split_Q = merge_split_rows_reference(baseQ, t, sigma)
+        if kind == "merge":
+            yield (split_P, split_Q, merged_P, merged_Q,
+                   lambda k, P=split_P, Q=split_Q, sigma=sigma: (
+                       P[k], Q[k], merge_transform(sigma[k, 0], sigma[k, 1], n).matrix,
+                       kind))
+        else:
+            yield (merged_P, merged_Q, split_P, split_Q,
+                   lambda k, P=merged_P, Q=merged_Q, sigma=sigma, t=t: (
+                       P[k], Q[k],
+                       split_transform(sigma[k, 0], sigma[k, 1], t[k], n).matrix, kind))
 
 
 def shannon_reference(f, n, trials, rng):
@@ -741,11 +829,11 @@ def shannon_reference(f, n, trials, rng):
         yield gap, _gap_tol(lhs), lambda k, P=P, Q=Q: (P[k], Q[k])
 
 
-SCAN_REFERENCES = {"_dpi_scan_binary_random": dpi_binary_reference,
-                   "_dpi_scan_random": dpi_reference,
-                   "_permutation_batches": permutation_reference,
-                   "_merge_split_batches": merge_split_reference,
-                   "_shannon_batches": shannon_reference}
+# the block loops, whose batches are noted, and the draws of the scan kinds
+SCAN_REFERENCES = {"_scan": reference_scan, "_shannon_batches": shannon_reference}
+DRAW_REFERENCES = {"_draw_binary": dpi_binary_reference, "_draw_channels": dpi_reference,
+                   "_draw_permutation": permutation_reference,
+                   "_draw_merge_split": merge_split_reference}
 
 BLOCK_TRIALS = 6000
 LATE_TRIALS = 5976  # 4,096 + 1,880 and 5 * 997 + 991 rows
@@ -819,6 +907,8 @@ def test_scans_report_like_fresh_blocks(monkeypatch, case, rows):
     noted = []
     for name, reference in SCAN_REFERENCES.items():
         monkeypatch.setattr(checkers, name, noting_blocks(reference, noted))
+    for name, reference in DRAW_REFERENCES.items():
+        monkeypatch.setattr(checkers, name, reference)
     assert got == json.dumps(BLOCK_CASES[case]().to_json_dict())
     if case == "dpi-euclidean-n5-late-block":
         blocks = fresh_block_sizes(LATE_TRIALS)
@@ -829,8 +919,10 @@ def test_point_keeps_its_values_after_the_next_block():
     # _best holds the best point while later blocks are drawn and evaluated
     d = catalog("kl")
     trials = checkers.SLICE + 5
-    scan = checkers._dpi_scan_random(d, 3, trials, np.random.default_rng(5))
-    ref = dpi_reference(d, 3, trials, np.random.default_rng(5))
+    scan = checkers._scan(d, checkers._dpi_judge,
+                          checkers._draw_channels(np.random.default_rng(5), trials, 3))
+    ref = reference_scan(d, checkers._dpi_judge,
+                         dpi_reference(np.random.default_rng(5), trials, 3))
     point, want = next(scan)[2](2), next(ref)[2](2)
     *_, last = scan
     later = last[2](2)

@@ -120,6 +120,14 @@ class TestCheck:
         assert code == 1
         assert out == "" and "at least 2 symbols" in err
 
+    @pytest.mark.parametrize("text", ["clog:1", "clog:a,b", "poly:", "clog:1,2,3",
+                                      "sin:1"])
+    def test_malformed_scalar_f_is_named(self, capsys, text):
+        code, out, err = run_cli_capture(capsys, "check", "shannon", "--f", text,
+                                         "--n", "3", "--trials", "100")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot parse scalar function {text!r}")
+
     def test_inconclusive_exit_one(self, capsys):
         # a NaN coefficient makes every evaluation fail
         code, out, _ = run_cli_capture(
@@ -267,6 +275,17 @@ class TestVerify:
         assert code == 0
         for sid in scenarios.SCENARIOS:
             assert sid in out
+
+    def test_list_needs_no_target(self, capsys):
+        code, out, _ = run_cli_capture(capsys, "verify", "--list")
+        assert code == 0
+        assert out.splitlines() == [f"{sid}: {claim}" for sid, (claim, _)
+                                    in scenarios.SCENARIOS.items()]
+
+    def test_verify_without_target_or_list_exit_one(self, capsys):
+        code, out, err = run_cli_capture(capsys, "verify", "--seed", "1")
+        assert code == 1 and out == ""
+        assert err == "error: verify needs a target: 'all' or a scenario id, or --list\n"
 
     def test_single_scenario_report(self, capsys, tmp_path):
         out_path = tmp_path / "rep.json"
