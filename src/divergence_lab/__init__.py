@@ -2,8 +2,8 @@
 numerical checkers for the data-processing, sufficiency and decomposability
 properties, including binary-alphabet counterexample constructions."""
 
-from .simplex import (Channel, Distribution, SufficiencyScenario, merge_transform,
-                      push_forward, split_transform)
+from .simplex import (Channel, Distribution, merge_transform, push_forward,
+                      split_transform)
 from .divergences import (DivergenceError, DivergenceSpec,
                           MultivariateConvexFunction, ScalarFunction, catalog,
                           negative_entropy, resolve)
@@ -20,8 +20,8 @@ from .scenarios import ScenarioResult, emit_report, run_all, run_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "Channel", "Distribution", "SufficiencyScenario", "merge_transform",
-    "push_forward", "split_transform",
+    "Channel", "Distribution", "merge_transform", "push_forward",
+    "split_transform",
     "DivergenceError", "DivergenceSpec", "MultivariateConvexFunction",
     "ScalarFunction", "catalog", "negative_entropy", "resolve",
     "FamilyError", "HGenerator", "SymmetricConvexG", "bregman_from_symmetric_g",

@@ -6,10 +6,11 @@ the best (the earlier on a tie) and re-checks it under the rule its batches
 were judged by, `judge(before, after) -> (gap, tol)`.  Data processing,
 sufficiency and decomposability candidates are (P, Q, channel) triples that
 `_search` re-checks through `_recheck` (after local refinement, for data
-processing); the Shannon check re-evaluates its pairs in its own scalar
-path.  A report is a violation with a concrete witness, or a clean search:
-no_violation_found (evidence, not a proof), or inconclusive when some
-evaluations failed.  An empty search is an error.
+processing), which evaluates them through `evaluate_scenario`, the one
+evaluator of a triple; the Shannon check re-evaluates its pairs in its own
+scalar path.  A report is a violation with a concrete witness, or a clean
+search: no_violation_found (evidence, not a proof), or inconclusive when
+some evaluations failed.  An empty search is an error.
 
 All randomness is drawn from a single seeded generator in a fixed order, so
 identical (spec, config, seed) always produce identical reports.  Every
@@ -30,9 +31,8 @@ from typing import Any
 import numpy as np
 
 from .divergences import DivergenceError, DivergenceSpec
-from .simplex import (Channel, Distribution, SufficiencyScenario, binary_rows,
-                      interior_binary_points, merge_transform, push_forward,
-                      row_sum, split_transform)
+from .simplex import (Channel, Distribution, binary_rows, interior_binary_points,
+                      merge_transform, push_forward, row_sum, split_transform)
 
 DPI_ABS_TOL = 1e-9
 DPI_REL_TOL = 1e-7
@@ -181,15 +181,20 @@ def _witness(P, Q, channel, before, after, gap) -> dict:
             "gap": float(gap)}
 
 
-def _recheck(d: DivergenceSpec, P, Q, A, kind=None) -> dict:
-    """The witness of (P, Q, channel A): D(P; Q) and D(PA; QA) re-evaluated
-    through Distribution, Channel and push_forward, gap = after - before; a
-    sufficiency candidate adds its `kind`.  Every divergence candidate is
-    re-checked here, still through the family kernel that flagged it, so not
-    independently (ROADMAP 1(c)); a reference evaluator goes here."""
+def evaluate_scenario(d: DivergenceSpec, P, Q, A):
+    """(D(P; Q), D(PA; QA)) of the triple (P, Q, channel A), evaluated through
+    Distribution, Channel and push_forward: the one check that a witness lies
+    on the simplex.  Every divergence witness is evaluated here, still
+    through the family kernel that flagged it, so not independently
+    (ROADMAP 1(c)); a reference evaluator goes here."""
     p, q, ch = Distribution(P), Distribution(Q), Channel(A)
-    before = d.evaluate(p, q)
-    after = d.evaluate(push_forward(p, ch), push_forward(q, ch))
+    return d.evaluate(p, q), d.evaluate(push_forward(p, ch), push_forward(q, ch))
+
+
+def _recheck(d: DivergenceSpec, P, Q, A, kind=None) -> dict:
+    """The witness of (P, Q, channel A) from `evaluate_scenario`, gap =
+    after - before; a sufficiency candidate adds its `kind`."""
+    before, after = evaluate_scenario(d, P, Q, A)
     w = _witness(P, Q, A, before, after, after - before)
     return w if kind is None else dict(w, kind=kind)
 
@@ -452,12 +457,6 @@ def check_sufficiency(d: DivergenceSpec, n: int, trials: int = 10_000,
                    *(_draw_merge_split(rng, m, n, kind) for kind, m in share.items()))
     batches = _scan(d, _suff_judge, blocks)
     return _search("sufficiency", trials, config, batches, _suff_judge, d)
-
-
-def evaluate_scenario(d: DivergenceSpec, scenario: SufficiencyScenario):
-    """(value before, value after) for one sufficiency scenario."""
-    w = _recheck(d, scenario.p.probs, scenario.q.probs, scenario.transform.matrix)
-    return w["value_before"], w["value_after"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,19 @@
-"""Probability vectors, row-stochastic channels, and sufficient transformations.
-
-All indices are 0-based. Values are immutable after construction and every
-operation is a pure function, so objects can be shared freely between workers.
+"""Input validation: `Distribution` (a finite point of the simplex), `Channel`
+(a finite row-stochastic matrix), `push_forward` and the merge and split
+channels, plus the row helpers the checkers share.  The sufficient
+transformations are the sufficiency checker's draws, not objects of this
+module.  Indices are 0-based; values are immutable and every operation is
+pure, so objects can be shared between workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 SUM_TOL = 1e-12
 CLAMP_TOL = 1e-15
-PROPORTIONAL_TOL = 1e-12
 
 
 class SimplexError(ValueError):
@@ -56,10 +56,13 @@ def interior_binary_points(grid: int) -> np.ndarray:
 
 
 def _clamp_tiny_negatives(a: np.ndarray) -> np.ndarray:
+    # every comparison with NaN is False, so the range and sum checks that
+    # follow would let it through
+    if not np.all(np.isfinite(a)):
+        raise SimplexError(f"non-finite entry {a[~np.isfinite(a)][0]}")
     # values within CLAMP_TOL below 0 are arithmetic dust; snap them to exactly
     # 0 so boundary detection stays exact for downstream log handling
-    a = np.where((a < 0) & (a > -CLAMP_TOL), 0.0, a)
-    return a
+    return np.where((a < 0) & (a > -CLAMP_TOL), 0.0, a)
 
 
 @dataclass(frozen=True)
@@ -94,9 +97,6 @@ class Distribution:
             raise SimplexError(f"cannot parse distribution {text!r}: {e}") from None
         return cls(vals)
 
-    def __getitem__(self, i: int) -> float:
-        return float(self.probs[i])
-
     def __repr__(self) -> str:
         return f"Distribution({np.array2string(self.probs, separator=', ')})"
 
@@ -125,17 +125,6 @@ class Channel:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def permutation(cls, perm: Sequence[int]) -> "Channel":
-        """Deterministic channel sending symbol x to perm[x]."""
-        perm = np.asarray(perm, dtype=int)
-        n = perm.size
-        if sorted(perm.tolist()) != list(range(n)):
-            raise SimplexError(f"{perm.tolist()} is not a permutation")
-        m = np.zeros((n, n))
-        m[np.arange(n), perm] = 1.0
-        return cls(m)
 
     def __repr__(self) -> str:
         return f"Channel({np.array2string(self.matrix, separator=', ')})"
@@ -177,44 +166,3 @@ def split_transform(i: int, j: int, t: float, n: int) -> Channel:
     m[i, i] = t
     m[i, j] = 1.0 - t
     return Channel(m)
-
-
-VALID_SCENARIO_KINDS = ("permutation", "merge", "split")
-
-
-@dataclass(frozen=True)
-class SufficiencyScenario:
-    """A pair of distributions plus a transformation that is sufficient for
-    the binary index distinguishing them.
-
-    For merges the merged pair (i, j) must be proportional between p and q;
-    for splits the destination coordinate j must carry no mass in either, so
-    the transformation is invertible from its output. Permutations qualify
-    unconditionally.
-    """
-
-    p: Distribution
-    q: Distribution
-    transform: Channel
-    kind: str
-    i: int | None = field(default=None)
-    j: int | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.kind not in VALID_SCENARIO_KINDS:
-            raise SimplexError(f"unknown scenario kind {self.kind!r}")
-        if self.p.n != self.q.n or self.p.n != self.transform.n:
-            raise SimplexError("dimension mismatch in scenario")
-        if self.kind == "merge":
-            if self.i is None or self.j is None:
-                raise SimplexError("merge scenario needs indices i, j")
-            gap = abs(self.p[self.i] * self.q[self.j] - self.p[self.j] * self.q[self.i])
-            if gap > PROPORTIONAL_TOL:
-                raise SimplexError(
-                    f"merged pair ({self.i}, {self.j}) not proportional: "
-                    f"cross-product gap {gap:.3g}")
-        if self.kind == "split":
-            if self.i is None or self.j is None:
-                raise SimplexError("split scenario needs indices i, j")
-            if self.p[self.j] > 0 or self.q[self.j] > 0:
-                raise SimplexError("split destination must carry no mass")

@@ -17,6 +17,7 @@ from divergence_lab import scenarios
 
 SEED = 42
 GOLDEN = Path(__file__).resolve().parents[1] / "reports" / "golden-seed42.json"
+GOLDEN_MD = GOLDEN.with_suffix(".md")
 
 
 @pytest.fixture(scope="session")
@@ -148,6 +149,15 @@ def test_golden_report_regression(results):
     golden = json.loads(GOLDEN.read_text())
     fresh = scenarios.report_json_dict(list(results.values()), SEED)
     assert fresh == golden
+
+
+def test_golden_markdown_report_regression(results, tmp_path):
+    # the markdown report carries no runtime, so a run reproduces its bytes;
+    # regenerate it with
+    #   divergence-lab verify all --seed 42 --format markdown --out reports/golden-seed42.md
+    out = tmp_path / "report.md"
+    scenarios.emit_report(list(results.values()), out, "markdown", SEED)
+    assert out.read_bytes() == GOLDEN_MD.read_bytes()
 
 
 def test_criterion_9_determinism(results, tmp_path):

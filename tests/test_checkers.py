@@ -19,9 +19,9 @@ from divergence_lab.checkers import (DECOMPOSABLE_TOL, INCONCLUSIVE, NOT_A_PROOF
 from divergence_lab.divergences import (DivergenceError, DivergenceSpec,
                                         MultivariateConvexFunction, ScalarFunction,
                                         catalog)
-from divergence_lab.simplex import (Channel, Distribution, SufficiencyScenario,
-                                    binary_rows, merge_transform, push_forward,
-                                    row_sum, split_transform)
+from divergence_lab.simplex import (Channel, Distribution, binary_rows,
+                                    merge_transform, push_forward, row_sum,
+                                    split_transform)
 
 
 def sample_channels_masked(rng, m, n):
@@ -307,10 +307,9 @@ class TestSufficiency:
     def test_proportional_merge_values(self):
         # both sides equal 0.4 ln 2 + 0.6 ln(3/4)
         want = 0.4 * np.log(2.0) + 0.6 * np.log(0.75)
-        s = SufficiencyScenario(Distribution([0.2, 0.2, 0.6]),
-                                Distribution([0.1, 0.1, 0.8]),
-                                merge_transform(0, 1, 3), "merge", i=0, j=1)
-        before, after = evaluate_scenario(catalog("kl"), s)
+        before, after = evaluate_scenario(catalog("kl"), [0.2, 0.2, 0.6],
+                                          [0.1, 0.1, 0.8],
+                                          merge_transform(0, 1, 3).matrix)
         assert before == pytest.approx(want, abs=1e-12)
         assert after == pytest.approx(want, abs=1e-12)
 
@@ -322,10 +321,9 @@ class TestSufficiency:
         assert rep.max_gap > 1e-9
 
     def test_named_witness_delta(self):
-        s = SufficiencyScenario(Distribution([0.2, 0.2, 0.6]),
-                                Distribution([0.1, 0.1, 0.8]),
-                                merge_transform(0, 1, 3), "merge", i=0, j=1)
-        before, after = evaluate_scenario(catalog("euclidean"), s)
+        before, after = evaluate_scenario(catalog("euclidean"), [0.2, 0.2, 0.6],
+                                          [0.1, 0.1, 0.8],
+                                          merge_transform(0, 1, 3).matrix)
         assert after - before == pytest.approx(0.02, abs=1e-12)
 
     def test_binary_permutations_exact_for_decomposable(self):
@@ -346,6 +344,25 @@ class TestSufficiency:
         assert rep.config["kinds"] == kinds and rep.trials == trials
 
 
+def assert_sufficient(p, q, A, kind):
+    """(P, Q, channel A) is a sufficient transformation of its kind: a
+    permutation is a 0/1 matrix with unit column sums, a merge joins a pair
+    proportional between P and Q, and a split sends mass to a symbol empty in
+    both."""
+    n = len(p)
+    if kind == "permutation":
+        assert np.isin(A, (0.0, 1.0)).all() and np.array_equal(A.sum(axis=0), np.ones(n))
+        return
+    # the one symbol the channel moves (j of a merge, i of a split) and the
+    # other symbol of its row
+    (r,) = np.flatnonzero(np.diag(A) != 1.0)
+    (c,) = np.flatnonzero((A[r] > 0) & (np.arange(n) != r))
+    if kind == "merge":
+        assert abs(p[c] * q[r] - p[r] * q[c]) <= 1e-12
+    else:
+        assert kind == "split" and p[c] == 0.0 and q[c] == 0.0
+
+
 SUFFICIENT_DRAWS = [(2, "permutation")] + [(n, kind) for n in (3, 4, 5)
                                            for kind in ("permutation", "merge", "split")]
 
@@ -353,9 +370,9 @@ SUFFICIENT_DRAWS = [(2, "permutation")] + [(n, kind) for n in (3, 4, 5)
 @pytest.mark.parametrize("seed", [0, 42])
 @pytest.mark.parametrize("n, kind", SUFFICIENT_DRAWS)
 def test_sufficiency_draws_are_sufficient_scenarios(n, kind, seed):
-    """Every row of a sufficiency draw and its witness channel form a valid
-    SufficiencyScenario (a merged pair proportional, a split destination
-    empty), and the channel maps the row before to the row after."""
+    """Every row of a sufficiency draw and its witness channel are a
+    sufficient transformation of its kind, and the channel maps the row
+    before to the row after."""
     rng = np.random.default_rng(seed)
     m = 200
     blocks = (checkers._draw_permutation(rng, m, n) if kind == "permutation"
@@ -365,21 +382,11 @@ def test_sufficiency_draws_are_sufficient_scenarios(n, kind, seed):
         p, q, A, got = point_of(k)
         assert got == kind
         assert p.tobytes() == P[k].tobytes() and q.tobytes() == Q[k].tobytes()
-        i = j = None
-        if kind == "permutation":
-            assert np.isin(A, (0.0, 1.0)).all() and np.array_equal(A.sum(axis=0), np.ones(n))
-        else:
-            # the one symbol the channel moves (j of a merge, i of a split) and
-            # the other symbol of its row
-            (r,) = np.flatnonzero(np.diag(A) != 1.0)
-            (c,) = np.flatnonzero((A[r] > 0) & (np.arange(n) != r))
-            i, j = (int(c), int(r)) if kind == "merge" else (int(r), int(c))
-        s = SufficiencyScenario(Distribution(p), Distribution(q), Channel(A), kind,
-                                i=i, j=j)
+        assert_sufficient(p, q, A, kind)
         # a merge adds t b and (1 - t) b back up, which may round off b's last bit
-        for before, after in ((s.p, PT[k]), (s.q, QT[k])):
-            assert np.allclose(push_forward(before, s.transform).probs, after,
-                               rtol=0.0, atol=1e-15)
+        for before, after in ((p, PT[k]), (q, QT[k])):
+            assert np.allclose(push_forward(Distribution(before), Channel(A)).probs,
+                               after, rtol=0.0, atol=1e-15)
 
 
 def lopsided():
@@ -682,6 +689,25 @@ class TestSearch:
         assert rep.witness == _recheck(d, *dpi_local_refine(d, start, iters=5)[:3])
         assert rep.max_gap == rep.witness["gap"] > 0.02
 
+    @pytest.mark.parametrize("check", [
+        lambda: check_sufficiency(catalog("euclidean"), 3, trials=2000, seed=42),
+        lambda: check_dpi(catalog("euclidean"), 3, random_trials=2000, seed=42)],
+        ids=["sufficiency", "dpi"])
+    def test_recheck_evaluates_through_evaluate_scenario(self, monkeypatch, check):
+        calls = []
+        real = checkers.evaluate_scenario
+
+        def recording(d, P, Q, A):
+            calls.append((P, Q, A))
+            return real(d, P, Q, A)
+        monkeypatch.setattr(checkers, "evaluate_scenario", recording)
+        rep = check()
+        assert rep.verdict == "violation" and len(calls) == 1
+        P, Q, A = calls[0]
+        w = rep.witness
+        assert (w["P"], w["Q"], w["channel"]) == (list(P), list(Q),
+                                                  np.asarray(A).tolist())
+
     def test_counts_are_checked_before_any_batch(self):
         def batches():
             raise AssertionError("a batch was drawn")
@@ -780,7 +806,7 @@ def permutation_reference(rng, trials, n):
         # after[y] = P[perm[y]]: the channel sends symbol x to argsort(perm)[x]
         yield (P, Q, P[rows, perm], Q[rows, perm],
                lambda k, P=P, Q=Q, perm=perm: (
-                   P[k], Q[k], Channel.permutation(np.argsort(perm[k])).matrix,
+                   P[k], Q[k], np.eye(n)[np.argsort(perm[k])],
                    "permutation"))
 
 

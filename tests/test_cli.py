@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import divergence_lab
 from divergence_lab import cli, scenarios
 from divergence_lab.divergences import DivergenceSpec, ScalarFunction
 
@@ -33,6 +34,15 @@ class TestEval:
                                        "--p", "0.5,0.6", "--q", "0.25,0.75")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("name, p", [("kl", "nan,1"), ("tv", "nan,nan"),
+                                         ("kl", ".5,nan")])
+    def test_nan_entry_exits_one(self, capsys, name, p):
+        # every comparison with NaN is False, so the sum check alone passes it
+        code, out, err = run_cli_capture(capsys, "eval", "--divergence", name,
+                                         "--p", p, "--q", ".5,.5")
+        assert code == 1
+        assert out == "" and "non-finite entry nan" in err
 
     def test_alphabet_sizes_differ(self, capsys):
         code, out, err = run_cli_capture(capsys, "eval", "--divergence", "kl",
@@ -324,6 +334,12 @@ def test_console_entry_point_exists():
                            "--show-config"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["seed"] == 42
+
+
+def test_exports_resolve_once():
+    names = divergence_lab.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(divergence_lab, n)] == []
 
 
 class TestReportHelpers:
