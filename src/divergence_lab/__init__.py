@@ -13,8 +13,8 @@ from .families import (FamilyError, HGenerator, SymmetricConvexG,
 from .checkers import (CheckReport, check_decomposable_binary, check_dpi,
                        check_shannon_inequality, check_sufficiency,
                        dpi_local_refine, evaluate_scenario)
-from .fitting import (ConvexPiecewiseLinearFit, bregman_f_residual,
-                      fit_bregman_binary, fit_f_divergence, pav_nondecreasing)
+from .fitting import (ConvexPiecewiseLinearFit, fit_bregman_binary,
+                      fit_f_divergence, pav_nondecreasing)
 from .scenarios import ScenarioResult, emit_report, run_all, run_scenario
 
 __version__ = "0.1.0"
@@ -30,7 +30,7 @@ __all__ = [
     "CheckReport", "check_decomposable_binary", "check_dpi",
     "check_shannon_inequality", "check_sufficiency", "dpi_local_refine",
     "evaluate_scenario",
-    "ConvexPiecewiseLinearFit", "bregman_f_residual", "fit_bregman_binary",
-    "fit_f_divergence", "pav_nondecreasing",
+    "ConvexPiecewiseLinearFit", "fit_bregman_binary", "fit_f_divergence",
+    "pav_nondecreasing",
     "ScenarioResult", "emit_report", "run_all", "run_scenario",
 ]

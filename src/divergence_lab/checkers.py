@@ -34,6 +34,7 @@ from .divergences import DivergenceError, DivergenceSpec
 from .simplex import (Channel, Distribution, binary_rows, interior_binary_points,
                       merge_transform, push_forward, row_sum, split_transform)
 
+SCHEMA = "divergence-lab/1"   # the format of every report, check or scenario
 DPI_ABS_TOL = 1e-9
 DPI_REL_TOL = 1e-7
 SUFFICIENCY_TOL = 1e-9
@@ -70,7 +71,7 @@ class CheckReport:
     note: str = NOT_A_PROOF
 
     def to_json_dict(self) -> dict:
-        return {"schema": "divergence-lab/1", **asdict(self)}
+        return {"schema": SCHEMA, **asdict(self)}
 
     @property
     def violated(self) -> bool:

@@ -28,7 +28,7 @@ from . import families, fitting, scenarios
 from .checkers import (check_decomposable_binary, check_dpi,
                        check_shannon_inequality, check_sufficiency)
 from .divergences import DivergenceError, ScalarFunction, resolve
-from .simplex import Distribution, SimplexError
+from .simplex import Distribution
 
 DEFAULTS = {
     "divergence": "kl",
@@ -291,8 +291,9 @@ def main(argv=None) -> int:
             "verify": _cmd_verify,
         }[args.command]
         return handler(args, config)
-    except (DivergenceError, SimplexError, families.FamilyError, KeyError,
-            FileNotFoundError, ValueError) as e:
+    except (ValueError, KeyError, OSError) as e:
+        # DivergenceError, SimplexError and FamilyError are ValueErrors, and
+        # an unreadable or unwritable path is an OSError
         sys.stderr.write(f"error: {e}\n")
         return EXIT_ERROR
 

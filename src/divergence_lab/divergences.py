@@ -196,15 +196,13 @@ class MultivariateConvexFunction:
     `value` takes arrays of shape (..., n) and returns shape (...), finite on
     the whole closed simplex.  `grad` returns rows of the same shape as its
     argument; on a face it may be +-inf (negative entropy), which
-    `bregman_batch` resolves exactly.
+    `bregman_batch` resolves exactly.  The alphabet size is the spec's.
     """
 
-    def __init__(self, value: Callable, grad: Callable,
-                 label: str = "", n: int | None = None):
+    def __init__(self, value: Callable, grad: Callable, label: str = ""):
         self._value = value
         self._grad = grad
         self.label = label
-        self.n = n  # fixed alphabet size, or None for any
 
     def value(self, P):
         return self._value(np.asarray(P, dtype=float))
@@ -331,7 +329,7 @@ class DivergenceSpec:
         elif self.family == "composed":
             check_outer(self.outer)
         elif self.family == "bregman":
-            check_convex_on_simplex(self.G, self.G.n or 3)
+            check_convex_on_simplex(self.G, self.n or 3)
 
     def evaluate_batch(self, P, Q) -> np.ndarray:
         P = np.atleast_2d(np.asarray(P, dtype=float))
@@ -391,20 +389,19 @@ def _xlogx(x):
     return np.where(x > 0, v, 0.0)
 
 
-def negative_entropy(n: int | None = None) -> MultivariateConvexFunction:
+def negative_entropy() -> MultivariateConvexFunction:
     """sum_i p_i log p_i, defined on the whole simplex with 0 log 0 = 0."""
     return MultivariateConvexFunction(
         value=lambda P: row_sum(_xlogx(P)),
         grad=lambda Q: np.log(Q) + 1.0,
-        label="negative_entropy", n=n)
+        label="negative_entropy")
 
 
-def squared_norm_G(n: int | None = None,
-                   label: str = "squared_norm") -> MultivariateConvexFunction:
+def squared_norm_G(label: str = "squared_norm") -> MultivariateConvexFunction:
     return MultivariateConvexFunction(
         value=lambda P: row_sum(P * P),
         grad=lambda Q: 2.0 * Q,
-        label=label, n=n)
+        label=label)
 
 
 def catalog(name: str) -> DivergenceSpec:
@@ -427,8 +424,7 @@ def catalog(name: str) -> DivergenceSpec:
                            label="(x-1)^2", perspective_limit=np.inf)
         return DivergenceSpec("f_divergence", "chi2", f=f)
     if name == "brier":
-        return DivergenceSpec("bregman", "brier", G=squared_norm_G(2, "p^2+(1-p)^2"),
-                              n=2)
+        return DivergenceSpec("bregman", "brier", G=squared_norm_G("p^2+(1-p)^2"), n=2)
     if name == "euclidean":
         return DivergenceSpec("bregman", "euclidean", G=squared_norm_G())
     if name == "tv_squared":
@@ -441,9 +437,6 @@ def catalog(name: str) -> DivergenceSpec:
 OUTER_FUNCTIONS = {
     "square": lambda: ScalarFunction(lambda x: np.square(x), deriv=lambda x: 2.0 * x,
                                      label="x^2"),
-    "identity": lambda: ScalarFunction(lambda x: np.asarray(x, dtype=float),
-                                       deriv=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                                       label="x"),
 }
 
 
@@ -454,6 +447,13 @@ def from_json_dict(doc: dict) -> DivergenceSpec:
     {"family": "kl_type", "h": <h-spec>} for generated families, and
     {"family": "composed", "name": <catalog>, "outer": <outer name>}.
     """
+    if not isinstance(doc, dict):
+        raise DivergenceError(
+            f"a divergence spec must be a JSON object, got {type(doc).__name__}")
+    for key in ("family", "name", "h", "outer"):
+        if key in doc and not isinstance(doc[key], str):
+            raise DivergenceError(
+                f"spec field {key!r} must be a string, got {json.dumps(doc[key])}")
     family = doc.get("family")
     if family == "kl_type" and "h" in doc:
         from .families import h_generator_from_spec, kl_type_from_h

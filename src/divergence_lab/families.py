@@ -11,6 +11,12 @@ Two constructions:
 * Bregman divergences generated by a symmetric convex g2 on [0, 1] through
   G(p, 1-p) = g2(p).  These are exactly the binary Bregman divergences that
   are invariant under sufficient transformations.
+
+Each generator is checked once, where the divergence is built:
+`build_f_from_h` checks h (so `kl_type_from_h` and `family_table` do too,
+unless asked not to), and `bregman_from_symmetric_g` checks g2.  Both
+families are binary, and the `DivergenceSpec` each returns holds that
+alphabet size, n = 2; the generators themselves carry none.
 """
 
 from __future__ import annotations
@@ -67,14 +73,12 @@ class HGenerator:
             raise FamilyError(f"h({self.label}) decreases on (0, 1/2]")
 
 
-def build_G_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
+def build_G_from_h(gen: HGenerator) -> ScalarFunction:
     """G(x) = (x-1) h(x) / x on (0, 1/2], reflected onto [1/2, 1).
 
-    Nonpositive everywhere for valid h.  `validate=False` skips the h
-    invariants so that deliberately broken generators can be probed.
+    Nonpositive everywhere for valid h; h itself is checked by
+    `build_f_from_h`, not here.
     """
-    if validate:
-        gen.validate()
 
     def G(x):
         xl = np.where(x <= 0.5, x, 1.0 - x)
@@ -146,9 +150,12 @@ def build_f_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
     the exact derivative G(x)/x at every knot, and the derivative evaluator
     returns G(x)/x directly rather than differentiating the table.  The
     reflection at 1/2 generally puts a curvature jump there, which is why 1/2
-    is always a knot.
+    is always a knot.  `validate=False` skips the h invariants so that
+    deliberately broken generators can be probed.
     """
-    G = build_G_from_h(gen, validate=validate)
+    if validate:
+        gen.validate()
+    G = build_G_from_h(gen)
 
     def fprime(x):
         x = np.asarray(x, dtype=float)
@@ -250,8 +257,8 @@ def family_table(gen: HGenerator, points: int = 512,
     """Columns (x, G(x), f(x)) on an interior grid, ready for plotting."""
     if points < 1:
         raise FamilyError(f"a family table needs at least 1 point, got {points}")
-    G = build_G_from_h(gen, validate=validate)
     f = build_f_from_h(gen, validate=validate)
+    G = build_G_from_h(gen)
     x = np.linspace(0.005, 0.995, points)
     return np.column_stack([x, np.asarray(G(x)), np.asarray(f(x))])
 
@@ -319,10 +326,10 @@ class SymmetricConvexG:
         return np.asarray(self.d_g2(np.asarray(x, dtype=float)))
 
 
-def bregman_from_symmetric_g(g: SymmetricConvexG, validate: bool = True) -> DivergenceSpec:
-    """Binary Bregman divergence with G(p, 1-p) = g2(p)."""
-    if validate:
-        g.validate()
+def bregman_from_symmetric_g(g: SymmetricConvexG) -> DivergenceSpec:
+    """Binary Bregman divergence with G(p, 1-p) = g2(p); `g.validate()`
+    checks g2, so the spec is built without its own convexity spot-check."""
+    g.validate()
 
     def value(P):
         P = np.asarray(P, dtype=float)
@@ -334,7 +341,7 @@ def bregman_from_symmetric_g(g: SymmetricConvexG, validate: bool = True) -> Dive
         out[..., 0] = g.derivative(Q[..., 0])
         return out
 
-    G = MultivariateConvexFunction(value, grad=grad, label=f"G[{g.label}]", n=2)
+    G = MultivariateConvexFunction(value, grad=grad, label=f"G[{g.label}]")
     return DivergenceSpec("bregman", f"bregman[{g.label}]", G=G, n=2,
                           validate=False)
 

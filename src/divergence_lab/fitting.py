@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import (DivergenceError, DivergenceSpec, MultivariateConvexFunction,
-                          ScalarFunction, bregman_batch, f_divergence_batch)
-from .simplex import binary_rows, interior_binary_points
+from .divergences import DivergenceError, DivergenceSpec
+from .simplex import binary_rows
 
 MAX_ITERS = 10_000
 STATIONARITY_TOL = 1e-9          # converged iff L ||step||_W^2 <= this * max(f, f_pass)
@@ -318,18 +317,3 @@ def fit_bregman_binary(d: DivergenceSpec, sample_pairs: int = SAMPLE_PAIRS,
     """
     return probe("breg", seed, sample_pairs, knots).fit(d, iters)
 
-
-def bregman_f_residual(G: MultivariateConvexFunction, f: ScalarFunction,
-                       grid: int = 200) -> float:
-    """Max interior-grid residual of the identity linking a binary Bregman
-    generator with an f-divergence generator:
-
-        h(p) - h(q) - h'(q)(p-q) = q f(p/q) + (1-q) f((1-p)/(1-q))
-
-    where h(p) = G((p, 1-p)).  Zero residual (within rounding) means the two
-    describe the same divergence.  Both sides are the family kernels, on
-    every pair of interior binary rows.
-    """
-    X = binary_rows(interior_binary_points(grid))
-    P, Q = X[:, None, :], X[None, :, :]
-    return float(np.max(np.abs(bregman_batch(G, P, Q) - f_divergence_batch(f, P, Q))))

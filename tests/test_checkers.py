@@ -396,7 +396,7 @@ def lopsided():
         value=lambda P: P[..., 0] ** 3,
         grad=lambda Q: np.stack([3.0 * Q[..., 0] ** 2, np.zeros_like(Q[..., 0])],
                                 axis=-1),
-        label="p0^3", n=2)
+        label="p0^3")
     return DivergenceSpec("bregman", "lopsided", G=G, n=2)
 
 

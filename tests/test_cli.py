@@ -21,6 +21,37 @@ def run_cli_capture(capsys, *argv):
     return code, out.out, out.err
 
 
+# every command that reads or writes a path the user names; DIR stands for a
+# directory, which no command can read or write as a file
+UNREADABLE_PATHS = {
+    "eval": ("eval", "--divergence", "DIR", "--p", ".5,.5", "--q", ".5,.5"),
+    "config": ("--config", "DIR", "--show-config"),
+    "verify": ("verify", "q2-example-fidelity", "--out", "DIR"),
+    "check": ("check", "dpi", "--grid", "3", "--trials", "10", "--out", "DIR"),
+    "generate": ("generate", "--h", "table:DIR", "--out", "DIR/family.csv"),
+}
+
+
+@pytest.mark.parametrize("command", UNREADABLE_PATHS)
+def test_unreadable_path_exits_one(capsys, tmp_path, command):
+    argv = [a.replace("DIR", str(tmp_path)) for a in UNREADABLE_PATHS[command]]
+    code, _, err = run_cli_capture(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, why", [
+    ([1, 2], "must be a JSON object"),
+    ({"family": "kl_type", "h": 5}, "'h' must be a string")])
+def test_malformed_spec_document_exits_one(capsys, tmp_path, doc, why):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli_capture(capsys, "eval", "--divergence", str(path),
+                                     "--p", ".5,.5", "--q", ".5,.5")
+    assert code == 1
+    assert out == "" and err.startswith("error:") and why in err
+
+
 class TestEval:
     def test_kl_value(self, capsys):
         code, out, _ = run_cli_capture(capsys, "eval", "--divergence", "kl",

@@ -322,6 +322,40 @@ class TestCatalogAndSerialization:
         with pytest.raises(DivergenceError):
             resolve("no_such_thing")
 
+    @pytest.mark.parametrize("doc, why", [
+        ([1, 2], "must be a JSON object, got list"),
+        ("kl", "must be a JSON object, got str"),
+        ({"family": "kl_type", "h": 5}, "'h' must be a string, got 5"),
+        ({"name": ["kl"]}, "'name' must be a string"),
+        ({"family": 2, "name": "kl"}, "'family' must be a string"),
+        ({"family": "composed", "name": "tv", "outer": None}, "'outer' must be a string"),
+    ])
+    def test_malformed_document_rejected(self, tmp_path, doc, why):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DivergenceError, match=why):
+            resolve(str(path))
+
+    def test_only_the_square_outer_function(self):
+        with pytest.raises(DivergenceError, match="unknown outer function 'identity'"):
+            from_json_dict({"family": "composed", "name": "tv", "outer": "identity"})
+
+
+@pytest.mark.parametrize("spec, n", [
+    (lambda: catalog("brier"), 2),
+    (lambda: catalog("euclidean"), 3),
+    (lambda: DivergenceSpec("bregman", "negent", G=negative_entropy(), n=2), 2),
+    (lambda: DivergenceSpec("bregman", "negent", G=negative_entropy(), n=5), 5),
+    (lambda: DivergenceSpec("bregman", "negent", G=negative_entropy()), 3),
+], ids=["brier", "euclidean", "negent-n2", "negent-n5", "negent-any"])
+def test_bregman_spot_check_takes_the_spec_alphabet(monkeypatch, spec, n):
+    # the spec owns the alphabet size; a generator carries none
+    seen = []
+    monkeypatch.setattr("divergence_lab.divergences.check_convex_on_simplex",
+                        lambda G, n: seen.append(n))
+    spec()
+    assert seen == [n]
+
 
 def test_nonnegativity_over_random_interior_pairs():
     rng = np.random.default_rng(123)
@@ -377,7 +411,7 @@ def pair_spec(name):
         rng = np.random.default_rng(int(name.split(":")[1]))
         return bregman_from_symmetric_g(random_symmetric_convex_g(rng))
     if name == "negative_entropy":
-        return DivergenceSpec("bregman", name, G=negative_entropy(2), n=2)
+        return DivergenceSpec("bregman", name, G=negative_entropy(), n=2)
     if name == "square(hellinger)":
         return from_json_dict({"family": "composed", "name": "hellinger",
                                "outer": "square"})
@@ -415,7 +449,7 @@ def test_binary_pairs_match_rows(name, U):
 
 
 def test_binary_pairs_need_binary_alphabet():
-    d = DivergenceSpec("bregman", "ternary", G=negative_entropy(3), n=3)
+    d = DivergenceSpec("bregman", "ternary", G=negative_entropy(), n=3)
     with pytest.raises(DivergenceError, match="size 3"):
         d.evaluate_binary_pairs([0.2, 0.5])
 
@@ -430,7 +464,7 @@ BROADCAST_SPECS = {
     "euclidean": lambda n: catalog("euclidean"),
     "tv_squared": lambda n: catalog("tv_squared"),
     "negative_entropy": lambda n: DivergenceSpec("bregman", "negative_entropy",
-                                                 G=negative_entropy(n), n=n),
+                                                 G=negative_entropy(), n=n),
 }
 
 

@@ -66,9 +66,13 @@ class TestBuildG:
             assert np.max(np.asarray(G(np.linspace(1e-6, 1 - 1e-6, 999)))) <= 1e-12
 
     def test_invalid_h_raises_without_override(self):
-        with pytest.raises(FamilyError):
-            build_G_from_h(gen("decreasing"))
-        build_G_from_h(gen("decreasing"), validate=False)
+        # G is built for any h; h is checked where f is built from it
+        G = build_G_from_h(gen("decreasing"))
+        assert np.asarray(G(0.25)) == pytest.approx(-0.75, abs=1e-15)
+        for build in (build_f_from_h, kl_type_from_h, family_table):
+            with pytest.raises(FamilyError):
+                build(gen("decreasing"))
+            build(gen("decreasing"), validate=False)
 
     def test_monotonicity_of_G_times_ratio(self):
         # G(x) x/(1-x) = -h(x) must be nonincreasing and nonpositive
@@ -78,6 +82,21 @@ class TestBuildG:
             vals = np.asarray(G(x)) * x / (1 - x)
             assert np.max(vals) <= 1e-12
             assert np.max(np.diff(vals)) <= 1e-12
+
+
+@pytest.mark.parametrize("build, want", [
+    (build_G_from_h, 0), (build_f_from_h, 1), (kl_type_from_h, 1),
+    (family_table, 1),
+    (functools.partial(build_f_from_h, validate=False), 0),
+    (functools.partial(family_table, validate=False), 0),
+])
+def test_h_is_checked_once(monkeypatch, build, want):
+    calls = []
+    check = HGenerator.validate
+    monkeypatch.setattr(HGenerator, "validate",
+                        lambda self: calls.append(check(self)))
+    build(gen("square"))
+    assert len(calls) == want
 
 
 class TestBuildF:

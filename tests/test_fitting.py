@@ -10,19 +10,11 @@ import scipy.sparse.linalg
 
 from divergence_lab import fitting
 from divergence_lab.divergences import (DivergenceError, DivergenceSpec,
-                                        MultivariateConvexFunction,
                                         ScalarFunction, catalog,
                                         negative_entropy)
-from divergence_lab.fitting import (ConvexPiecewiseLinearFit, bregman_f_residual,
-                                    fit_bregman_binary, fit_f_divergence,
-                                    pav_nondecreasing)
-
-
-def xlogx():
-    return ScalarFunction(
-        lambda x: np.where(np.asarray(x) > 0,
-                           np.asarray(x) * np.log(np.clip(x, 1e-300, None)), 0.0),
-        deriv=lambda x: np.log(x) + 1.0, label="x*log(x)")
+from divergence_lab.fitting import (ConvexPiecewiseLinearFit, fit_bregman_binary,
+                                    fit_f_divergence, pav_nondecreasing)
+from divergence_lab.simplex import interior_binary_points
 
 
 def pav_loop(y, w=None):
@@ -440,35 +432,28 @@ class TestFitOutputs:
         assert flat.stationarity == 0.0
 
 
+def kl_residual(d, grid):
+    """Max |d - kl| over every pair of `grid` interior binary points: the
+    residual of the identity linking a binary Bregman generator with the
+    f-divergence generator x log x, as q4 takes it."""
+    x = interior_binary_points(grid)
+    return float(np.max(np.abs(d.evaluate_binary_pairs(x)
+                               - catalog("kl").evaluate_binary_pairs(x))))
+
+
 class TestBregmanFResidual:
     def test_kl_identity_holds(self):
-        resid = bregman_f_residual(negative_entropy(2), xlogx(), grid=200)
-        assert resid <= 1e-9
+        negent = DivergenceSpec("bregman", "negative_entropy", G=negative_entropy(),
+                                n=2)
+        assert kl_residual(negent, 200) <= 1e-9
 
     def test_brier_generator_with_kl_f_fails(self):
-        resid = bregman_f_residual(catalog("brier").G, xlogx(), grid=200)
-        assert resid > 0.01
-
-    def test_residual_scales_linearly(self):
-        G = negative_entropy(2)
-        a = 3.7
-        G_scaled = MultivariateConvexFunction(
-            value=lambda P: a * G.value(P), grad=lambda Q: a * G.gradient(Q), n=2)
-        f = xlogx()
-        f_scaled = ScalarFunction(lambda x: a * np.asarray(f(x)))
-        base = bregman_f_residual(catalog("brier").G, f, grid=60)
-        brier_scaled = MultivariateConvexFunction(
-            value=lambda P: a * catalog("brier").G.value(P),
-            grad=lambda Q: a * catalog("brier").G.gradient(Q), n=2)
-        scaled = bregman_f_residual(brier_scaled, f_scaled, grid=60)
-        assert scaled == pytest.approx(a * base, rel=1e-9)
+        assert kl_residual(catalog("brier"), 200) > 0.01
 
     def test_euclidean_generator_matches_its_own_form(self):
-        # h(p) = p^2 + (1-p)^2 gives the Bregman value 2(p-q)^2; compare
-        # against the f-divergence with f(x) = (x-1)^2 evaluated at q=1/2 rows
-        # only through the full-identity residual, which must stay large
-        resid = bregman_f_residual(catalog("euclidean").G, xlogx(), grid=60)
-        assert resid > 0.01
+        # on binary rows the squared norm gives 2(p-q)^2, brier's value, which
+        # is not kl: the identity residual must stay large
+        assert kl_residual(catalog("euclidean"), 60) > 0.01
 
 
 BLAS_PROBE = """
@@ -502,11 +487,11 @@ import numpy as np
 import divergence_lab
 from divergence_lab.checkers import (check_decomposable_binary, check_dpi,
                                      check_sufficiency)
-from divergence_lab.divergences import catalog, negative_entropy
+from divergence_lab.divergences import DivergenceSpec, catalog, negative_entropy
 from divergence_lab.families import (bregman_from_symmetric_g,
                                      h_generator_from_spec, kl_type_from_h,
                                      random_symmetric_convex_g)
-from divergence_lab.fitting import bregman_f_residual, fit_bregman_binary
+from divergence_lab.fitting import fit_bregman_binary
 ramp = kl_type_from_h(h_generator_from_spec("name:ramp"))
 breg = bregman_from_symmetric_g(random_symmetric_convex_g(np.random.default_rng(3)))
 kl_table = kl_type_from_h(h_generator_from_spec("name:kl"))
@@ -515,7 +500,8 @@ check_sufficiency(breg, 2)
 check_decomposable_binary(breg)
 kl_table.evaluate_binary_pairs(np.linspace(0.1, 0.9, 5))
 kl_table.evaluate([0.3, 0.7], [0.6, 0.4])
-bregman_f_residual(negative_entropy(2), catalog("kl").f, grid=20)
+negent = DivergenceSpec("bregman", "negative_entropy", G=negative_entropy(), n=2)
+negent.evaluate_binary_pairs(np.linspace(0.1, 0.9, 5))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 print(fit_bregman_binary(catalog("kl"), iters=0).stop_reason)
