@@ -128,14 +128,19 @@ def _abs_delta(a, b):
     """|a - b| for the equality checks: equal same-sign infinities give 0, and
     any other non-finite difference is NaN, a failed evaluation."""
     a, b = np.asarray(a), np.asarray(b)
-    delta = np.abs(a - b)
+    with np.errstate(invalid="ignore"):  # inf - inf: repaired below
+        delta = np.abs(a - b)
     return np.where(np.isinf(a) & (a == b), 0.0,
                     np.where(np.isfinite(delta), delta, np.nan))
 
 
 # the judges (before, after) -> (gap, tol): data processing bounds the signed gain
 def _dpi_judge(before, after):
-    return after - before, _gap_tol(before)
+    """An infinite D(before) bounds every D(after): its gap is -inf."""
+    with np.errstate(invalid="ignore"):
+        gap = np.asarray(after - before)
+    np.copyto(gap, -np.inf, where=before == np.inf)
+    return gap, _gap_tol(before)
 
 
 def _suff_judge(before, after):
@@ -272,8 +277,7 @@ def _dpi_scan_binary_grid(d: DivergenceSpec, grid: int):
     """
     x = interior_binary_points(grid)
     ab = np.linspace(0.0, 1.0, grid)
-    before = d.evaluate_binary_pairs(x).ravel()
-    tol = _gap_tol(before)[None, :]
+    before = d.evaluate_binary_pairs(x).ravel()[None, :]
     for beta in ab:
         mapped = x[None, :] * ab[:, None] + beta * (1.0 - x[None, :])
         after = d.evaluate_binary_pairs(mapped).reshape(grid, -1)
@@ -281,7 +285,7 @@ def _dpi_scan_binary_grid(d: DivergenceSpec, grid: int):
         def point_of(k):
             ia, ip, iq = np.unravel_index(k, (grid, grid, grid))
             return _binary_triple(x[ip], x[iq], ab[ia], beta)
-        yield after - before[None, :], tol, point_of
+        yield (*_dpi_judge(before, after), point_of)
 
 
 def _draw_binary(rng: np.random.Generator, trials: int):

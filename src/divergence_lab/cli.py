@@ -204,6 +204,9 @@ def _cmd_check(args, config) -> int:
                                        if args.trials is None else args.trials,
                                        seed=seed)
         else:
+            if n != 2:
+                raise DivergenceError("check decomposable is for binary alphabets "
+                                      f"only: n must be 2, got n={n}")
             report = check_decomposable_binary(d, grid=_effective(args, "grid", config))
     doc = scenarios._json_safe(report.to_json_dict())
     if args.out:

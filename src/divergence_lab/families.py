@@ -17,6 +17,9 @@ Each generator is checked once, where the divergence is built:
 unless asked not to), and `bregman_from_symmetric_g` checks g2.  Both
 families are binary, and the `DivergenceSpec` each returns holds that
 alphabet size, n = 2; the generators themselves carry none.
+
+Building a table loads neither scipy (unless h is read from a `table:` CSV)
+nor `numpy.ma`.
 """
 
 from __future__ import annotations
@@ -167,7 +170,9 @@ def build_f_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
     for bp in gen.breakpoints:
         if QUAD_DOMAIN_LO < bp < 1.0 - QUAD_DOMAIN_LO:
             extra += [bp, 1.0 - bp]
-    knots = np.unique(np.concatenate([lower, 1.0 - lower, extra]))
+    # sort and drop repeats by hand: np.unique imports numpy.ma
+    knots = np.sort(np.concatenate([lower, 1.0 - lower, extra]))
+    knots = knots[np.concatenate([[True], knots[1:] > knots[:-1]])]
     anchor = int(np.searchsorted(knots, 0.5))
 
     def fprime_upper(u):

@@ -619,6 +619,32 @@ def test_failed_evaluations_are_inconclusive():
         assert rep.note != NOT_A_PROOF
 
 
+def test_dpi_judge_infinite_before_holds():
+    # D(before) = +inf bounds any D(after): gap -inf; only after = +inf is +inf
+    with np.errstate(all="raise"):
+        gap, _ = checkers._dpi_judge(np.array([np.inf, np.inf, 1.0]),
+                                     np.array([np.inf, 2.0, np.inf]))
+    assert gap.tolist() == [-np.inf, -np.inf, np.inf]
+
+
+def test_abs_delta_equal_infinities_without_warning():
+    with np.errstate(all="raise"):
+        assert _abs_delta(np.array([np.inf]), np.array([np.inf])).tolist() == [0.0]
+
+
+def test_dpi_infinite_on_both_sides_is_no_failure():
+    # tv, or +inf above 1/2: a channel never raises tv, so an infinite value
+    # after the channel has an infinite one before it, and the inequality holds
+    outer = ScalarFunction(
+        lambda x: np.where(np.asarray(x) > 0.5, np.inf, np.asarray(x, dtype=float)),
+        label="tv or inf")
+    d = DivergenceSpec("composed", "tv_or_inf", base=catalog("tv"), outer=outer,
+                       validate=False)
+    for rep in (check_dpi(d, 2, grid=10, random_trials=1000, seed=1),
+                check_dpi(d, 3, random_trials=1000, seed=1)):
+        assert rep.verdict == "no_violation_found" and rep.failures == 0
+
+
 class TestSearch:
     """The one search loop, on synthetic batches."""
 

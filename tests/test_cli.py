@@ -128,6 +128,29 @@ class TestCheck:
             "--grid", "50")
         assert code == 0
 
+    @pytest.mark.parametrize("n", ["3", "1"])
+    def test_decomposable_rejects_a_non_binary_alphabet(self, capsys, n):
+        code, out, err = run_cli_capture(
+            capsys, "check", "decomposable", "--divergence", "kl", "--n", n,
+            "--grid", "5")
+        assert code == 1
+        assert out == "" and err.startswith("error:") and "binary" in err
+        assert "Traceback" not in err
+
+    def test_decomposable_rejects_a_non_binary_config(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n": 3}))
+        code, out, err = run_cli_capture(
+            capsys, "--config", str(path), "check", "decomposable",
+            "--divergence", "kl", "--grid", "5")
+        assert code == 1
+        assert out == "" and err.startswith("error:") and "binary" in err
+
+    def test_decomposable_binary_n_keeps_its_output(self, capsys):
+        argv = ("check", "decomposable", "--divergence", "kl", "--grid", "5")
+        assert run_cli_capture(capsys, *argv, "--n", "2") \
+            == run_cli_capture(capsys, *argv)
+
     def test_shannon_requires_f(self, capsys):
         code, _, err = run_cli_capture(capsys, "check", "shannon", "--n", "3")
         assert code == 1

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divergence_lab.divergences import catalog
-from divergence_lab.families import (DEFAULT_SAMPLES, QUAD_ABS_TOL, QUAD_TOL,
-                                     FamilyError, HGenerator, SymmetricConvexG,
+from divergence_lab.families import (DEFAULT_SAMPLES, QUAD_ABS_TOL,
+                                     QUAD_DOMAIN_LO, QUAD_TOL, FamilyError,
+                                     HGenerator, SymmetricConvexG,
                                      bregman_from_symmetric_g, build_G_from_h,
                                      build_f_from_h, family_table,
                                      h_generator_from_spec, kl_type_from_h,
@@ -185,6 +186,20 @@ class TestBuildF:
             # DEFAULT_SAMPLES // 2 knots per half, sharing 1/2, plus any
             # breakpoint and its reflection
             assert len(f.knots) == DEFAULT_SAMPLES - 1 + 2 * (name == "ramp")
+
+    @pytest.mark.parametrize("breakpoints", [
+        (), (0.25,), (0.5,),
+        (float(np.geomspace(QUAD_DOMAIN_LO, 0.5, DEFAULT_SAMPLES // 2)[1000]),)])
+    def test_knots_are_the_unique_sorted_knots(self, breakpoints):
+        # the geometric knots of both halves, 1/2 and each breakpoint with its
+        # reflection, each once: what np.unique of them gives, bit for bit
+        f = build_f_from_h(HGenerator(gen("square").h, breakpoints=breakpoints))
+        lower = np.geomspace(QUAD_DOMAIN_LO, 0.5, DEFAULT_SAMPLES // 2)
+        every = np.concatenate([lower, 1.0 - lower, [0.5],
+                                *[[bp, 1.0 - bp] for bp in breakpoints]])
+        assert np.all(np.diff(f.knots) > 0)
+        assert np.array_equal(f.knots, np.unique(every))
+        assert len(f.knots) < len(every)
 
     def test_decreasing_near_one_matches_closed_form(self):
         # above 1/2, h = 1/2 - x gives f(x) = (x - 1/2) + ln(2 (1 - x)) / 2;

@@ -504,13 +504,14 @@ negent = DivergenceSpec("bregman", "negative_entropy", G=negative_entropy(), n=2
 negent.evaluate_binary_pairs(np.linspace(0.1, 0.9, 5))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
+assert "numpy.ma" not in sys.modules
 print(fit_bregman_binary(catalog("kl"), iters=0).stop_reason)
 """
 
 
 def test_only_fits_load_scipy():
     # the package, its tables, samplers, checkers and the identity residual
-    # run on numpy alone; scipy is imported by the first fit
+    # run on numpy alone, without numpy.ma; scipy is imported by the first fit
     proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_PROBE],
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
