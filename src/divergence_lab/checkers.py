@@ -14,8 +14,8 @@ some evaluations failed.  An empty search is an error.
 
 All randomness is drawn from a single seeded generator in a fixed order, so
 identical (spec, config, seed) always produce identical reports.  Every
-random divergence scan runs one block loop, `_scan`, over its kind's draw:
-blocks of SLICE rows before and after their channels, each evaluated, judged
+random scan, Shannon's too, runs one block loop, `_scan`, over its kind's
+draw: blocks of SLICE rows before and after their map, each evaluated, judged
 and yielded before the next is drawn, so a scan holds about one block at any
 trial count.  SLICE is the one block constant: it sets both memory and the
 draw order, so the reports of a scan with more than SLICE random trials
@@ -44,8 +44,6 @@ VIOLATION_SHOWN = "violation is shown by the witness: its gap exceeds the tolera
 INCONCLUSIVE = ("inconclusive: some evaluations failed (NaN) and no violation "
                 "was confirmed, so the search is not evidence")
 REFUTED = "the flagged candidate did not survive re-evaluation; "
-# the channel of a decomposability witness: the two symbols swap
-SWAP = ((0.0, 1.0), (1.0, 0.0))
 # line-search steps of the local refinement, tried together
 BACKTRACK_STEPS = 0.05 * 0.5 ** np.arange(12)
 FD_STEP = 1e-5  # the step of its central differences
@@ -243,16 +241,17 @@ def _search(prop, trials, config, batches, judge, d, refine=None,
                        note=prefix + note)
 
 
-def _scan(d: DivergenceSpec, judge, blocks):
-    """The block loop of every random divergence scan.  A kind's draw,
-    `blocks`, yields each block's rows before and after their channels and
-    `point_of(k)`: row k's (P, Q, channel) triple, copied out of the block,
-    its channel built for that row alone.  The draw frees its last block one
-    array at a time as it draws the next: freed whole, a block lets glibc's
-    malloc trim the heap, to fault it in again (10,000 faults a check, n = 5)."""
+def _scan(evaluate, judge, blocks):
+    """The block loop of every random scan: `evaluate(X, Y)` gives a value
+    per row, `d.evaluate_batch` for a divergence.  A kind's draw, `blocks`,
+    yields each block's rows before (P, Q) and after (PT, QT) and
+    `point_of(k)`: row k's candidate, copied out of the block, any channel
+    built for that row alone.  The draw frees its last block one array at a
+    time as it draws the next: freed whole, a block lets glibc's malloc trim
+    the heap, to fault it in again (10,000 faults a check, n = 5)."""
     for P, Q, PT, QT, point_of in blocks:
-        before = d.evaluate_batch(P, Q)
-        gap, tol = judge(before, d.evaluate_batch(PT, QT))
+        before = evaluate(P, Q)
+        gap, tol = judge(before, evaluate(PT, QT))
         yield gap, tol, point_of
         # hold nothing of this block while the draw makes the next
         del P, Q, PT, QT, before, gap, tol, point_of
@@ -320,13 +319,11 @@ def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
     config = {"n": n, "grid": grid if n == 2 else None, "random_trials": random_trials,
               "seed": seed, "abs_tol": DPI_ABS_TOL, "rel_tol": DPI_REL_TOL,
               "divergence": d.label}
-    if n == 2:
-        trials = grid ** 4 + random_trials
-        batches = chain(_dpi_scan_binary_grid(d, grid) if grid else (),
-                        _scan(d, _dpi_judge, _draw_binary(rng, random_trials)))
-    else:
-        trials = random_trials
-        batches = _scan(d, _dpi_judge, _draw_channels(rng, random_trials, n))
+    trials = random_trials + (grid ** 4 if n == 2 else 0)
+    draw = (_draw_binary(rng, random_trials) if n == 2
+            else _draw_channels(rng, random_trials, n))
+    batches = chain(_dpi_scan_binary_grid(d, grid) if n == 2 and grid else (),
+                    _scan(d.evaluate_batch, _dpi_judge, draw))
     return _search("dpi", trials, config, batches, _dpi_judge, d,
                    refine=dpi_local_refine)
 
@@ -346,13 +343,13 @@ def _project_simplex(V: np.ndarray) -> np.ndarray:
 
 def _dpi_gaps(d: DivergenceSpec, X: np.ndarray):
     """(gap, before, after) of every state X[k] = (P, Q, channel rows), from one
-    evaluate_batch call."""
+    evaluate_batch call, the gap by `_dpi_judge`."""
     m = len(X)
     PY = np.matmul(X[:, :1], X[:, 2:])[:, 0]
     QY = np.matmul(X[:, 1:2], X[:, 2:])[:, 0]
     v = d.evaluate_batch(np.vstack([X[:, 0], PY / row_sum(PY)[:, None]]),
                          np.vstack([X[:, 1], QY / row_sum(QY)[:, None]]))
-    return v[m:] - v[:m], v[:m], v[m:]
+    return _dpi_judge(v[:m], v[m:])[0], v[:m], v[m:]
 
 
 def dpi_local_refine(d: DivergenceSpec, witness, iters: int = 200):
@@ -400,11 +397,14 @@ def dpi_local_refine(d: DivergenceSpec, witness, iters: int = 200):
 # ---------------------------------------------------------------------------
 
 def _draw_permutation(rng: np.random.Generator, trials: int, n: int):
-    """Pairs on n symbols and their rows with the symbols permuted, by blocks."""
+    """Pairs on n symbols and their rows with two random symbols swapped, by
+    blocks: never the identity, and transpositions generate every permutation."""
     for m in _blocks(trials):
         P = sample_simplex(rng, m, n)
         Q = sample_simplex(rng, m, n)
-        perm = np.argsort(rng.uniform(size=(m, n)), axis=1)
+        sigma = np.argsort(rng.uniform(size=(m, n)), axis=1)
+        perm = np.tile(np.arange(n), (m, 1))
+        np.put_along_axis(perm, sigma[:, :2], sigma[:, 1::-1], axis=1)
         # row k after is P[k, perm[k]]: channel column y is the unit vector perm[k, y]
         yield (P, Q, np.take_along_axis(P, perm, 1), np.take_along_axis(Q, perm, 1),
                lambda k: (P[k].copy(), Q[k].copy(), np.eye(n)[:, perm[k]],
@@ -460,7 +460,7 @@ def check_sufficiency(d: DivergenceSpec, n: int, trials: int = 10_000,
               "divergence": d.label, "kinds": ",".join(k for k in kinds if share[k] > 0)}
     blocks = chain(_draw_permutation(rng, share.pop("permutation"), n),
                    *(_draw_merge_split(rng, m, n, kind) for kind, m in share.items()))
-    batches = _scan(d, _suff_judge, blocks)
+    batches = _scan(d.evaluate_batch, _suff_judge, blocks)
     return _search("sufficiency", trials, config, batches, _suff_judge, d)
 
 
@@ -473,7 +473,7 @@ def _swap_grid(d: DivergenceSpec, grid: int):
     x = interior_binary_points(grid)
     gap, tol = _decomposability_judge(d.evaluate_binary_pairs(x),
                                       d.evaluate_binary_pairs(1.0 - x))
-    yield gap, tol, lambda k: (*binary_rows(x[[k // grid, k % grid]]), SWAP)
+    yield gap, tol, lambda k: _binary_triple(x[k // grid], x[k % grid], 0.0, 1.0)
 
 
 def check_decomposable_binary(d: DivergenceSpec, grid: int = 200) -> CheckReport:
@@ -494,14 +494,12 @@ def _shannon_judge(lhs, rhs):
         return lhs - rhs, _gap_tol(lhs)
 
 
-def _shannon_batches(f, n: int, trials: int, rng: np.random.Generator):
-    """Random pairs (P, Q) on n symbols, one block at a time."""
+def _draw_pairs(rng: np.random.Generator, trials: int, n: int):
+    """Pairs (P, Q) on n symbols by blocks, as rows (P, P) before, (P, Q) after."""
     for m in _blocks(trials):
         P = sample_simplex(rng, m, n)
         Q = sample_simplex(rng, m, n)
-        gap, tol = _shannon_judge(row_sum(P * np.asarray(f(P))),
-                                  row_sum(P * np.asarray(f(Q))))
-        yield gap, tol, lambda k: (P[k], Q[k])
+        yield P, P, P, Q, lambda k: (P[k].copy(), Q[k].copy())
 
 
 def _shannon_recheck(f, p, q) -> dict:
@@ -518,6 +516,7 @@ def check_shannon_inequality(f, n: int, trials: int = 100_000,
     config = {"n": n, "trials": trials, "seed": seed, "abs_tol": DPI_ABS_TOL,
               "rel_tol": DPI_REL_TOL,
               "f": getattr(f, "label", None) or repr(f)}
-    return _search("shannon_inequality", trials, config,
-                   _shannon_batches(f, n, trials, rng), _shannon_judge, f,
+    batches = _scan(lambda X, Y: row_sum(X * np.asarray(f(Y))), _shannon_judge,
+                    _draw_pairs(rng, trials, n))
+    return _search("shannon_inequality", trials, config, batches, _shannon_judge, f,
                    recheck=_shannon_recheck)

@@ -18,6 +18,7 @@ check (some evaluations failed).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -220,11 +221,20 @@ def _cmd_check(args, config) -> int:
     return EXIT_VIOLATION if report.violated else EXIT_OK
 
 
+def _write_csv(path, header, rows) -> None:
+    """A CSV file of `header` and `rows` of numbers, each written as its repr."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([repr(float(v)) for v in row] for row in rows)
+
+
 def _cmd_generate(args, config) -> int:
     gen = families.h_generator_from_spec(args.h_spec)
     out = args.out or "family.csv"
-    families.write_family_csv(gen, out, points=_effective(args, "points", config),
-                              validate=not args.allow_invalid)
+    table = families.family_table(gen, points=_effective(args, "points", config),
+                                  validate=not args.allow_invalid)
+    _write_csv(out, ["x", "G", "f"], table)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -233,18 +243,14 @@ def _cmd_fit(args, config) -> int:
     d = resolve(_effective(args, "divergence", config))
     seed = _effective(args, "seed", config)
     pairs = _effective(args, "pairs", config)
-    if args.kind == "fdiv":
-        knots = _effective(args, "fdiv_knots", config) if args.knots is None \
-            else args.knots
-        fit = fitting.fit_f_divergence(d, sample_pairs=pairs, knots=knots, seed=seed)
-    else:
-        knots = _effective(args, "bregman_knots", config) if args.knots is None \
-            else args.knots
-        fit = fitting.fit_bregman_binary(d, sample_pairs=pairs, knots=knots, seed=seed)
+    key, fit_with = (("fdiv_knots", fitting.fit_f_divergence) if args.kind == "fdiv"
+                     else ("bregman_knots", fitting.fit_bregman_binary))
+    knots = _effective(args, key, config) if args.knots is None else args.knots
+    fit = fit_with(d, sample_pairs=pairs, knots=knots, seed=seed)
     if args.out:
-        fit.write_csv(args.out)
+        _write_csv(args.out, ["knot", "value"], zip(fit.knots, fit.values))
     if args.summary_out:
-        fit.write_summary(args.summary_out)
+        Path(args.summary_out).write_text(json.dumps(fit.summary(), indent=2) + "\n")
     print(json.dumps(fit.summary()))
     return EXIT_OK
 

@@ -165,23 +165,31 @@ class ScalarFunction:
         return self._deriv(np.asarray(x, dtype=float))
 
 
+def check_finite(name: str, *values) -> None:
+    """Reject a generator whose spot-check values are not all finite: a NaN
+    passes every `<` test."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise DivergenceError(f"{name} is not finite at every spot-check point")
+
+
 def check_f_generator(f: ScalarFunction) -> None:
-    """Spot-check that f is convex on (0, inf) with f(1) = 0."""
-    if abs(float(f(1.0))) > F_AT_ONE_TOL:
-        raise DivergenceError(f"f(1) = {float(f(1.0)):.3g}, must be 0")
+    """Spot-check that f is finite and convex on (0, inf) with f(1) = 0."""
     x = np.geomspace(0.01, 50.0, 200)
     mid = 0.5 * (x[:-1] + x[1:])
     gap = 0.5 * (f(x[:-1]) + f(x[1:])) - f(mid)
+    check_finite(f"f {f.label!r}", f(1.0), gap)
+    if abs(float(f(1.0))) > F_AT_ONE_TOL:
+        raise DivergenceError(f"f(1) = {float(f(1.0)):.3g}, must be 0")
     if np.min(gap) < -CONVEXITY_TOL:
         raise DivergenceError(f"f fails midpoint convexity by {-np.min(gap):.3g}")
 
 
 def check_outer(k: ScalarFunction) -> None:
-    """Spot-check that k is nondecreasing with k(0) = 0."""
+    """Spot-check that k is finite and nondecreasing with k(0) = 0."""
+    v = np.asarray(k(np.linspace(0.0, 10.0, 200)))
+    check_finite(f"k {k.label!r}", k(0.0), v)
     if abs(float(k(0.0))) > F_AT_ONE_TOL:
         raise DivergenceError(f"k(0) = {float(k(0.0)):.3g}, must be 0")
-    x = np.linspace(0.0, 10.0, 200)
-    v = np.asarray(k(x))
     if np.min(np.diff(v)) < -CONVEXITY_TOL:
         raise DivergenceError("outer function k must be nondecreasing")
 
@@ -219,6 +227,7 @@ def check_convex_on_simplex(G: MultivariateConvexFunction, n: int) -> None:
     pts = g / g.sum(axis=2, keepdims=True)
     a, b = pts[:, 0, :], pts[:, 1, :]
     gap = 0.5 * (G.value(a) + G.value(b)) - G.value(0.5 * (a + b))
+    check_finite(f"G {G.label!r}", gap)
     if np.min(gap) < -CONVEXITY_TOL:
         raise DivergenceError(
             f"generator fails midpoint convexity by {-np.min(gap):.3g}")

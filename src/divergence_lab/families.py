@@ -24,14 +24,13 @@ nor `numpy.ma`.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .divergences import (DivergenceError, DivergenceSpec,
-                          MultivariateConvexFunction, ScalarFunction)
+from .divergences import (DivergenceError, DivergenceSpec, MultivariateConvexFunction,
+                          ScalarFunction, check_finite)
 
 H_GRID_TOL = 1e-12        # slack for the h >= 0 / nondecreasing grid checks
 SYMMETRY_TOL = 1e-12
@@ -69,6 +68,7 @@ class HGenerator:
 
     def validate(self) -> None:
         v = np.asarray(self.h(np.geomspace(QUAD_DOMAIN_LO, 0.5, 512)), dtype=float)
+        check_finite(f"h({self.label})", v)
         if np.min(v) < -H_GRID_TOL:
             raise FamilyError(f"h({self.label}) is negative: min {np.min(v):.3g}")
         # flat segments are allowed, strict decreases are not
@@ -250,8 +250,8 @@ def h_generator_from_spec(text: str) -> HGenerator:
         xs, hs = rows[:, 0], rows[:, 1]
         if np.any(np.diff(xs) <= 0):
             raise FamilyError("h table x column must be strictly increasing")
-        from scipy.interpolate import CubicSpline  # only a table h needs scipy
-        spline = CubicSpline(xs, hs)
+        from scipy.interpolate import PchipInterpolator  # monotone; only a table h loads scipy
+        spline = PchipInterpolator(xs, hs)
         lo, hi = float(xs[0]), float(xs[-1])
         return HGenerator(lambda x: spline(np.clip(x, lo, hi)), label=text)
     raise FamilyError(f"unknown h spec kind {kind!r}")
@@ -266,16 +266,6 @@ def family_table(gen: HGenerator, points: int = 512,
     G = build_G_from_h(gen)
     x = np.linspace(0.005, 0.995, points)
     return np.column_stack([x, np.asarray(G(x)), np.asarray(f(x))])
-
-
-def write_family_csv(gen: HGenerator, path, points: int = 512,
-                     validate: bool = True) -> None:
-    table = family_table(gen, points=points, validate=validate)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "G", "f"])
-        for row in table:
-            w.writerow([repr(float(v)) for v in row])
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +288,11 @@ class SymmetricConvexG:
         x = np.linspace(0.01, 0.99, 197)
         v = np.asarray(self.g2(x), dtype=float)
         sym = np.max(np.abs(v - np.asarray(self.g2(1.0 - x))))
-        if sym > SYMMETRY_TOL:
-            raise FamilyError(f"g2({self.label}) asymmetric by {sym:.3g}")
         mid = 0.5 * (x[:-1] + x[1:])
         gap = 0.5 * (v[:-1] + v[1:]) - np.asarray(self.g2(mid))
+        check_finite(f"g2({self.label})", sym, gap)
+        if sym > SYMMETRY_TOL:
+            raise FamilyError(f"g2({self.label}) asymmetric by {sym:.3g}")
         if np.min(gap) < -H_GRID_TOL:
             raise FamilyError(f"g2({self.label}) fails midpoint convexity")
         self._check_differentiable()

@@ -24,8 +24,6 @@ rather than hidden: it is an artifact choice, not a theorem.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,18 +82,6 @@ class ConvexPiecewiseLinearFit:
                 "iterations": int(self.iterations),
                 "stop_reason": self.stop_reason,
                 "stationarity": float(self.stationarity)}
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["knot", "value"])
-            for k, v in zip(self.knots, self.values):
-                w.writerow([repr(float(k)), repr(float(v))])
-
-    def write_summary(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -72,12 +72,20 @@ def _json_safe(obj):
 
 def _fit_memo(seed: int):
     """fit(kind, name): the "fdiv" or "breg" fit of a catalog divergence at
-    `seed`, computed once per memo.  The fits of a form share one
-    `fitting.probe(kind, seed)`, built on that form's first fit, so a run
-    that fits nothing builds no probe and no band factor; each run builds its
-    own memo."""
+    `seed`, once per memo and target (brier and euclidean, equal on binary
+    rows, share theirs).  The fits of a form share one `fitting.probe(kind,
+    seed)`, built on that form's first fit, so a run that fits nothing builds
+    no probe and no band factor; each run builds its own memo."""
     probe = functools.cache(lambda kind: fitting.probe(kind, seed))
-    return functools.cache(lambda kind, name: probe(kind).fit(catalog(name)))
+    fits = {}
+
+    def fit(kind, name):
+        p, d = probe(kind), catalog(name)
+        key = (kind, d.evaluate_batch(p.P, p.Q).tobytes())
+        if key not in fits:
+            fits[key] = p.fit(d)
+        return fits[key]
+    return fit
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from divergence_lab.checkers import (DECOMPOSABLE_TOL, INCONCLUSIVE, NOT_A_PROOF
                                      sample_simplex)
 from divergence_lab.divergences import (DivergenceError, DivergenceSpec,
                                         MultivariateConvexFunction, ScalarFunction,
-                                        catalog)
+                                        catalog, negative_entropy, squared_norm_G)
 from divergence_lab.simplex import (Channel, Distribution, binary_rows,
                                     merge_transform, push_forward, row_sum,
                                     split_transform)
@@ -389,6 +390,17 @@ def test_sufficiency_draws_are_sufficient_scenarios(n, kind, seed):
                                after, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_permutation_trials_swap_two_symbols(n):
+    # a transposition: never the identity, at n = 2 always the swap
+    (P, Q, PT, QT, _), = checkers._draw_permutation(np.random.default_rng(42), 1000, n)
+    for before, after in ((P, PT), (Q, QT)):
+        assert (np.count_nonzero(before != after, axis=1) == 2).all()
+        assert np.array_equal(np.sort(before, axis=1), np.sort(after, axis=1))
+    if n == 2:
+        assert np.array_equal(PT, P[:, ::-1]) and np.array_equal(QT, Q[:, ::-1])
+
+
 def lopsided():
     """The binary Bregman divergence of G(P) = p_0^3, not swap symmetric:
     D((p,1-p);(q,1-q)) = (p-q)^2 (p+2q), and its swap is (p-q)^2 (3-p-2q)."""
@@ -645,6 +657,21 @@ def test_dpi_infinite_on_both_sides_is_no_failure():
         assert rep.verdict == "no_violation_found" and rep.failures == 0
 
 
+def test_refinement_takes_the_dpi_judge_at_infinite_values():
+    # G = negative entropy + squared norm, kl + euclidean: +inf on the faces,
+    # where the refinement's states meet inf - inf, and no data processing at
+    # n = 3.  Its gap is the judge's -inf: no warning, the same witness
+    ne, sq = negative_entropy(), squared_norm_G()
+    G = MultivariateConvexFunction(lambda P: ne.value(P) + sq.value(P),
+                                   lambda Q: ne.gradient(Q) + sq.gradient(Q),
+                                   label="kl+euclidean")
+    d = DivergenceSpec("bregman", "kl+euclidean", G=G)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = check_dpi(d, 3, random_trials=20_000, seed=42)
+    assert (rep.verdict, rep.max_gap, rep.failures) == ("violation", 0.49475349253083767, 0)
+
+
 class TestSearch:
     """The one search loop, on synthetic batches."""
 
@@ -797,10 +824,10 @@ def fresh_block_sizes(trials):
 # in the checker's order.  Each point_of binds its own block, so it stays
 # valid after the next.
 
-def reference_scan(d, judge, blocks):
+def reference_scan(evaluate, judge, blocks):
     for P, Q, PT, QT, point_of in blocks:
-        before = d.evaluate_batch(P, Q)
-        yield (*judge(before, d.evaluate_batch(PT, QT)), point_of)
+        before = evaluate(P, Q)
+        yield (*judge(before, evaluate(PT, QT)), point_of)
 
 
 def dpi_binary_reference(rng, trials):
@@ -827,7 +854,11 @@ def permutation_reference(rng, trials, n):
     for m in fresh_block_sizes(trials):
         P = sample_simplex_divided(rng, m, n)
         Q = sample_simplex_divided(rng, m, n)
-        perm = np.argsort(rng.uniform(size=(m, n)), axis=1)
+        sigma = np.argsort(rng.uniform(size=(m, n)), axis=1)
+        # the transposition of symbols sigma[:, 0] and sigma[:, 1]
+        perm = np.array([np.arange(n)] * m)
+        for k, (i, j) in enumerate(sigma[:, :2]):
+            perm[k, i], perm[k, j] = j, i
         rows = np.arange(m)[:, None]
         # after[y] = P[perm[y]]: the channel sends symbol x to argsort(perm)[x]
         yield (P, Q, P[rows, perm], Q[rows, perm],
@@ -871,21 +902,20 @@ def merge_split_reference(rng, trials, n, kind):
                        split_transform(sigma[k, 0], sigma[k, 1], t[k], n).matrix, kind))
 
 
-def shannon_reference(f, n, trials, rng):
+def pairs_reference(rng, trials, n):
+    # the Shannon sums: (P, P) gives sum p f(p) before, (P, Q) sum p f(q) after
     for m in fresh_block_sizes(trials):
         P = sample_simplex_divided(rng, m, n)
         Q = sample_simplex_divided(rng, m, n)
-        lhs, rhs = (P * f(P)).sum(axis=1), (P * f(Q)).sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            gap = lhs - rhs
-        yield gap, _gap_tol(lhs), lambda k, P=P, Q=Q: (P[k], Q[k])
+        yield P, P, P, Q, lambda k, P=P, Q=Q: (P[k], Q[k])
 
 
-# the block loops, whose batches are noted, and the draws of the scan kinds
-SCAN_REFERENCES = {"_scan": reference_scan, "_shannon_batches": shannon_reference}
+# the block loop, whose batches are noted, and the draws of the scan kinds
+SCAN_REFERENCES = {"_scan": reference_scan}
 DRAW_REFERENCES = {"_draw_binary": dpi_binary_reference, "_draw_channels": dpi_reference,
                    "_draw_permutation": permutation_reference,
-                   "_draw_merge_split": merge_split_reference}
+                   "_draw_merge_split": merge_split_reference,
+                   "_draw_pairs": pairs_reference}
 
 BLOCK_TRIALS = 6000
 LATE_TRIALS = 5976  # 4,096 + 1,880 and 5 * 997 + 991 rows
@@ -971,9 +1001,9 @@ def test_point_keeps_its_values_after_the_next_block():
     # _best holds the best point while later blocks are drawn and evaluated
     d = catalog("kl")
     trials = checkers.SLICE + 5
-    scan = checkers._scan(d, checkers._dpi_judge,
+    scan = checkers._scan(d.evaluate_batch, checkers._dpi_judge,
                           checkers._draw_channels(np.random.default_rng(5), trials, 3))
-    ref = reference_scan(d, checkers._dpi_judge,
+    ref = reference_scan(d.evaluate_batch, checkers._dpi_judge,
                          dpi_reference(np.random.default_rng(5), trials, 3))
     point, want = next(scan)[2](2), next(ref)[2](2)
     *_, last = scan
@@ -981,6 +1011,26 @@ def test_point_keeps_its_values_after_the_next_block():
     assert [x.tobytes() for x in point] == [x.tobytes() for x in want]
     assert [x.tobytes() for x in later] == [x.tobytes() for x in next(ref)[2](2)]
     assert not np.array_equal(point[0], later[0])
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_dpi(catalog("kl"), 2, grid=3, random_trials=500),
+    lambda: check_dpi(catalog("kl"), 3, random_trials=500),
+    lambda: check_sufficiency(catalog("kl"), 2, trials=500),
+    lambda: check_sufficiency(catalog("kl"), 3, trials=500),
+    lambda: check_shannon_inequality(shannon_quadratic(), 3, trials=500),
+], ids=["dpi-n2", "dpi-n3", "sufficiency-n2", "sufficiency-n3", "shannon"])
+def test_every_random_scan_runs_through_scan(monkeypatch, check):
+    rows = []
+    scan = checkers._scan
+
+    def counting(*args):
+        for gap, tol, point_of in scan(*args):
+            rows.append(gap.size)
+            yield gap, tol, point_of
+    monkeypatch.setattr(checkers, "_scan", counting)
+    check()
+    assert sum(rows) == 500
 
 
 # what a scan may hold at once: 80 float64 columns of SLICE rows (2.5 MiB).  A

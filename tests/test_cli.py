@@ -231,6 +231,14 @@ class TestGenerateAndFit:
             "--out", str(tmp_path / "x.csv"))
         assert code == 0
 
+    def test_generate_nan_h_names_it(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli_capture(capsys, "generate", "--h", "poly:nan",
+                                       "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and "poly:nan" in err and "not finite" in err
+        assert not out.exists()
+
     def test_fit_summary_output(self, capsys, tmp_path):
         csv_out = tmp_path / "fit.csv"
         sum_out = tmp_path / "fit.json"

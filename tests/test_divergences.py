@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import functools
 
@@ -10,9 +11,12 @@ from hypothesis import given, settings, strategies as st
 from divergence_lab.divergences import (CATALOG_NAMES, DivergenceError,
                                         DivergenceSpec,
                                         MultivariateConvexFunction,
-                                        ScalarFunction, catalog, from_json_dict,
-                                        negative_entropy, resolve)
-from divergence_lab.families import (bregman_from_symmetric_g,
+                                        ScalarFunction, catalog,
+                                        check_convex_on_simplex,
+                                        check_f_generator, check_outer,
+                                        from_json_dict, negative_entropy, resolve)
+from divergence_lab.families import (HGenerator, SymmetricConvexG,
+                                     bregman_from_symmetric_g,
                                      h_generator_from_spec, kl_type_from_h,
                                      random_symmetric_convex_g)
 from divergence_lab.simplex import binary_rows
@@ -355,6 +359,24 @@ def test_bregman_spot_check_takes_the_spec_alphabet(monkeypatch, spec, n):
                         lambda G, n: seen.append(n))
     spec()
     assert seen == [n]
+
+
+def nan_like(x):
+    return np.full(np.shape(x), np.nan)
+
+
+@pytest.mark.parametrize("check, name", [
+    (lambda: check_f_generator(ScalarFunction(nan_like, label="nan")), "f 'nan'"),
+    (lambda: check_outer(ScalarFunction(nan_like, label="nan")), "k 'nan'"),
+    (lambda: check_convex_on_simplex(MultivariateConvexFunction(
+        lambda P: nan_like(P[..., 0]), nan_like, label="nan"), 3), "G 'nan'"),
+    (lambda: HGenerator(nan_like, label="nan").validate(), "h(nan)"),
+    (lambda: SymmetricConvexG(nan_like, nan_like, label="nan").validate(), "g2(nan)"),
+], ids=["f", "outer", "bregman", "h", "g2"])
+def test_generator_spot_checks_reject_nan(check, name):
+    # NaN fails no `<` test: each spot-check rejects it by name
+    with pytest.raises(DivergenceError, match=re.escape(f"{name} is not finite")):
+        check()
 
 
 def test_nonnegativity_over_random_interior_pairs():

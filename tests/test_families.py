@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divergence_lab import cli
 from divergence_lab.divergences import catalog
 from divergence_lab.families import (DEFAULT_SAMPLES, QUAD_ABS_TOL,
                                      QUAD_DOMAIN_LO, QUAD_TOL, FamilyError,
@@ -12,8 +13,7 @@ from divergence_lab.families import (DEFAULT_SAMPLES, QUAD_ABS_TOL,
                                      bregman_from_symmetric_g, build_G_from_h,
                                      build_f_from_h, family_table,
                                      h_generator_from_spec, kl_type_from_h,
-                                     random_symmetric_convex_g,
-                                     write_family_csv)
+                                     random_symmetric_convex_g)
 from divergence_lab.simplex import binary_rows
 
 
@@ -422,14 +422,26 @@ class TestParsing:
         g = h_generator_from_spec(f"table:{path}")
         assert float(g.h(0.25)) == pytest.approx(0.0625, abs=1e-6)
 
+    def test_step_table(self, tmp_path):
+        # nonnegative and nondecreasing: a monotone interpolant stays so
+        path = tmp_path / "h.csv"
+        path.write_text("0,0\n0.1,0\n0.2,1\n0.3,1\n0.5,1\n")
+        g = h_generator_from_spec(f"table:{path}")
+        g.validate()
+        h = g.h(np.linspace(0.0, 0.5, 501))
+        assert h.min() == 0.0 and h.max() == 1.0 and (np.diff(h) >= 0).all()
+        assert cli.main(["generate", "--h", f"table:{path}",
+                         "--out", str(tmp_path / "fam.csv")]) == 0
+
     def test_bad_specs(self):
         for text in ("square", "name:nope", "poly:a,b", "knots:1,2"):
             with pytest.raises(FamilyError):
                 h_generator_from_spec(text)
 
-    def test_family_csv(self, tmp_path):
+    def test_family_csv(self, tmp_path, capsys):
         path = tmp_path / "fam.csv"
-        write_family_csv(gen("square"), path, points=32)
+        assert cli.main(["generate", "--h", "name:square", "--out", str(path),
+                         "--points", "32"]) == 0
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
         assert rows.shape == (32, 3)
         x = rows[:, 0]

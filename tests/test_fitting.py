@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from divergence_lab import fitting
+from divergence_lab import cli, fitting
 from divergence_lab.divergences import (DivergenceError, DivergenceSpec,
                                         ScalarFunction, catalog,
                                         negative_entropy)
@@ -400,12 +400,12 @@ class TestFitBregman:
 
 
 class TestFitOutputs:
-    def test_csv_and_summary(self, tmp_path):
-        fit = fit_f_divergence(catalog("tv"), sample_pairs=400, knots=101, seed=0)
+    def test_csv_and_summary(self, tmp_path, capsys):
         csv_path = tmp_path / "fit.csv"
         json_path = tmp_path / "fit.json"
-        fit.write_csv(csv_path)
-        fit.write_summary(json_path)
+        assert cli.main(["fit", "fdiv", "--divergence", "tv", "--pairs", "400",
+                         "--knots", "101", "--seed", "0", "--out", str(csv_path),
+                         "--summary-out", str(json_path)]) == 0
         rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
         assert rows.shape == (101, 2)
         doc = json.loads(json_path.read_text())

@@ -4,7 +4,8 @@ from divergence_lab import fitting, scenarios
 
 
 def test_each_run_fits_once_per_kind_and_divergence(monkeypatch):
-    # q1 and q4 share two f-fits within a run, the fits of a form share one
+    # q1 and q4 share two f-fits within a run, euclidean shares brier's fits
+    # (their targets are equal on binary rows), the fits of a form share one
     # probe and its one band factorization, and a second run builds its own
     probes, fits, factors = [], [], []
     probe, fit = fitting.probe, fitting.FitProbe.fit
@@ -33,11 +34,12 @@ def test_each_run_fits_once_per_kind_and_divergence(monkeypatch):
         scenarios.run_all(seed=3)
 
     run_only("q1-counterexample", "q4-uniqueness")
-    assert (sorted(probes), len(factors), len(fits)) == (["breg", "fdiv"], 2, 8)
+    assert (sorted(probes), len(factors), len(fits)) == (["breg", "fdiv"], 2, 6)
+    assert "euclidean" not in fits
     run_only("q1-counterexample", "q4-uniqueness")
-    assert (len(probes), len(factors), len(fits)) == (4, 4, 16)
+    assert (len(probes), len(factors), len(fits)) == (4, 4, 12)
     scenarios.run_scenario("q1-counterexample", seed=3)
-    assert (probes[4:], fits[16:]) == (["fdiv"], ["tv_squared", "kl"])
+    assert (probes[4:], fits[12:]) == (["fdiv"], ["tv_squared", "kl"])
     # scenarios that fit nothing build no probe and factorize nothing
     run_only("q3-sufficiency-n3", "q3-binary-family", "shannon-inequalities")
-    assert (len(probes), len(factors), len(fits)) == (5, 5, 18)
+    assert (len(probes), len(factors), len(fits)) == (5, 5, 14)
