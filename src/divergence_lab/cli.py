@@ -44,6 +44,7 @@ DEFAULTS = {
     "points": 512,
     "format": "json",
 }
+FORMATS = ("json", "markdown")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -111,14 +112,15 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("verify", help="run verification scenarios")
     v.add_argument("target", nargs="?", help="'all' or a scenario id")
     common(v, "seed", "out")
-    v.add_argument("--format", choices=["json", "markdown"], dest="format")
+    v.add_argument("--format", choices=FORMATS, dest="format")
     v.add_argument("--list", action="store_true", help="list scenario ids")
     return p
 
 
 def _load_config(path: str) -> dict:
-    """The JSON object in `path`; every key must be one of DEFAULTS and every
-    value of its default's type (a bool is not an int)."""
+    """The JSON object in `path`; every key must be one of DEFAULTS, every
+    value of its default's type (a bool is not an int), and a format one of
+    FORMATS."""
     config = json.loads(Path(path).read_text())
     if not isinstance(config, dict):
         raise ValueError(f"config {path}: expected a JSON object, got "
@@ -131,6 +133,9 @@ def _load_config(path: str) -> dict:
         if type(value) is not want:
             raise ValueError(f"config {path}: {key!r} must be {want.__name__}, "
                              f"got {json.dumps(value)}")
+        if key == "format" and value not in FORMATS:
+            raise ValueError(f"config {path}: 'format' must be one of "
+                             f"{', '.join(FORMATS)}, got {json.dumps(value)}")
     return config
 
 

@@ -13,14 +13,15 @@ p_i * lim_{x->inf} f(x)/x, a limit every f-divergence generator declares
 (+inf when it diverges).  Where p_i / q_i overflows at a subnormal
 q_i > 0 the term is that limit too if it is finite; an infinite one leaves
 the value unknown and raises DivergenceError.  0*log(0) is 0.
-Bregman generators carry their exact gradient, which may be infinite on a
-face of the simplex (negative entropy): a coordinate with p_i = q_i adds 0 to
-<grad G(Q), P - Q>, and an infinite gradient with p_i != q_i makes the
-divergence +inf.
+Every generator is a ScalarFunction.  A Bregman G declares its exact
+gradient as its `deriv`, which may be infinite on a face of the simplex
+(negative entropy): a coordinate with p_i = q_i adds 0 to <grad G(Q), P - Q>,
+and an infinite gradient with p_i != q_i makes the divergence +inf.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Callable
@@ -31,6 +32,8 @@ from .simplex import Distribution, row_sum
 
 CONVEXITY_TOL = 1e-10   # midpoint convexity slack for generator spot-checks
 F_AT_ONE_TOL = 1e-12
+GRADIENT_STEP = 1e-5    # central-difference step of the gradient spot-check
+GRADIENT_TOL = 1e-5     # its relative error bound
 
 CATALOG_NAMES = ("kl", "tv", "hellinger", "chi2", "brier", "euclidean", "tv_squared")
 
@@ -40,7 +43,7 @@ class DivergenceError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# scalar functions
+# generators and their spot-checks
 # ---------------------------------------------------------------------------
 
 class _HermiteTable:
@@ -110,7 +113,14 @@ class _HermiteTable:
 
 
 class ScalarFunction:
-    """A univariate real function, with its derivative when one is given.
+    """A real function of numbers or of rows (..., n), with its derivative
+    when one is given: the one generator type of every family.
+
+    An f, an outer k, a Shannon f or a binary g2 maps numbers to numbers.  A
+    Bregman G maps rows of shape (..., n) to shape (...), finite on the
+    whole closed simplex, and its `deriv` returns gradient rows of its
+    argument's shape; on a face they may be +-inf (negative entropy), which
+    `bregman_batch` resolves exactly.  The alphabet size is the spec's.
 
     Either closed-form callables or a quadrature table: strictly increasing
     knots, cubic Hermite interpolation between them, inputs clamped to the
@@ -173,7 +183,8 @@ def check_finite(name: str, *values) -> None:
 
 
 def check_f_generator(f: ScalarFunction) -> None:
-    """Spot-check that f is finite and convex on (0, inf) with f(1) = 0."""
+    """Spot-check that f is finite and convex on (0, inf) with f(1) = 0, and
+    that its declared lim f(x)/x is no less than its chord slope on [1, 50]."""
     x = np.geomspace(0.01, 50.0, 200)
     mid = 0.5 * (x[:-1] + x[1:])
     gap = 0.5 * (f(x[:-1]) + f(x[1:])) - f(mid)
@@ -182,6 +193,12 @@ def check_f_generator(f: ScalarFunction) -> None:
         raise DivergenceError(f"f(1) = {float(f(1.0)):.3g}, must be 0")
     if np.min(gap) < -CONVEXITY_TOL:
         raise DivergenceError(f"f fails midpoint convexity by {-np.min(gap):.3g}")
+    # for convex f the chord slope (f(x) - f(1)) / (x - 1) rises toward the limit
+    chord = float(f(50.0) - f(1.0)) / 49.0
+    if f.perspective_limit < chord - CONVEXITY_TOL:
+        raise DivergenceError(
+            f"f {f.label!r} declares lim f(x)/x = {f.perspective_limit:.3g}, "
+            f"below its chord slope {chord:.3g} on [1, 50]")
 
 
 def check_outer(k: ScalarFunction) -> None:
@@ -194,43 +211,47 @@ def check_outer(k: ScalarFunction) -> None:
         raise DivergenceError("outer function k must be nondecreasing")
 
 
-# ---------------------------------------------------------------------------
-# multivariate convex generators for Bregman divergences
-# ---------------------------------------------------------------------------
-
-class MultivariateConvexFunction:
-    """Convex function on the simplex with its exact gradient.
-
-    `value` takes arrays of shape (..., n) and returns shape (...), finite on
-    the whole closed simplex.  `grad` returns rows of the same shape as its
-    argument; on a face it may be +-inf (negative entropy), which
-    `bregman_batch` resolves exactly.  The alphabet size is the spec's.
-    """
-
-    def __init__(self, value: Callable, grad: Callable, label: str = ""):
-        self._value = value
-        self._grad = grad
-        self.label = label
-
-    def value(self, P):
-        return self._value(np.asarray(P, dtype=float))
-
-    def gradient(self, Q):
-        """Gradient rows for Q of shape (..., n)."""
-        return self._grad(np.asarray(Q, dtype=float))
-
-
-def check_convex_on_simplex(G: MultivariateConvexFunction, n: int) -> None:
-    """Random midpoint convexity spot-check on the interior of the simplex."""
+def check_convex_on_simplex(G: ScalarFunction, n: int) -> None:
+    """Random midpoint convexity spot-check on the interior of the simplex,
+    then `check_gradient`."""
     rng = np.random.default_rng(0)
     g = rng.exponential(size=(1000, 2, n))
     pts = g / g.sum(axis=2, keepdims=True)
     a, b = pts[:, 0, :], pts[:, 1, :]
-    gap = 0.5 * (G.value(a) + G.value(b)) - G.value(0.5 * (a + b))
+    gap = 0.5 * (G(a) + G(b)) - G(0.5 * (a + b))
     check_finite(f"G {G.label!r}", gap)
     if np.min(gap) < -CONVEXITY_TOL:
         raise DivergenceError(
             f"generator fails midpoint convexity by {-np.min(gap):.3g}")
+    check_gradient(G, n)
+
+
+@functools.cache
+def _gradient_points(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """1,000 random rows shrunk 10% toward the centre of the simplex, and as
+    many directions V, differences of two random rows, so sum(v) = 0; drawn
+    once per n (half the cost of a check) and read-only."""
+    g = np.random.default_rng(0).exponential(size=(3, 1000, n))
+    X = g / g.sum(axis=2, keepdims=True)
+    P, V = 0.9 * X[0] + 0.1 / n, X[1] - X[2]
+    P.flags.writeable = V.flags.writeable = False
+    return P, V
+
+
+def check_gradient(G: ScalarFunction, n: int) -> None:
+    """Spot-check G's declared gradient against central differences along
+    `_gradient_points(n)`: only the gradient's part tangent to the simplex
+    enters a Bregman divergence, so a gradient shifted by a multiple of
+    (1, ..., 1) passes."""
+    P, V = _gradient_points(n)
+    grad = G.deriv(P)
+    fd = (G(P + GRADIENT_STEP * V) - G(P - GRADIENT_STEP * V)) / (2 * GRADIENT_STEP)
+    check_finite(f"the gradient of G {G.label!r}", grad, fd)
+    err = float(np.max(np.abs(row_sum(grad * V) - fd) / np.maximum(1.0, np.abs(fd))))
+    if err > GRADIENT_TOL:
+        raise DivergenceError(
+            f"G {G.label!r} does not match its declared gradient: "
+            f"relative error {err:.3g} against central differences")
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +298,7 @@ def kl_type_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray
         return row_sum(np.where(P > 0, P * (np.asarray(f(Q)) - np.asarray(f(P))), 0.0))
 
 
-def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray,
-                  Q: np.ndarray) -> np.ndarray:
+def bregman_batch(G: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Bregman rows G(P) - G(Q) - <grad G(Q), P - Q>, faces included.
 
     A coordinate with p_i = q_i adds 0 even where the gradient is infinite;
@@ -286,9 +306,9 @@ def bregman_batch(G: MultivariateConvexFunction, P: np.ndarray,
     convention of Banerjee et al., JMLR 2005).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = G.gradient(Q)
+        g = G.deriv(Q)
         inner = row_sum(np.where(P == Q, 0.0, g * (P - Q)))
-    return G.value(P) - G.value(Q) - inner
+    return G(P) - G(Q) - inner
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +331,7 @@ class DivergenceSpec:
     """
 
     def __init__(self, family: str, label: str, *, f: ScalarFunction | None = None,
-                 G: MultivariateConvexFunction | None = None,
+                 G: ScalarFunction | None = None,
                  base: "DivergenceSpec | None" = None,
                  outer: ScalarFunction | None = None,
                  n: int | None = None,
@@ -322,6 +342,9 @@ class DivergenceSpec:
             raise DivergenceError(
                 f"{label!r}: an f-divergence generator must declare "
                 "perspective_limit, lim f(x)/x as x -> inf")
+        if family == "bregman" and G._deriv is None:
+            raise DivergenceError(
+                f"{label!r}: a Bregman generator must declare its gradient, deriv")
         self.family = family
         self.label = label
         self.f = f
@@ -398,19 +421,15 @@ def _xlogx(x):
     return np.where(x > 0, v, 0.0)
 
 
-def negative_entropy() -> MultivariateConvexFunction:
+def negative_entropy() -> ScalarFunction:
     """sum_i p_i log p_i, defined on the whole simplex with 0 log 0 = 0."""
-    return MultivariateConvexFunction(
-        value=lambda P: row_sum(_xlogx(P)),
-        grad=lambda Q: np.log(Q) + 1.0,
-        label="negative_entropy")
+    return ScalarFunction(lambda P: row_sum(_xlogx(P)),
+                          deriv=lambda Q: np.log(Q) + 1.0, label="negative_entropy")
 
 
-def squared_norm_G(label: str = "squared_norm") -> MultivariateConvexFunction:
-    return MultivariateConvexFunction(
-        value=lambda P: row_sum(P * P),
-        grad=lambda Q: 2.0 * Q,
-        label=label)
+def squared_norm_G(label: str = "squared_norm") -> ScalarFunction:
+    return ScalarFunction(lambda P: row_sum(P * P), deriv=lambda Q: 2.0 * Q,
+                          label=label)
 
 
 def catalog(name: str) -> DivergenceSpec:

@@ -14,7 +14,8 @@ Two constructions:
 
 Each generator is checked once, where the divergence is built:
 `build_f_from_h` checks h (so `kl_type_from_h` and `family_table` do too,
-unless asked not to), and `bregman_from_symmetric_g` checks g2.  Both
+unless asked not to), and `bregman_from_symmetric_g` checks g2 with
+`check_symmetric_g2` and the G it builds with `check_gradient`.  Both
 families are binary, and the `DivergenceSpec` each returns holds that
 alphabet size, n = 2; the generators themselves carry none.
 
@@ -29,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .divergences import (DivergenceError, DivergenceSpec, MultivariateConvexFunction,
-                          ScalarFunction, check_finite)
+from .divergences import (DivergenceError, DivergenceSpec, ScalarFunction,
+                          check_finite, check_gradient)
 
 H_GRID_TOL = 1e-12        # slack for the h >= 0 / nondecreasing grid checks
 SYMMETRY_TOL = 1e-12
@@ -206,8 +207,7 @@ def build_f_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
 def kl_type_from_h(gen: HGenerator, validate: bool = True) -> DivergenceSpec:
     """The KL-type divergence generated by h, restricted to binary alphabets."""
     f = build_f_from_h(gen, validate=validate)
-    return DivergenceSpec("kl_type", f"kl_type[{gen.label}]", f=f, n=2,
-                          validate=False)
+    return DivergenceSpec("kl_type", f"kl_type[{gen.label}]", f=f, n=2)
 
 
 # -- h parsing ---------------------------------------------------------------
@@ -272,77 +272,64 @@ def family_table(gen: HGenerator, points: int = 512,
 # symmetric convex generators and the binary Bregman family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymmetricConvexG:
-    """g2 on [0, 1] with g2(x) = g2(1-x), convex, differentiable inside.
+def check_symmetric_g2(g: ScalarFunction) -> None:
+    """Spot-check that g2 on [0, 1] is finite, symmetric (g2(x) = g2(1-x)),
+    convex and differentiable inside.
 
-    `d_g2` is the exact derivative g2'; it may be -inf at 0 and +inf at 1
-    (negative binary entropy), and the Bregman kernel handles those faces.
+    `g.deriv` is the exact g2'; it may be -inf at 0 and +inf at 1 (negative
+    binary entropy), and the Bregman kernel handles those faces.
     """
+    x = np.linspace(0.01, 0.99, 197)
+    v = np.asarray(g(x), dtype=float)
+    sym = np.max(np.abs(v - np.asarray(g(1.0 - x))))
+    mid = 0.5 * (x[:-1] + x[1:])
+    gap = 0.5 * (v[:-1] + v[1:]) - np.asarray(g(mid))
+    check_finite(f"g2({g.label})", sym, gap)
+    if sym > SYMMETRY_TOL:
+        raise FamilyError(f"g2({g.label}) asymmetric by {sym:.3g}")
+    if np.min(gap) < -H_GRID_TOL:
+        raise FamilyError(f"g2({g.label}) fails midpoint convexity")
+    # compare one-sided slopes at the same point: for smooth g2 the
+    # left/right gap shrinks linearly with the stencil, at a kink it stays
+    x = np.linspace(0.02, 0.98, 961)
 
-    g2: Callable
-    d_g2: Callable
-    label: str = "g2"
+    def onesided_gap(h):
+        v = np.asarray(g(x))
+        right = (np.asarray(g(x + h)) - v) / h
+        left = (v - np.asarray(g(x - h))) / h
+        return np.abs(right - left)
 
-    def validate(self) -> None:
-        x = np.linspace(0.01, 0.99, 197)
-        v = np.asarray(self.g2(x), dtype=float)
-        sym = np.max(np.abs(v - np.asarray(self.g2(1.0 - x))))
-        mid = 0.5 * (x[:-1] + x[1:])
-        gap = 0.5 * (v[:-1] + v[1:]) - np.asarray(self.g2(mid))
-        check_finite(f"g2({self.label})", sym, gap)
-        if sym > SYMMETRY_TOL:
-            raise FamilyError(f"g2({self.label}) asymmetric by {sym:.3g}")
-        if np.min(gap) < -H_GRID_TOL:
-            raise FamilyError(f"g2({self.label}) fails midpoint convexity")
-        self._check_differentiable()
-
-    def _check_differentiable(self) -> None:
-        # compare one-sided slopes at the same point: for smooth g2 the
-        # left/right gap shrinks linearly with the stencil, at a kink it stays
-        x = np.linspace(0.02, 0.98, 961)
-
-        def onesided_gap(h):
-            v = np.asarray(self.g2(x))
-            right = (np.asarray(self.g2(x + h)) - v) / h
-            left = (v - np.asarray(self.g2(x - h))) / h
-            return np.abs(right - left)
-
-        coarse = onesided_gap(2e-3)
-        fine = onesided_gap(2e-4)
-        scale = max(1.0, float(np.max(np.abs(self.derivative(x)))))
-        kink = (fine > 0.3 * coarse) & (fine > 1e-3 * scale)
-        if np.any(kink):
-            k = int(np.argmax(np.where(kink, fine, -np.inf)))
-            raise FamilyError(
-                f"g2({self.label}) has a derivative jump near x={x[k]:.4g}; "
-                "the generator must be differentiable on the interior")
-
-    def derivative(self, x):
-        return np.asarray(self.d_g2(np.asarray(x, dtype=float)))
+    coarse = onesided_gap(2e-3)
+    fine = onesided_gap(2e-4)
+    scale = max(1.0, float(np.max(np.abs(g.deriv(x)))))
+    kink = (fine > 0.3 * coarse) & (fine > 1e-3 * scale)
+    if np.any(kink):
+        k = int(np.argmax(np.where(kink, fine, -np.inf)))
+        raise FamilyError(
+            f"g2({g.label}) has a derivative jump near x={x[k]:.4g}; "
+            "the generator must be differentiable on the interior")
 
 
-def bregman_from_symmetric_g(g: SymmetricConvexG) -> DivergenceSpec:
-    """Binary Bregman divergence with G(p, 1-p) = g2(p); `g.validate()`
-    checks g2, so the spec is built without its own convexity spot-check."""
-    g.validate()
-
-    def value(P):
-        P = np.asarray(P, dtype=float)
-        return np.asarray(g.g2(P[..., 0]))
+def bregman_from_symmetric_g(g: ScalarFunction) -> DivergenceSpec:
+    """Binary Bregman divergence with G(p, 1-p) = g2(p), for g2 = g with
+    g2' = g.deriv.  `check_symmetric_g2` checks g2 and `check_gradient` the
+    G built from it, so the spec is built without its own convexity
+    spot-check."""
+    check_symmetric_g2(g)
 
     def grad(Q):
-        Q = np.asarray(Q, dtype=float)
         out = np.zeros_like(Q)
-        out[..., 0] = g.derivative(Q[..., 0])
+        out[..., 0] = g.deriv(Q[..., 0])
         return out
 
-    G = MultivariateConvexFunction(value, grad=grad, label=f"G[{g.label}]")
+    G = ScalarFunction(lambda P: np.asarray(g(P[..., 0])), deriv=grad,
+                       label=f"G[{g.label}]")
+    check_gradient(G, 2)
     return DivergenceSpec("bregman", f"bregman[{g.label}]", G=G, n=2,
                           validate=False)
 
 
-def random_symmetric_convex_g(rng: np.random.Generator) -> SymmetricConvexG:
+def random_symmetric_convex_g(rng: np.random.Generator) -> ScalarFunction:
     """A random positive combination of smooth symmetric convex basis terms.
 
     Integer powers of the signed u = x - 1/2 are written as products: numpy's
@@ -377,4 +364,4 @@ def random_symmetric_convex_g(rng: np.random.Generator) -> SymmetricConvexG:
                 + c_cosh * rate * np.sinh(rate * u) + c_ent * ent)
 
     label = f"rand[{c_quad:.3f},{c_quart:.3f},{c_cosh:.3f},{rate:.3f},{c_ent:.3f}]"
-    return SymmetricConvexG(g2, d_g2=d_g2, label=label)
+    return ScalarFunction(g2, deriv=d_g2, label=label)

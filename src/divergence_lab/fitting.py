@@ -151,7 +151,11 @@ class FitProbe:
                                        minlength=K)[::-1])[::-1]
         j = np.arange(K - 1)
         w = par.dx ** 2 * np.where(j < par.pin, upto[:-1], onward[1:])
-        self.w = np.maximum(w, 1e-12 * max(float(w.max()), 1e-300))
+        if not w.max() > 0:
+            raise DivergenceError(
+                f"the fit's {len(p)} sample pair(s) constrain no slope: each is "
+                "a zero row of the fit form, such as p = q; use more pairs")
+        self.w = np.maximum(w, 1e-12 * float(w.max()))
         self.winv = 1.0 / self.w
         sqrt_winv = np.sqrt(self.winv)
         # Lipschitz constant in the preconditioned metric via power iteration

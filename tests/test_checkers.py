@@ -18,8 +18,8 @@ from divergence_lab.checkers import (DECOMPOSABLE_TOL, INCONCLUSIVE, NOT_A_PROOF
                                      evaluate_scenario, sample_channels,
                                      sample_simplex)
 from divergence_lab.divergences import (DivergenceError, DivergenceSpec,
-                                        MultivariateConvexFunction, ScalarFunction,
-                                        catalog, negative_entropy, squared_norm_G)
+                                        ScalarFunction, catalog,
+                                        negative_entropy, squared_norm_G)
 from divergence_lab.simplex import (Channel, Distribution, binary_rows,
                                     merge_transform, push_forward, row_sum,
                                     split_transform)
@@ -404,10 +404,10 @@ def test_permutation_trials_swap_two_symbols(n):
 def lopsided():
     """The binary Bregman divergence of G(P) = p_0^3, not swap symmetric:
     D((p,1-p);(q,1-q)) = (p-q)^2 (p+2q), and its swap is (p-q)^2 (3-p-2q)."""
-    G = MultivariateConvexFunction(
-        value=lambda P: P[..., 0] ** 3,
-        grad=lambda Q: np.stack([3.0 * Q[..., 0] ** 2, np.zeros_like(Q[..., 0])],
-                                axis=-1),
+    G = ScalarFunction(
+        lambda P: P[..., 0] ** 3,
+        deriv=lambda Q: np.stack([3.0 * Q[..., 0] ** 2, np.zeros_like(Q[..., 0])],
+                                 axis=-1),
         label="p0^3")
     return DivergenceSpec("bregman", "lopsided", G=G, n=2)
 
@@ -662,9 +662,8 @@ def test_refinement_takes_the_dpi_judge_at_infinite_values():
     # where the refinement's states meet inf - inf, and no data processing at
     # n = 3.  Its gap is the judge's -inf: no warning, the same witness
     ne, sq = negative_entropy(), squared_norm_G()
-    G = MultivariateConvexFunction(lambda P: ne.value(P) + sq.value(P),
-                                   lambda Q: ne.gradient(Q) + sq.gradient(Q),
-                                   label="kl+euclidean")
+    G = ScalarFunction(lambda P: ne(P) + sq(P),
+                       deriv=lambda Q: ne.deriv(Q) + sq.deriv(Q), label="kl+euclidean")
     d = DivergenceSpec("bregman", "kl+euclidean", G=G)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -261,6 +261,13 @@ class TestGenerateAndFit:
         assert out == "" and "at least 1 sample pair and 3 knots" in err
 
     @pytest.mark.parametrize("kind", ["fdiv", "bregman"])
+    def test_fit_on_pairs_that_constrain_no_slope_exits_one(self, capsys, kind):
+        code, out, err = run_cli_capture(capsys, "fit", kind, "--divergence", "kl",
+                                         "--pairs", "1")
+        assert code == 1
+        assert out == "" and err.startswith("error: ") and "constrain no slope" in err
+
+    @pytest.mark.parametrize("kind", ["fdiv", "bregman"])
     def test_fit_of_a_target_that_is_not_finite_exits_one(self, capsys, monkeypatch,
                                                           kind):
         # (x - 1)^2 with NaN above 15 is NaN at some fit pairs; such a fit ran
@@ -328,6 +335,22 @@ class TestConfig:
         code, out, err = run_cli_capture(capsys, "--config", str(cfg), *argv)
         assert code == 1
         assert out == "" and err.startswith("error: config ") and why in err
+
+    @pytest.mark.parametrize("argv", [("verify", "q2-example-fidelity"),
+                                      ("verify", "q2-example-fidelity", "--out", "r")])
+    def test_config_format_outside_the_flag_choices_exit_one(self, capsys, tmp_path,
+                                                             monkeypatch, argv):
+        # the flag's choices bind the config file too, before any scenario runs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.scenarios, "run_scenario",
+                            lambda *a: pytest.fail("a scenario ran"))
+        code, out, err = run_cli_capture(capsys, "--config", str(cfg), *argv)
+        assert code == 1
+        assert out == "" and err.startswith("error: config ")
+        assert "'format' must be one of json, markdown" in err
+        assert not (tmp_path / "r").exists()
 
     def test_usage_error_exit_one(self, capsys):
         # malformed usage exits with code 1, not argparse's default 2

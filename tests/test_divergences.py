@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divergence_lab.divergences import (CATALOG_NAMES, DivergenceError,
-                                        DivergenceSpec,
-                                        MultivariateConvexFunction,
-                                        ScalarFunction, catalog,
+                                        DivergenceSpec, ScalarFunction, catalog,
                                         check_convex_on_simplex,
                                         check_f_generator, check_outer,
                                         from_json_dict, negative_entropy, resolve)
-from divergence_lab.families import (HGenerator, SymmetricConvexG,
+from divergence_lab.families import (H_CATALOG, HGenerator,
                                      bregman_from_symmetric_g,
+                                     check_symmetric_g2,
                                      h_generator_from_spec, kl_type_from_h,
                                      random_symmetric_convex_g)
 from divergence_lab.simplex import binary_rows
@@ -170,9 +169,8 @@ class TestBregman:
         rng = np.random.default_rng(3)
         a = rng.normal(size=3)
         base = negative_entropy()
-        shifted = MultivariateConvexFunction(
-            value=lambda P: base.value(P) + P @ a + 1.7,
-            grad=lambda Q: base.gradient(Q) + a)
+        shifted = ScalarFunction(lambda P: base(P) + P @ a + 1.7,
+                                 deriv=lambda Q: base.deriv(Q) + a)
         for _ in range(50):
             p = rng.exponential(size=3)
             p /= p.sum()
@@ -185,8 +183,7 @@ class TestBregman:
         # adding c*(1,...,1) to the gradient cannot change the value because
         # the argument difference sums to zero
         base = negative_entropy()
-        bumped = MultivariateConvexFunction(
-            value=base.value, grad=lambda Q: base.gradient(Q) + 7.3)
+        bumped = ScalarFunction(base, deriv=lambda Q: base.deriv(Q) + 7.3)
         p, q = [0.2, 0.3, 0.5], [0.4, 0.4, 0.2]
         assert bregman(base).evaluate(p, q) == pytest.approx(
             bregman(bumped).evaluate(p, q), abs=1e-12)
@@ -245,16 +242,20 @@ def test_bregman_exact_on_faces(n):
 
 class TestGradient:
     def test_analytic_squared_norm(self):
-        g = catalog("euclidean").G.gradient([0.5, 0.5])
+        g = catalog("euclidean").G.deriv([0.5, 0.5])
         assert np.allclose(g, [1.0, 1.0])
 
     def test_entropy_gradient(self):
-        g = negative_entropy().gradient([0.25, 0.75])
+        g = negative_entropy().deriv([0.25, 0.75])
         assert np.allclose(g, [math.log(0.25) + 1, math.log(0.75) + 1])
 
     def test_gradient_required(self):
-        with pytest.raises(TypeError):
-            MultivariateConvexFunction(value=lambda P: (P * P).sum(axis=-1))
+        # like lim f(x)/x, the gradient is declared, so a Bregman generator
+        # without one is refused whether or not the spec is validated
+        G = ScalarFunction(lambda P: (P * P).sum(axis=-1))
+        for validate in (True, False):
+            with pytest.raises(DivergenceError, match="gradient"):
+                DivergenceSpec("bregman", "undeclared", G=G, validate=validate)
 
 
 class TestComposed:
@@ -368,15 +369,62 @@ def nan_like(x):
 @pytest.mark.parametrize("check, name", [
     (lambda: check_f_generator(ScalarFunction(nan_like, label="nan")), "f 'nan'"),
     (lambda: check_outer(ScalarFunction(nan_like, label="nan")), "k 'nan'"),
-    (lambda: check_convex_on_simplex(MultivariateConvexFunction(
-        lambda P: nan_like(P[..., 0]), nan_like, label="nan"), 3), "G 'nan'"),
+    (lambda: check_convex_on_simplex(ScalarFunction(
+        lambda P: nan_like(P[..., 0]), deriv=nan_like, label="nan"), 3), "G 'nan'"),
     (lambda: HGenerator(nan_like, label="nan").validate(), "h(nan)"),
-    (lambda: SymmetricConvexG(nan_like, nan_like, label="nan").validate(), "g2(nan)"),
+    (lambda: check_symmetric_g2(ScalarFunction(nan_like, deriv=nan_like, label="nan")),
+     "g2(nan)"),
 ], ids=["f", "outer", "bregman", "h", "g2"])
 def test_generator_spot_checks_reject_nan(check, name):
     # NaN fails no `<` test: each spot-check rejects it by name
     with pytest.raises(DivergenceError, match=re.escape(f"{name} is not finite")):
         check()
+
+
+def u_squared(x):
+    return np.square(x - 0.5)
+
+
+def x_log_x(limit):
+    return ScalarFunction(lambda x: x * np.log(x), label="x*log(x)",
+                          perspective_limit=limit)
+
+
+# each wrong declaration built a spec whose values were wrong or NaN: d_g2 = 0
+# gave a binary data-processing "violation" with gap 0.348, d_g2 = NaN an
+# inconclusive check with 600 failures, a zero gradient of sum p^2
+# D((.2, .3, .5); (.6, .2, .2)) = -0.06, and x log x declared with limit 0
+# D((.5, .5); (0, 1)) = -0.347 (0.153 with limit 1)
+@pytest.mark.parametrize("build, message", [
+    (lambda: bregman_from_symmetric_g(ScalarFunction(
+        u_squared, deriv=np.zeros_like, label="u^2")),
+     "G 'G[u^2]' does not match its declared gradient"),
+    (lambda: bregman_from_symmetric_g(ScalarFunction(
+        u_squared, deriv=lambda x: np.full_like(x, np.nan), label="u^2")),
+     "the gradient of G 'G[u^2]' is not finite"),
+    (lambda: DivergenceSpec("bregman", "zero-gradient", n=3, G=ScalarFunction(
+        lambda P: (P * P).sum(axis=-1), deriv=np.zeros_like, label="p.p")),
+     "G 'p.p' does not match its declared gradient"),
+    (lambda: DivergenceSpec("f_divergence", "kl0", f=x_log_x(0.0)),
+     "f 'x*log(x)' declares lim f(x)/x = 0, below its chord slope"),
+    (lambda: DivergenceSpec("f_divergence", "kl1", f=x_log_x(1.0)),
+     "f 'x*log(x)' declares lim f(x)/x = 1, below its chord slope"),
+], ids=["d_g2-zero", "d_g2-nan", "gradient-zero", "limit-0", "limit-1"])
+def test_wrong_declarations_rejected(build, message):
+    with pytest.raises(DivergenceError, match=re.escape(message)):
+        build()
+
+
+def test_every_shipped_generator_passes_the_declaration_checks():
+    for name in CATALOG_NAMES:
+        catalog(name)
+    for name, (h, breaks) in H_CATALOG.items():
+        kl_type_from_h(HGenerator(h, label=name, breakpoints=breaks),
+                       validate=name != "decreasing")
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            bregman_from_symmetric_g(random_symmetric_convex_g(rng))
 
 
 def test_nonnegativity_over_random_interior_pairs():

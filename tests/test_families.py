@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divergence_lab import cli
-from divergence_lab.divergences import catalog
+from divergence_lab.divergences import DivergenceError, ScalarFunction, catalog
 from divergence_lab.families import (DEFAULT_SAMPLES, QUAD_ABS_TOL,
                                      QUAD_DOMAIN_LO, QUAD_TOL, FamilyError,
-                                     HGenerator, SymmetricConvexG,
-                                     bregman_from_symmetric_g, build_G_from_h,
+                                     HGenerator, bregman_from_symmetric_g,
+                                     build_G_from_h, check_symmetric_g2,
                                      build_f_from_h, family_table,
                                      h_generator_from_spec, kl_type_from_h,
                                      random_symmetric_convex_g)
@@ -303,8 +303,8 @@ class TestKLTypeFromH:
 
 class TestSymmetricConvexG:
     def test_brier_generator(self):
-        g = SymmetricConvexG(lambda x: x ** 2 + (1 - x) ** 2,
-                             d_g2=lambda x: 4 * np.asarray(x) - 2, label="brier")
+        g = ScalarFunction(lambda x: x ** 2 + (1 - x) ** 2,
+                           deriv=lambda x: 4 * np.asarray(x) - 2, label="brier")
         d = bregman_from_symmetric_g(g)
         rng = np.random.default_rng(21)
         p = rng.uniform(0.01, 0.99, 200)
@@ -313,9 +313,9 @@ class TestSymmetricConvexG:
         assert np.allclose(got, 2 * (p - q) ** 2, atol=1e-12)
 
     def test_negative_binary_entropy_gives_kl(self):
-        g = SymmetricConvexG(
+        g = ScalarFunction(
             lambda x: x * np.log(x) + (1 - x) * np.log(1 - x),
-            d_g2=lambda x: np.log(x) - np.log(1 - x), label="negent")
+            deriv=lambda x: np.log(x) - np.log(1 - x), label="negent")
         d = bregman_from_symmetric_g(g)
         ref = catalog("kl")
         rng = np.random.default_rng(22)
@@ -328,26 +328,27 @@ class TestSymmetricConvexG:
     def test_kink_rejected(self):
         with pytest.raises(FamilyError, match="derivative jump"):
             bregman_from_symmetric_g(
-                SymmetricConvexG(lambda x: np.maximum(x, 1 - x),
-                                 d_g2=lambda x: np.sign(np.asarray(x) - 0.5),
-                                 label="max"))
+                ScalarFunction(lambda x: np.maximum(x, 1 - x),
+                               deriv=lambda x: np.sign(np.asarray(x) - 0.5),
+                               label="max"))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(FamilyError, match="asymmetric"):
             bregman_from_symmetric_g(
-                SymmetricConvexG(lambda x: np.square(x),
-                                 d_g2=lambda x: 2 * np.asarray(x), label="x^2"))
+                ScalarFunction(lambda x: np.square(x),
+                               deriv=lambda x: 2 * np.asarray(x), label="x^2"))
 
     def test_concave_rejected(self):
         with pytest.raises(FamilyError, match="convexity"):
             bregman_from_symmetric_g(
-                SymmetricConvexG(lambda x: -np.square(x - 0.5),
-                                 d_g2=lambda x: 1 - 2 * np.asarray(x),
-                                 label="cap"))
+                ScalarFunction(lambda x: -np.square(x - 0.5),
+                               deriv=lambda x: 1 - 2 * np.asarray(x),
+                               label="cap"))
 
     def test_derivative_required(self):
-        with pytest.raises(TypeError):
-            SymmetricConvexG(lambda x: np.square(x - 0.5), label="u^2")
+        with pytest.raises(DivergenceError):
+            bregman_from_symmetric_g(ScalarFunction(lambda x: np.square(x - 0.5),
+                                                    label="u^2"))
 
     def test_random_generator_exact_on_faces(self):
         # the entropy term's slope is -inf at 0 and +inf at 1, not a clipped
@@ -380,26 +381,26 @@ class TestSymmetricConvexG:
         eps = np.finfo(float).eps
         want = terms[0] + terms[1] + terms[2] + terms[3]
         scale = sum(np.abs(t) for t in terms)
-        assert np.all(np.abs(g.g2(x) - want) <= 4 * eps * scale)
+        assert np.all(np.abs(g(x) - want) <= 4 * eps * scale)
         d_want = d_terms[0] + d_terms[1] + d_terms[2] + d_terms[3]
-        d_got = g.derivative(x)
+        d_got = g.deriv(x)
         assert np.array_equal(d_got[~inside], d_want[~inside])
         d_scale = sum(np.abs(t[inside]) for t in d_terms)
         assert np.all(np.abs(d_got[inside] - d_want[inside]) <= 4 * eps * d_scale)
         # and d_g2 is the slope of g2: central differences on the interior
         x = np.linspace(0.05, 0.95, 181)
-        fd = (g.g2(x + 1e-5) - g.g2(x - 1e-5)) / 2e-5
-        assert np.all(np.abs(g.derivative(x) - fd) <= 1e-7 * np.maximum(1.0, np.abs(fd)))
+        fd = (g(x + 1e-5) - g(x - 1e-5)) / 2e-5
+        assert np.all(np.abs(g.deriv(x) - fd) <= 1e-7 * np.maximum(1.0, np.abs(fd)))
 
     def test_random_generators_valid(self):
         rng = np.random.default_rng(33)
         for _ in range(10):
             g = random_symmetric_convex_g(rng)
-            g.validate()
+            check_symmetric_g2(g)
             # analytic derivative consistent with finite differences
             x = np.linspace(0.05, 0.95, 19)
-            fd = (np.asarray(g.g2(x + 1e-6)) - np.asarray(g.g2(x - 1e-6))) / 2e-6
-            assert np.allclose(g.derivative(x), fd, atol=1e-6)
+            fd = (np.asarray(g(x + 1e-6)) - np.asarray(g(x - 1e-6))) / 2e-6
+            assert np.allclose(g.deriv(x), fd, atol=1e-6)
 
 
 class TestParsing:

@@ -262,6 +262,19 @@ def test_degenerate_fit_sizes_are_errors(kind, pairs, knots):
         fitting.probe(kind, seed=0, sample_pairs=pairs, knots=knots)
 
 
+@pytest.mark.parametrize("kind, fit", [("fdiv", fit_f_divergence),
+                                       ("breg", fit_bregman_binary)])
+@pytest.mark.parametrize("pairs", [1, 2])
+def test_pairs_that_constrain_no_slope_are_errors(kind, fit, pairs):
+    # the end strata sit at 0.05 and 0.95, so one pair, and two at seed 0,
+    # are zero rows such as (0.95, 0.95): every slope column of the design
+    # is 0, and such a fit ran 10,000 iterations on NaN and passed
+    with pytest.raises(DivergenceError, match=f"fit's {pairs} sample pair"):
+        fitting.probe(kind, seed=0, sample_pairs=pairs)
+    with pytest.raises(DivergenceError, match="constrain no slope"):
+        fit(catalog("kl"), sample_pairs=pairs, seed=0)
+
+
 @pytest.mark.parametrize("fit", [fit_f_divergence, fit_bregman_binary])
 def test_three_knots_fit_cleanly(fit):
     result = fit(catalog("kl"), sample_pairs=200, knots=3, seed=0)
