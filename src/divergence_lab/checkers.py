@@ -1,25 +1,24 @@
 """Brute-force and randomized checkers for divergence properties.
 
-Every checker hands lazy batches of candidates to one loop, `_search`, which
-reduces each batch to the candidate that most exceeds its tolerance, keeps
-the best (the earlier on a tie) and re-checks it under the rule its batches
-were judged by, `judge(before, after) -> (gap, tol)`.  Data processing,
-sufficiency and decomposability candidates are (P, Q, channel) triples that
-`_search` re-checks through `_recheck` (after local refinement, for data
-processing), which evaluates them through `evaluate_scenario`, the one
-evaluator of a triple; the Shannon check re-evaluates its pairs in its own
-scalar path.  A report is a violation with a concrete witness, or a clean
-search: no_violation_found (evidence, not a proof), or inconclusive when
-some evaluations failed.  An empty search is an error.
+Every check is a draw and a judge, `judge(before, after) -> (gap, tol)`.
+The draw yields blocks of rows before and after their map; `_search` runs
+one loop, `_scan`, that evaluates and judges every block, reduces it to the
+candidate that most exceeds its tolerance, keeps the best (the earlier on a
+tie) and re-checks it under the same judge.  Data processing, sufficiency
+and decomposability candidates are (P, Q, channel) triples that `_search`
+re-checks through `_recheck` (after local refinement, for data processing),
+which evaluates them through `evaluate_scenario`, the one evaluator of a
+triple; the Shannon check re-evaluates its pairs in its own scalar path.  A
+report is a violation with a concrete witness, or a clean search:
+no_violation_found (evidence, not a proof), or inconclusive when some
+evaluations failed.  An empty search is an error.
 
 All randomness is drawn from a single seeded generator in a fixed order, so
-identical (spec, config, seed) always produce identical reports.  Every
-random scan, Shannon's too, runs one block loop, `_scan`, over its kind's
-draw: blocks of SLICE rows before and after their map, each evaluated, judged
-and yielded before the next is drawn, so a scan holds about one block at any
-trial count.  SLICE is the one block constant: it sets both memory and the
-draw order, so the reports of a scan with more than SLICE random trials
-follow it.
+identical (spec, config, seed) always produce identical reports.  A random
+draw yields blocks of SLICE rows, each evaluated and judged before the next
+is drawn, so a scan holds about one block at any trial count.  SLICE is the
+one block constant: it sets both memory and the draw order, so the reports
+of a scan with more than SLICE random trials follow it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ import numpy as np
 
 from .divergences import DivergenceError, DivergenceSpec
 from .simplex import (Channel, Distribution, binary_rows, interior_binary_points,
-                      merge_transform, push_forward, row_sum, split_transform)
+                      merge_transform, pair_rows, push_forward, row_sum,
+                      split_transform)
 
 SCHEMA = "divergence-lab/1"   # the format of every report, check or scenario
 DPI_ABS_TOL = 1e-9
@@ -152,7 +152,7 @@ def _decomposability_judge(before, after):
 def _reduce(gap: np.ndarray, tol):
     """(flat index, margin, gap, failures) of the candidate whose gap most
     exceeds its tolerance.  A NaN margin (a NaN gap, or inf - inf) is a failed
-    evaluation: counted, never the winner; all-failed batches report -inf."""
+    evaluation: counted, never the winner; all-failed blocks report -inf."""
     with np.errstate(invalid="ignore"):
         margin = gap - tol
     bad = np.isnan(margin)
@@ -162,19 +162,27 @@ def _reduce(gap: np.ndarray, tol):
             int(bad.sum()))
 
 
-def _best(batches):
-    """(margin, gap, point, failures) of the best candidate of all batches: a
-    later one wins only with a strictly greater margin.  `point_of(k)` runs
-    before the next batch is drawn, so it may read its own batch's arrays;
-    each batch is dropped before the next is drawn, so a scan holds one."""
+def _scan(evaluate, judge, blocks):
+    """The block loop of every check: (margin, gap, point, failures) of the
+    candidate that most exceeds its tolerance; a later one wins only with a
+    strictly greater margin.  A draw, `blocks`, yields each block's rows
+    before (P, Q) and after (PT, QT), valued per row by `evaluate(X, Y)`,
+    and `point_of(k)`: the candidate at flat index k, copied out of the
+    block, run before the next block is drawn.  The draw frees its last
+    block one array at a time as it draws the next, and the loop keeps the
+    values after until the next block's replace them: freed whole, a block
+    lets glibc's malloc trim the heap, to fault it in again (48,000 minor
+    faults against 2,750 for a grid-50 binary check)."""
     best = (-np.inf, -np.inf, None)
     failures = 0
-    for gap, tol, point_of in batches:
-        k, margin, g, fail = _reduce(gap, tol)
+    for P, Q, PT, QT, point_of in blocks:
+        before = evaluate(P, Q)
+        after = evaluate(PT, QT)
+        k, margin, gap, fail = _reduce(*judge(before, after))
         failures += fail
         if margin > best[0]:
-            best = (margin, g, point_of(k))
-        del gap, tol, point_of
+            best = (margin, gap, point_of(k))
+        del P, Q, PT, QT, point_of, before
     return (*best, failures)
 
 
@@ -203,17 +211,17 @@ def _recheck(d: DivergenceSpec, P, Q, A, kind=None) -> dict:
     return w if kind is None else dict(w, kind=kind)
 
 
-def _search(prop, trials, config, batches, judge, d, refine=None,
+def _search(prop, trials, config, blocks, judge, d, evaluate=None, refine=None,
             recheck=_recheck) -> CheckReport:
-    """Check the alphabet size and counts in `config`, run the search and
-    judge it: the only code that builds a CheckReport.
+    """Check the alphabet size and counts in `config`, scan the draw `blocks`
+    under `judge(before, after) -> (gap, tol)` and judge the best candidate:
+    the only code that builds a CheckReport.
 
-    `batches` yields `(gap, tol, point_of)`: the gaps of a batch, their
-    tolerances and `point_of(k)`, the candidate at flat index k.  A best gap
-    above its tolerance goes through `refine(d, point)`, if given, and
-    `recheck(d, *point) -> witness`, and `judge` rules on its values again: a
-    violation if the new gap exceeds tol, else a clean search noted as
-    refuted, where a NaN gap is one more failure.
+    Rows are evaluated by `evaluate`, `d.evaluate_batch` unless given.  A
+    best gap above its tolerance goes through `refine(d, point)`, if given,
+    and `recheck(d, *point) -> witness`, and `judge` rules on its values
+    again: a violation if the new gap exceeds tol, else a clean search noted
+    as refuted, where a NaN gap is one more failure.
     """
     if config.get("n") is not None and config["n"] < 2:
         raise DivergenceError(f"{prop}: an alphabet needs at least 2 symbols, "
@@ -223,7 +231,7 @@ def _search(prop, trials, config, batches, judge, d, refine=None,
     if trials < 1 or min(counts.values()) < 0:
         raise DivergenceError(f"{prop}: nothing to search with {counts}: counts "
                               "must not be negative and must give a candidate")
-    margin, gap, point, failures = _best(batches)
+    margin, gap, point, failures = _scan(evaluate or d.evaluate_batch, judge, blocks)
     prefix = ""
     if margin > 0:
         if refine is not None:
@@ -241,22 +249,6 @@ def _search(prop, trials, config, batches, judge, d, refine=None,
                        note=prefix + note)
 
 
-def _scan(evaluate, judge, blocks):
-    """The block loop of every random scan: `evaluate(X, Y)` gives a value
-    per row, `d.evaluate_batch` for a divergence.  A kind's draw, `blocks`,
-    yields each block's rows before (P, Q) and after (PT, QT) and
-    `point_of(k)`: row k's candidate, copied out of the block, any channel
-    built for that row alone.  The draw frees its last block one array at a
-    time as it draws the next: freed whole, a block lets glibc's malloc trim
-    the heap, to fault it in again (10,000 faults a check, n = 5)."""
-    for P, Q, PT, QT, point_of in blocks:
-        before = evaluate(P, Q)
-        gap, tol = judge(before, evaluate(PT, QT))
-        yield gap, tol, point_of
-        # hold nothing of this block while the draw makes the next
-        del P, Q, PT, QT, before, gap, tol, point_of
-
-
 # ---------------------------------------------------------------------------
 # data processing
 # ---------------------------------------------------------------------------
@@ -267,24 +259,19 @@ def _binary_triple(p, q, a, b):
             np.array([[a, 1 - a], [b, 1 - b]]))
 
 
-def _dpi_scan_binary_grid(d: DivergenceSpec, grid: int):
-    """Exhaustive scan over (p, q, alpha, beta), p, q interior: one batch per beta.
-
-    A channel maps every first coordinate x to x alpha + beta (1 - x), so one
-    sweep over beta evaluates all (p, q) pairs of the mapped points for every
-    alpha at once.
-    """
+def _grid_binary(grid: int):
+    """The exhaustive (p, q, alpha, beta) grid, p, q interior, by blocks: one
+    per beta, every pair of grid points before and, after, every pair of the
+    points each alpha maps them to by x -> x alpha + beta (1 - x)."""
     x = interior_binary_points(grid)
     ab = np.linspace(0.0, 1.0, grid)
-    before = d.evaluate_binary_pairs(x).ravel()[None, :]
+    P, Q = pair_rows(x)
     for beta in ab:
-        mapped = x[None, :] * ab[:, None] + beta * (1.0 - x[None, :])
-        after = d.evaluate_binary_pairs(mapped).reshape(grid, -1)
-
         def point_of(k):
             ia, ip, iq = np.unravel_index(k, (grid, grid, grid))
             return _binary_triple(x[ip], x[iq], ab[ia], beta)
-        yield (*_dpi_judge(before, after), point_of)
+        yield (P, Q, *pair_rows(x[None, :] * ab[:, None] + beta * (1.0 - x[None, :])),
+               point_of)
 
 
 def _draw_binary(rng: np.random.Generator, trials: int):
@@ -320,12 +307,9 @@ def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
               "seed": seed, "abs_tol": DPI_ABS_TOL, "rel_tol": DPI_REL_TOL,
               "divergence": d.label}
     trials = random_trials + (grid ** 4 if n == 2 else 0)
-    draw = (_draw_binary(rng, random_trials) if n == 2
+    draw = (chain(_grid_binary(grid), _draw_binary(rng, random_trials)) if n == 2
             else _draw_channels(rng, random_trials, n))
-    batches = chain(_dpi_scan_binary_grid(d, grid) if n == 2 and grid else (),
-                    _scan(d.evaluate_batch, _dpi_judge, draw))
-    return _search("dpi", trials, config, batches, _dpi_judge, d,
-                   refine=dpi_local_refine)
+    return _search("dpi", trials, config, draw, _dpi_judge, d, refine=dpi_local_refine)
 
 
 def _project_simplex(V: np.ndarray) -> np.ndarray:
@@ -460,20 +444,19 @@ def check_sufficiency(d: DivergenceSpec, n: int, trials: int = 10_000,
               "divergence": d.label, "kinds": ",".join(k for k in kinds if share[k] > 0)}
     blocks = chain(_draw_permutation(rng, share.pop("permutation"), n),
                    *(_draw_merge_split(rng, m, n, kind) for kind, m in share.items()))
-    batches = _scan(d.evaluate_batch, _suff_judge, blocks)
-    return _search("sufficiency", trials, config, batches, _suff_judge, d)
+    return _search("sufficiency", trials, config, blocks, _suff_judge, d)
 
 
 # ---------------------------------------------------------------------------
 # decomposability (binary)
 # ---------------------------------------------------------------------------
 
-def _swap_grid(d: DivergenceSpec, grid: int):
-    """The one batch of the decomposability grid: all interior (p, q) pairs."""
+def _draw_swap(grid: int):
+    """The one block of the decomposability grid: every pair of interior grid
+    points before, and the pair with both distributions swapped after."""
     x = interior_binary_points(grid)
-    gap, tol = _decomposability_judge(d.evaluate_binary_pairs(x),
-                                      d.evaluate_binary_pairs(1.0 - x))
-    yield gap, tol, lambda k: _binary_triple(x[k // grid], x[k % grid], 0.0, 1.0)
+    yield (*pair_rows(x), *pair_rows(1.0 - x),
+           lambda k: _binary_triple(x[k // grid], x[k % grid], 0.0, 1.0))
 
 
 def check_decomposable_binary(d: DivergenceSpec, grid: int = 200) -> CheckReport:
@@ -481,7 +464,7 @@ def check_decomposable_binary(d: DivergenceSpec, grid: int = 200) -> CheckReport
     on binary alphabets is equivalent to the divergence being a coordinatewise
     sum.  A witness is the flagged pair with the swap channel."""
     config = {"grid": grid, "tol": DECOMPOSABLE_TOL, "divergence": d.label}
-    return _search("decomposability", grid * grid, config, _swap_grid(d, grid),
+    return _search("decomposability", grid * grid, config, _draw_swap(grid),
                    _decomposability_judge, d)
 
 
@@ -516,7 +499,6 @@ def check_shannon_inequality(f, n: int, trials: int = 100_000,
     config = {"n": n, "trials": trials, "seed": seed, "abs_tol": DPI_ABS_TOL,
               "rel_tol": DPI_REL_TOL,
               "f": getattr(f, "label", None) or repr(f)}
-    batches = _scan(lambda X, Y: row_sum(X * np.asarray(f(Y))), _shannon_judge,
-                    _draw_pairs(rng, trials, n))
-    return _search("shannon_inequality", trials, config, batches, _shannon_judge, f,
-                   recheck=_shannon_recheck)
+    return _search("shannon_inequality", trials, config, _draw_pairs(rng, trials, n),
+                   _shannon_judge, f, recheck=_shannon_recheck,
+                   evaluate=lambda X, Y: row_sum(X * np.asarray(f(Y))))

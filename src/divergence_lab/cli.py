@@ -45,6 +45,12 @@ DEFAULTS = {
     "format": "json",
 }
 FORMATS = ("json", "markdown")
+# the `check` flags each property reads (dpi reads --grid at n = 2 only); a
+# given flag that its property does not read is an error, never dropped
+CHECK_READS = {"dpi": {"divergence", "grid", "trials", "seed"},
+               "sufficiency": {"divergence", "trials", "seed"},
+               "decomposable": {"divergence", "grid"},
+               "shannon": {"f", "trials", "seed"}}
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -90,7 +96,7 @@ def _build_parser() -> _Parser:
     c.add_argument("property", choices=["dpi", "sufficiency", "decomposable",
                                         "shannon"])
     common(c, "divergence", "n", "grid", "trials", "seed", "out")
-    c.add_argument("--f", dest="scalar_f",
+    c.add_argument("--f",
                    help="scalar function for shannon checks: clog:c,b or "
                         "poly:c0,c1,...")
 
@@ -192,10 +198,18 @@ def _cmd_eval(args, config) -> int:
 def _cmd_check(args, config) -> int:
     seed = _effective(args, "seed", config)
     n = _effective(args, "n", config)
+    reads = CHECK_READS[args.property]
+    if args.property == "dpi" and n != 2:
+        reads = reads - {"grid"}
+    unread = [f"--{k}" for k in ("divergence", "grid", "trials", "seed", "f")
+              if getattr(args, k) is not None and k not in reads]
+    if unread:
+        raise DivergenceError(f"check {args.property} (n={n}) does not read "
+                              f"{', '.join(unread)}")
     if args.property == "shannon":
-        if not args.scalar_f:
+        if not args.f:
             raise DivergenceError("check shannon needs --f")
-        fn = _parse_scalar_f(args.scalar_f)
+        fn = _parse_scalar_f(args.f)
         report = check_shannon_inequality(fn, n, _effective(args, "trials", config),
                                           seed)
     else:

@@ -50,6 +50,16 @@ def binary_rows(p) -> np.ndarray:
     return rows
 
 
+def pair_rows(U) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (u_i, 1 - u_i) and (u_j, 1 - u_j) of every pair i, j on the
+    last axis of U, as (..., k, 1, 2) and (..., 1, k, 2) views that broadcast
+    to (..., k, k, 2).  The rows are stored coordinate-first, so that
+    broadcasts run along the k points rather than along the 2 coordinates."""
+    U = np.asarray(U, dtype=float)
+    X = np.moveaxis(np.stack([U, 1.0 - U]), 0, -1)
+    return X[..., :, None, :], X[..., None, :, :]
+
+
 def interior_binary_points(grid: int) -> np.ndarray:
     """The interior grid points k / (grid + 1), k = 1..grid."""
     return np.linspace(1.0 / (grid + 1), grid / (grid + 1.0), grid)

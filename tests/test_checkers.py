@@ -1,5 +1,8 @@
 import json
 import math
+import platform
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,9 +13,10 @@ import pytest
 from divergence_lab import checkers, families
 from divergence_lab.checkers import (DECOMPOSABLE_TOL, INCONCLUSIVE, NOT_A_PROOF,
                                      REFUTED, VIOLATION_SHOWN, CheckReport,
-                                     _abs_delta, _best, _binary_triple,
-                                     _dpi_scan_binary_grid, _gap_tol, _recheck, _reduce,
-                                     _search, _witness, check_decomposable_binary,
+                                     _abs_delta, _binary_triple, _dpi_judge,
+                                     _gap_tol, _grid_binary, _recheck, _reduce,
+                                     _scan, _search, _witness,
+                                     check_decomposable_binary,
                                      check_dpi, check_shannon_inequality,
                                      check_sufficiency, dpi_local_refine,
                                      evaluate_scenario, sample_channels,
@@ -419,7 +423,7 @@ def _row_grid(grid):
 
 
 def dpi_scan_rows(d, grid):
-    """The per-beta evaluate_batch scan that evaluate_binary_pairs replaces,
+    """The per-beta evaluate_batch scan that the pair rows of _grid_binary replace,
     kept as the reference: one explicit row per (alpha, p, q)."""
     Pf, Qf = _row_grid(grid)
     ab = np.linspace(0.0, 1.0, grid)
@@ -443,8 +447,6 @@ def decomposable_rows(d, grid=200):
     """check_decomposable_binary on explicit rows through evaluate_batch."""
     config = {"grid": grid, "tol": DECOMPOSABLE_TOL, "divergence": d.label}
     Pf, Qf = _row_grid(grid)
-    a = d.evaluate_batch(binary_rows(Pf), binary_rows(Qf))
-    b = d.evaluate_batch(binary_rows(1.0 - Pf), binary_rows(1.0 - Qf))
 
     def recheck(d, k):
         # the flagged pair (row 0) and its swap (row 1), with the swap channel
@@ -456,8 +458,9 @@ def decomposable_rows(d, grid=200):
 
     def judge(before, after):
         return _abs_delta(before, after), DECOMPOSABLE_TOL
-    return _search("decomposability", grid * grid, config,
-                   [(_abs_delta(a, b), DECOMPOSABLE_TOL, lambda k: (k,))], judge, d,
+    block = (binary_rows(Pf), binary_rows(Qf), binary_rows(1.0 - Pf),
+             binary_rows(1.0 - Qf), lambda k: (k,))
+    return _search("decomposability", grid * grid, config, [block], judge, d,
                    recheck=recheck)
 
 
@@ -469,7 +472,8 @@ def kl_type_family(name):
 @pytest.mark.parametrize("name", ["square", "ramp", "decreasing"])
 def test_binary_grid_scan_matches_rows(name):
     d = kl_type_family(name)
-    margin, gap, triple, failures = _best(_dpi_scan_binary_grid(d, 30))
+    margin, gap, triple, failures = _scan(d.evaluate_batch, _dpi_judge,
+                                          _grid_binary(30))
     margin0, gap0, triple0, failures0 = dpi_scan_rows(d, 30)
     assert (margin, gap, failures) == (margin0, gap0, failures0)
     for got, want in zip(triple, triple0):
@@ -671,20 +675,36 @@ def test_refinement_takes_the_dpi_judge_at_infinite_values():
     assert (rep.verdict, rep.max_gap, rep.failures) == ("violation", 0.49475349253083767, 0)
 
 
+def given(X, Y):
+    """The synthetic evaluator: a block's rows are their own values."""
+    return X
+
+
+def given_judge(before, after):
+    """The synthetic judge: the values before are tolerances, after gaps."""
+    return after, before
+
+
+def given_blocks(batches):
+    """Synthetic blocks of (gaps, tolerances, point_of): the tolerances as
+    rows before, the gaps as rows after."""
+    return [(tol, None, gap, None, point_of) for gap, tol, point_of in batches]
+
+
 class TestSearch:
-    """The one search loop, on synthetic batches."""
+    """The one search loop, on synthetic blocks."""
 
     @staticmethod
     def search(batches, after=None, tol=0.0):
-        """_search on synthetic batches: the re-check of a point is
-        {"point": point, "value_before": 0.0, "value_after": after}, judged
-        as a gap of after - before against tol; after=None forbids it."""
+        """_search on synthetic blocks of (gaps, tolerances, point_of): the
+        re-check of a point is {"point": point, "value_before": tol,
+        "value_after": after}, judged as a gap of after against tol;
+        after=None forbids it."""
         def recheck(d, *point):
             assert after is not None, "a clean search was re-checked"
-            return {"point": point, "value_before": 0.0, "value_after": after}
-        return _search("synthetic", 4, {"trials": 4}, batches,
-                       lambda before, after: (after - before, tol), None,
-                       recheck=recheck)
+            return {"point": point, "value_before": tol, "value_after": after}
+        return _search("synthetic", 4, {"trials": 4}, given_blocks(batches),
+                       given_judge, None, evaluate=given, recheck=recheck)
 
     def test_tie_keeps_the_earlier_batch(self):
         rep = self.search([(np.array([0.5, 0.1]), 0.0, lambda k: ("first", k)),
@@ -694,15 +714,15 @@ class TestSearch:
         assert rep.witness["point"] == ("first", 0) and rep.max_gap == 1.0
 
     def test_strictly_greater_margin_replaces_the_best(self):
-        margin, gap, point, failures = _best(
+        margin, gap, point, failures = _scan(given, given_judge, given_blocks(
             [(np.array([0.5, np.nan]), 0.1, lambda k: ("first", k)),
-             (np.array([0.2, 0.7]), np.array([0.0, 0.1]), lambda k: ("second", k))])
+             (np.array([0.2, 0.7]), np.array([0.0, 0.1]), lambda k: ("second", k))]))
         assert (point, gap, failures) == (("second", 1), 0.7, 1)
         assert margin == pytest.approx(0.6)
 
     def test_infinite_gap_against_infinite_tolerance_never_wins(self):
-        margin, gap, point, failures = _best(
-            [(np.array([np.inf, 0.5]), np.array([np.inf, 0.1]), lambda k: k)])
+        margin, gap, point, failures = _scan(given, given_judge, given_blocks(
+            [(np.array([np.inf, 0.5]), np.array([np.inf, 0.1]), lambda k: k)]))
         assert (point, gap, failures) == (1, 0.5, 1)
         assert margin == pytest.approx(0.4)
 
@@ -734,8 +754,9 @@ class TestSearch:
         def refine(d, point):
             seen.append(point)
             return dpi_local_refine(d, point, iters=5)
-        rep = _search("dpi", 1, {"trials": 1}, [(np.array([1.0]), 0.0, lambda k: start)],
-                      checkers._dpi_judge, d, refine=refine)
+        block = (np.array([0.0]), None, np.array([1.0]), None, lambda k: start)
+        rep = _search("dpi", 1, {"trials": 1}, [block], _dpi_judge, d,
+                      evaluate=given, refine=refine)
         assert len(seen) == 1 and seen[0] is start
         assert rep.verdict == "violation"
         assert rep.witness == _recheck(d, *dpi_local_refine(d, start, iters=5)[:3])
@@ -761,13 +782,13 @@ class TestSearch:
                                                   np.asarray(A).tolist())
 
     def test_counts_are_checked_before_any_batch(self):
-        def batches():
-            raise AssertionError("a batch was drawn")
+        def blocks():
+            raise AssertionError("a block was drawn")
             yield
         for trials, config in ((0, {"trials": 0}), (-5, {"trials": -5}),
                                (16, {"grid": -2, "random_trials": 0})):
             with pytest.raises(DivergenceError, match="nothing to search"):
-                _search("synthetic", trials, config, batches(), None, None)
+                _search("synthetic", trials, config, blocks(), None, None)
 
 
 def shannon_quadratic():
@@ -818,15 +839,19 @@ def fresh_block_sizes(trials):
     return [checkers.SLICE] * full + [rest] * (rest > 0)
 
 
-# Reference scans: a block loop that evaluates each block whole, and one draw
-# per scan kind that draws every block fresh through the reference samplers,
-# in the checker's order.  Each point_of binds its own block, so it stays
-# valid after the next.
+# Reference scans: a block loop that evaluates each block whole and frees
+# nothing, and one draw per scan kind that draws every block fresh through
+# the reference samplers, in the checker's order.  Each point_of binds its
+# own block, so it stays valid after the next.
 
 def reference_scan(evaluate, judge, blocks):
+    best, failures = (-np.inf, -np.inf, None), 0
     for P, Q, PT, QT, point_of in blocks:
-        before = evaluate(P, Q)
-        yield (*judge(before, evaluate(PT, QT)), point_of)
+        k, margin, gap, fail = _reduce(*judge(evaluate(P, Q), evaluate(PT, QT)))
+        failures += fail
+        if margin > best[0]:
+            best = (margin, gap, point_of(k))
+    return (*best, failures)
 
 
 def dpi_binary_reference(rng, trials):
@@ -909,7 +934,7 @@ def pairs_reference(rng, trials, n):
         yield P, P, P, Q, lambda k, P=P, Q=Q: (P[k], Q[k])
 
 
-# the block loop, whose batches are noted, and the draws of the scan kinds
+# the block loop, whose blocks are noted, and the draws of the scan kinds
 SCAN_REFERENCES = {"_scan": reference_scan}
 DRAW_REFERENCES = {"_draw_binary": dpi_binary_reference, "_draw_channels": dpi_reference,
                    "_draw_permutation": permutation_reference,
@@ -967,12 +992,14 @@ BLOCK_CASES = {
 def noting_blocks(reference, noted):
     """`reference`, with every point_of noting (block index, block rows) of
     its block in `noted`: the last note is the best candidate's block."""
-    def scan(*args):
-        for i, (gap, tol, point_of) in enumerate(reference(*args)):
-            def noting(k, i=i, rows=len(gap), point_of=point_of):
-                noted.append((i, rows))
-                return point_of(k)
-            yield gap, tol, noting
+    def scan(evaluate, judge, blocks):
+        def noting_draw():
+            for i, (*rows, point_of) in enumerate(blocks):
+                def noting(k, i=i, m=len(rows[0]), point_of=point_of):
+                    noted.append((i, m))
+                    return point_of(k)
+                yield (*rows, noting)
+        return reference(evaluate, judge, noting_draw())
     return scan
 
 
@@ -997,39 +1024,62 @@ def test_scans_report_like_fresh_blocks(monkeypatch, case, rows):
 
 
 def test_point_keeps_its_values_after_the_next_block():
-    # _best holds the best point while later blocks are drawn and evaluated
-    d = catalog("kl")
+    # _scan holds the best point while later blocks are drawn and evaluated
     trials = checkers.SLICE + 5
-    scan = checkers._scan(d.evaluate_batch, checkers._dpi_judge,
-                          checkers._draw_channels(np.random.default_rng(5), trials, 3))
-    ref = reference_scan(d.evaluate_batch, checkers._dpi_judge,
-                         dpi_reference(np.random.default_rng(5), trials, 3))
-    point, want = next(scan)[2](2), next(ref)[2](2)
-    *_, last = scan
-    later = last[2](2)
+    draw = checkers._draw_channels(np.random.default_rng(5), trials, 3)
+    ref = dpi_reference(np.random.default_rng(5), trials, 3)
+    point, want = next(draw)[-1](2), next(ref)[-1](2)
+    *_, last = draw
+    later = last[-1](2)
     assert [x.tobytes() for x in point] == [x.tobytes() for x in want]
-    assert [x.tobytes() for x in later] == [x.tobytes() for x in next(ref)[2](2)]
+    assert [x.tobytes() for x in later] == [x.tobytes() for x in next(ref)[-1](2)]
     assert not np.array_equal(point[0], later[0])
 
 
-@pytest.mark.parametrize("check", [
-    lambda: check_dpi(catalog("kl"), 2, grid=3, random_trials=500),
-    lambda: check_dpi(catalog("kl"), 3, random_trials=500),
-    lambda: check_sufficiency(catalog("kl"), 2, trials=500),
-    lambda: check_sufficiency(catalog("kl"), 3, trials=500),
-    lambda: check_shannon_inequality(shannon_quadratic(), 3, trials=500),
-], ids=["dpi-n2", "dpi-n3", "sufficiency-n2", "sufficiency-n3", "shannon"])
-def test_every_random_scan_runs_through_scan(monkeypatch, check):
-    rows = []
+@pytest.mark.parametrize("check, rows", [
+    (lambda: check_dpi(catalog("kl"), 2, grid=3, random_trials=500), 3 ** 4 + 500),
+    (lambda: check_dpi(catalog("kl"), 3, random_trials=500), 500),
+    (lambda: check_sufficiency(catalog("kl"), 2, trials=500), 500),
+    (lambda: check_sufficiency(catalog("kl"), 3, trials=500), 500),
+    (lambda: check_shannon_inequality(shannon_quadratic(), 3, trials=500), 500),
+    (lambda: check_decomposable_binary(catalog("kl"), grid=5), 5 ** 2),
+], ids=["dpi-n2", "dpi-n3", "sufficiency-n2", "sufficiency-n3", "shannon",
+        "decomposable"])
+def test_every_row_of_every_check_runs_through_scan(monkeypatch, check, rows):
+    judged = []
     scan = checkers._scan
 
-    def counting(*args):
-        for gap, tol, point_of in scan(*args):
-            rows.append(gap.size)
-            yield gap, tol, point_of
+    def counting(evaluate, judge, blocks):
+        def counted(before, after):
+            gap, tol = judge(before, after)
+            judged.append(gap.size)
+            return gap, tol
+        return scan(evaluate, counted, blocks)
     monkeypatch.setattr(checkers, "_scan", counting)
     check()
-    assert sum(rows) == 500
+    assert sum(judged) == rows
+
+
+HEAP_PROBE = """
+import resource
+from divergence_lab import checkers, families
+d = families.kl_type_from_h(families.h_generator_from_spec("name:square"))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+checkers.check_dpi(d, 2, grid=50, random_trials=0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap trimming")
+def test_grid_scan_reuses_the_heap():
+    """The block loop holds a block's values after until the next block's
+    replace them.  A loop that frees every array of a block lets glibc trim
+    the heap each block and fault it in again: a fresh grid-50 binary check
+    then takes about 48,000 minor faults instead of 2,750."""
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 15_000
 
 
 # what a scan may hold at once: 80 float64 columns of SLICE rows (2.5 MiB).  A

@@ -192,6 +192,34 @@ class TestCheck:
         assert code == 1 and out == ""
         assert err.startswith(f"error: cannot parse scalar function {text!r}")
 
+    # each flag was dropped: the check printed the report it prints without it
+    @pytest.mark.parametrize("argv, flags", [
+        (("sufficiency", "--n", "3", "--grid", "7", "--trials", "1000"), "--grid"),
+        (("shannon", "--f", "clog:-1,0.2", "--n", "3", "--grid", "7"), "--grid"),
+        (("dpi", "--n", "3", "--grid", "7", "--trials", "100"), "--grid"),
+        (("decomposable", "--trials", "5", "--seed", "3", "--grid", "20"),
+         "--trials, --seed"),
+        (("shannon", "--f", "clog:-1,0.2", "--n", "3", "--divergence", "tv"),
+         "--divergence"),
+        (("dpi", "--grid", "3", "--trials", "10", "--f", "clog:-1,0.2"), "--f"),
+        (("sufficiency", "--trials", "100", "--f", "clog:-1,0.2"), "--f"),
+        (("decomposable", "--grid", "5", "--f", "clog:-1,0.2"), "--f")],
+        ids=["sufficiency-grid", "shannon-grid", "dpi-n3-grid",
+             "decomposable-trials-seed", "shannon-divergence", "dpi-f", "sufficiency-f",
+             "decomposable-f"])
+    def test_flag_the_property_never_reads_exits_one(self, capsys, argv, flags):
+        code, out, err = run_cli_capture(capsys, "check", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: check ") and err.endswith(
+            f"does not read {flags}\n")
+
+    def test_config_values_a_property_never_reads_stay_accepted(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"grid": 7, "trials": 100, "divergence": "tv"}))
+        code, out, _ = run_cli_capture(capsys, "--config", str(path), "check",
+                                       "shannon", "--f", "clog:-1,0.2", "--n", "3")
+        assert code == 0 and out.startswith("shannon_inequality: no_violation_found")
+
     def test_inconclusive_exit_one(self, capsys):
         # a NaN coefficient makes every evaluation fail
         code, out, _ = run_cli_capture(

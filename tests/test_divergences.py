@@ -390,11 +390,18 @@ def x_log_x(limit):
                           perspective_limit=limit)
 
 
+def abs_x_minus_1(limit):
+    return ScalarFunction(lambda x: np.abs(np.asarray(x) - 1.0), label="|x-1|",
+                          perspective_limit=limit)
+
+
 # each wrong declaration built a spec whose values were wrong or NaN: d_g2 = 0
 # gave a binary data-processing "violation" with gap 0.348, d_g2 = NaN an
 # inconclusive check with 600 failures, a zero gradient of sum p^2
-# D((.2, .3, .5); (.6, .2, .2)) = -0.06, and x log x declared with limit 0
-# D((.5, .5); (0, 1)) = -0.347 (0.153 with limit 1)
+# D((.2, .3, .5); (.6, .2, .2)) = -0.06, x log x declared with limit 0
+# D((.5, .5); (0, 1)) = -0.347 (0.153 with limit 1), and tv's |x - 1|
+# declared with limit 5 D((.5, .5); (1, 0)) = 3.0 where tv gives 1.0 (inf
+# with limit inf)
 @pytest.mark.parametrize("build, message", [
     (lambda: bregman_from_symmetric_g(ScalarFunction(
         u_squared, deriv=np.zeros_like, label="u^2")),
@@ -409,10 +416,33 @@ def x_log_x(limit):
      "f 'x*log(x)' declares lim f(x)/x = 0, below its chord slope"),
     (lambda: DivergenceSpec("f_divergence", "kl1", f=x_log_x(1.0)),
      "f 'x*log(x)' declares lim f(x)/x = 1, below its chord slope"),
-], ids=["d_g2-zero", "d_g2-nan", "gradient-zero", "limit-0", "limit-1"])
+    (lambda: DivergenceSpec("f_divergence", "tv5", f=abs_x_minus_1(5.0)),
+     "f '|x-1|' declares lim f(x)/x = 5, far above its chord slope 1 at x = 1e8"),
+    (lambda: DivergenceSpec("f_divergence", "tv-inf", f=abs_x_minus_1(np.inf)),
+     "f '|x-1|' declares lim f(x)/x = inf, but its chord slope has stopped rising"),
+], ids=["d_g2-zero", "d_g2-nan", "gradient-zero", "limit-0", "limit-1", "tv-limit-5",
+        "tv-limit-inf"])
 def test_wrong_declarations_rejected(build, message):
     with pytest.raises(DivergenceError, match=re.escape(message)):
         build()
+
+
+def test_limit_checks_at_the_far_points():
+    # exp(x - 1) - x overflows at x = 1e4: its slopes are still rising, not
+    # an error, so only an infinite limit is right
+    grows = ScalarFunction(lambda x: np.exp(np.asarray(x) - 1.0) - x, label="exp",
+                           perspective_limit=np.inf)
+    DivergenceSpec("f_divergence", "exp", f=grows)
+    grows.perspective_limit = 3.0
+    with pytest.raises(DivergenceError, match="below its chord slope inf"):
+        DivergenceSpec("f_divergence", "exp", f=grows)
+    # a limit within LIMIT_SLACK of the slopes passes; hellinger's f declared
+    # with an infinite limit is out of reach: its slope still rises 2% from
+    # 1e4 to 1e8, as a slowly unbounded f's would
+    DivergenceSpec("f_divergence", "tv", f=abs_x_minus_1(1.005))
+    hellinger = catalog("hellinger").f
+    DivergenceSpec("f_divergence", "hellinger-inf", f=ScalarFunction(
+        hellinger._value, label="hellinger", perspective_limit=np.inf))
 
 
 def test_every_shipped_generator_passes_the_declaration_checks():
