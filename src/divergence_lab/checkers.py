@@ -23,6 +23,7 @@ of a scan with more than SLICE random trials follow it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Any
@@ -162,27 +163,41 @@ def _reduce(gap: np.ndarray, tol):
             int(bad.sum()))
 
 
+def _weak(x):
+    """A weak reference to x; for a value that takes none (None, a number),
+    one that matches nothing."""
+    try:
+        return weakref.ref(x)
+    except TypeError:
+        return object
+
+
 def _scan(evaluate, judge, blocks):
     """The block loop of every check: (margin, gap, point, failures) of the
     candidate that most exceeds its tolerance; a later one wins only with a
     strictly greater margin.  A draw, `blocks`, yields each block's rows
     before (P, Q) and after (PT, QT), valued per row by `evaluate(X, Y)`,
     and `point_of(k)`: the candidate at flat index k, copied out of the
-    block, run before the next block is drawn.  The draw frees its last
-    block one array at a time as it draws the next, and the loop keeps the
-    values after until the next block's replace them: freed whole, a block
-    lets glibc's malloc trim the heap, to fault it in again (48,000 minor
-    faults against 2,750 for a grid-50 binary check)."""
+    block, run before the next block is drawn.  A block whose P and Q are
+    the previous block's arrays (a binary grid's, one block per beta) reuses
+    their values.  The draw frees its last block one array at a time as it
+    draws the next, and the loop keeps the values until the next block's
+    replace them: freed whole, a block lets glibc's malloc trim the heap, to
+    fault it in again (48,000 minor faults against 2,750 for a grid-50
+    binary check)."""
     best = (-np.inf, -np.inf, None)
     failures = 0
+    seen = _weak(None), _weak(None)  # the rows of `before`, kept by the draw alone
     for P, Q, PT, QT, point_of in blocks:
-        before = evaluate(P, Q)
+        if seen[0]() is not P or seen[1]() is not Q:
+            before = evaluate(P, Q)
+            seen = _weak(P), _weak(Q)
         after = evaluate(PT, QT)
         k, margin, gap, fail = _reduce(*judge(before, after))
         failures += fail
         if margin > best[0]:
             best = (margin, gap, point_of(k))
-        del P, Q, PT, QT, point_of, before
+        del P, Q, PT, QT, point_of
     return (*best, failures)
 
 

@@ -10,9 +10,13 @@ nondecreasing outer function k):
 Boundary conventions follow the usual perspective limits: a term with
 q_i = 0 = p_i contributes 0, and a term with q_i = 0 < p_i contributes
 p_i * lim_{x->inf} f(x)/x, a limit every f-divergence generator declares
-(+inf when it diverges).  Where p_i / q_i overflows at a subnormal
-q_i > 0 the term is that limit too if it is finite; an infinite one leaves
-the value unknown and raises DivergenceError.  0*log(0) is 0.
+(+inf when it diverges).  0*log(0) is 0.  A generator may also declare its
+perspective, q f(p/q) as an elementwise function of (p, q) with these rules
+built in; the catalog's kl, chi2, hellinger and tv do, and their terms are
+that function, so kl and chi2 have values at a subnormal q_i too.  Without
+one, where p_i / q_i overflows at a subnormal q_i > 0 the term is the limit
+if it is finite; an infinite one leaves the value unknown and raises
+DivergenceError.
 Every generator is a ScalarFunction.  A Bregman G declares its exact
 gradient as its `deriv`, which may be infinite on a face of the simplex
 (negative entropy): a coordinate with p_i = q_i adds 0 to <grad G(Q), P - Q>,
@@ -40,6 +44,12 @@ F_AT_ONE_TOL = 1e-12
 # inside both.
 FAR_POINTS = np.array([1e4, 1e8])
 LIMIT_SLACK = 1e-2
+# a declared perspective is held to q f(p/q) on every pair of these
+# coordinates: the faces, the smallest subnormal, a tiny normal q under which
+# p/q stays finite, the interior and the top of [0, 1]
+PERSPECTIVE_COORDS = np.array([0.0, 5e-324, 1e-300, 1e-8, 0.1, 0.25, 0.5, 0.7, 0.9,
+                               1.0 - 2.0 ** -53, 1.0])
+PERSPECTIVE_TOL = 1e-12
 GRADIENT_STEP = 1e-5    # central-difference step of the gradient spot-check
 GRADIENT_TOL = 1e-5     # its relative error bound
 
@@ -136,15 +146,23 @@ class ScalarFunction:
     CubicHermiteSpline coefficients and order of operations and so with its
     bits, and finds each point's interval by a lookup built once per table.
     `perspective_limit` is lim_{x -> inf} f(x)/x, which an f-divergence
-    generator must declare; it is never estimated.
+    generator must declare; it is never estimated.  `perspective`, if
+    given, is q f(p/q) as an elementwise function of arrays (P, Q) that
+    broadcast, exact on the faces: 0 at p = q = 0 and p * lim f(x)/x at
+    q = 0 < p.  It is run with floating-point warnings off, and
+    `check_f_generator` holds it to q f(p/q) on a grid that reaches 0 and
+    5e-324.  Without it, q f(p/q) at a subnormal q raises where p/q
+    overflows and the limit is +inf.
     """
 
     def __init__(self, value: Callable, deriv: Callable | None = None,
-                 label: str = "", perspective_limit: float | None = None):
+                 label: str = "", perspective_limit: float | None = None,
+                 perspective: Callable | None = None):
         self.label = label
         self._value = value
         self._deriv = deriv
         self.perspective_limit = perspective_limit
+        self.perspective = perspective
 
     @classmethod
     def from_table(cls, knots: np.ndarray, values: np.ndarray,
@@ -220,6 +238,30 @@ def check_f_generator(f: ScalarFunction) -> None:
     if limit == np.inf > far and far - near <= LIMIT_SLACK * max(abs(near), abs(far)):
         raise DivergenceError(f"{declares}, but its chord slope has stopped rising: "
                               f"{near:.3g} at x = 1e4, {far:.3g} at x = 1e8")
+    if f.perspective is not None:
+        check_perspective(f)
+
+
+def check_perspective(f: ScalarFunction) -> None:
+    """Hold f's declared perspective to the reference q f(p/q), which is
+    p * lim f(x)/x at q = 0 and 0 at (0, 0), on every pair of
+    PERSPECTIVE_COORDS: equal to it where it is 0 or +-inf on a face, p = 0
+    or q = 0, and within PERSPECTIVE_TOL * (p + q + |ref|) wherever else it
+    is finite.  An infinite reference at p, q > 0 is an overflow of p/q or
+    of f, not a value, and is skipped."""
+    P, Q = np.meshgrid(PERSPECTIVE_COORDS, PERSPECTIVE_COORDS, indexing="ij")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        got = np.asarray(f.perspective(P, Q), dtype=float)
+        ref = np.where(Q > 0, _perspective_terms(f, P, Q),
+                       np.where(P > 0, P * f.perspective_limit, 0.0))
+        near = np.abs(got - ref) <= PERSPECTIVE_TOL * (P + Q + np.abs(ref))
+    exact = ((P == 0) | (Q == 0)) & ((ref == 0) | np.isinf(ref))
+    bad = np.where(exact, got != ref, np.isfinite(ref) & ~near)
+    if np.any(bad):
+        i = tuple(np.argwhere(bad)[0])
+        raise DivergenceError(
+            f"f {f.label!r} declares a perspective of {got[i]:.6g} at (p, q) = "
+            f"({P[i]:.3g}, {Q[i]:.3g}), where q f(p/q) is {ref[i]:.6g}")
 
 
 def check_outer(k: ScalarFunction) -> None:
@@ -279,18 +321,28 @@ def check_gradient(G: ScalarFunction, n: int) -> None:
 # batch evaluation kernels: rows of shape (..., n) whose leading axes broadcast
 # ---------------------------------------------------------------------------
 
+def _perspective_terms(f: ScalarFunction, P, Q) -> np.ndarray:
+    """q f(p/q) where q > 0 and 0 where q = 0, elementwise; call it with
+    floating-point warnings off."""
+    pos = Q > 0
+    # where q = 0 the ratio is p / 1, a value the mask then discards
+    return np.where(pos, Q * np.asarray(f(P / np.where(pos, Q, 1.0))), 0.0)
+
+
 def f_divergence_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """sum_i q_i f(p_i / q_i) over the last axis of the broadcast arguments,
     with the perspective convention where q_i = 0.
 
-    Where p_i / q_i overflows at a tiny q_i > 0 (a subnormal one), the term
-    is its limit p_i * lim f(x)/x, as at q_i = 0; when that limit is +inf
-    the value is not known there, and DivergenceError is raised.
+    A generator that declares its perspective gives the terms itself.
+    Otherwise, where p_i / q_i overflows at a tiny q_i > 0 (a subnormal
+    one), the term is its limit p_i * lim f(x)/x, as at q_i = 0; when that
+    limit is +inf the value is not known there, and DivergenceError is
+    raised.
     """
-    pos = Q > 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # where q_i = 0 the ratio is p_i / 1, a value the mask then discards
-        terms = np.where(pos, Q * np.asarray(f(P / np.where(pos, Q, 1.0))), 0.0)
+        if f.perspective is not None:
+            return row_sum(f.perspective(P, Q))
+        terms = _perspective_terms(f, P, Q)
     out = row_sum(terms)
     if not np.isfinite(out).all():
         # f is finite on [1, inf), so an infinite term with p_i > q_i > 0 is
@@ -304,7 +356,7 @@ def f_divergence_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.nd
             out = row_sum(np.where(over, P * f.perspective_limit, terms))
     # q_i = 0 < p_i contributes p_i * lim f(x)/x; rows without escaped mass
     # add 0, never 0 * lim (NaN when the limit is +inf)
-    escaped = (~pos) & (P > 0)
+    escaped = ~(Q > 0) & (P > 0)
     if np.any(escaped):
         extra = row_sum(np.where(escaped, P, 0.0))
         out = out + np.multiply(extra, f.perspective_limit,
@@ -438,6 +490,42 @@ def _xlogx(x):
     return np.where(x > 0, v, 0.0)
 
 
+# The catalog's perspectives q f(p/q), exact on the faces; kl's and chi2's
+# p = 0 rule also gives 0 at (0, 0), where log and division give NaN.  Each
+# computes the expression in its docstring with the same bits, in place where
+# that saves a pair-sized array: on a grid's broadcast pairs a fresh array
+# costs more than the arithmetic that fills it.
+def _kl_perspective(P, Q):
+    """where(P > 0, P (log P - log Q), 0)"""
+    T = np.log(P) - np.log(Q)
+    T *= P
+    np.copyto(T, 0.0, where=~(P > 0))
+    return T
+
+
+def _chi2_perspective(P, Q):
+    """where(P > 0, D (D / Q), Q) with D = P - Q"""
+    D = P - Q
+    T = D / Q
+    T *= D
+    np.copyto(T, Q, where=~(P > 0))
+    return T
+
+
+def _hellinger_perspective(P, Q):
+    """(sqrt(P) - sqrt(Q))^2"""
+    T = np.sqrt(P) - np.sqrt(Q)
+    T *= T
+    return T
+
+
+def _tv_perspective(P, Q):
+    """|P - Q|"""
+    T = P - Q
+    np.abs(T, out=T)
+    return T
+
+
 def negative_entropy() -> ScalarFunction:
     """sum_i p_i log p_i, defined on the whole simplex with 0 log 0 = 0."""
     return ScalarFunction(lambda P: row_sum(_xlogx(P)),
@@ -453,20 +541,24 @@ def catalog(name: str) -> DivergenceSpec:
     """Named divergences: kl, tv, hellinger, chi2, brier, euclidean, tv_squared."""
     if name == "kl":
         f = ScalarFunction(_xlogx, deriv=lambda x: np.log(x) + 1.0,
-                           label="x*log(x)", perspective_limit=np.inf)
+                           label="x*log(x)", perspective_limit=np.inf,
+                           perspective=_kl_perspective)
         return DivergenceSpec("f_divergence", "kl", f=f)
     if name == "tv":
         f = ScalarFunction(lambda x: np.abs(x - 1.0), deriv=lambda x: np.sign(x - 1.0),
-                           label="|x-1|", perspective_limit=1.0)
+                           label="|x-1|", perspective_limit=1.0,
+                           perspective=_tv_perspective)
         return DivergenceSpec("f_divergence", "tv", f=f)
     if name == "hellinger":
         f = ScalarFunction(lambda x: (np.sqrt(x) - 1.0) ** 2,
                            deriv=lambda x: 1.0 - 1.0 / np.sqrt(x),
-                           label="(sqrt(x)-1)^2", perspective_limit=1.0)
+                           label="(sqrt(x)-1)^2", perspective_limit=1.0,
+                           perspective=_hellinger_perspective)
         return DivergenceSpec("f_divergence", "hellinger", f=f)
     if name == "chi2":
         f = ScalarFunction(lambda x: (x - 1.0) ** 2, deriv=lambda x: 2.0 * (x - 1.0),
-                           label="(x-1)^2", perspective_limit=np.inf)
+                           label="(x-1)^2", perspective_limit=np.inf,
+                           perspective=_chi2_perspective)
         return DivergenceSpec("f_divergence", "chi2", f=f)
     if name == "brier":
         return DivergenceSpec("bregman", "brier", G=squared_norm_G("p^2+(1-p)^2"), n=2)

@@ -1060,6 +1060,22 @@ def test_every_row_of_every_check_runs_through_scan(monkeypatch, check, rows):
     assert sum(judged) == rows
 
 
+def test_grid_rows_before_are_evaluated_once_per_check(monkeypatch):
+    # every beta block of the binary grid yields the same grid^2 rows before:
+    # one evaluation of them and one of each block's rows after
+    calls = []
+    scan = checkers._scan
+
+    def counting(evaluate, judge, blocks):
+        def counted(X, Y):
+            calls.append(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]))
+            return evaluate(X, Y)
+        return scan(counted, judge, blocks)
+    monkeypatch.setattr(checkers, "_scan", counting)
+    check_dpi(catalog("kl"), 2, grid=5, random_trials=0)
+    assert calls == [(5, 5)] + [(5, 5, 5)] * 5
+
+
 HEAP_PROBE = """
 import resource
 from divergence_lab import checkers, families

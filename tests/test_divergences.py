@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import warnings
+from fractions import Fraction
 
 import functools
 
@@ -12,6 +14,7 @@ from divergence_lab.divergences import (CATALOG_NAMES, DivergenceError,
                                         DivergenceSpec, ScalarFunction, catalog,
                                         check_convex_on_simplex,
                                         check_f_generator, check_outer,
+                                        check_perspective,
                                         from_json_dict, negative_entropy, resolve)
 from divergence_lab.families import (H_CATALOG, HGenerator,
                                      bregman_from_symmetric_g,
@@ -26,6 +29,20 @@ KL_HALF_VS_QUARTER = 0.5 * math.log(2.0) + 0.5 * math.log(2.0 / 3.0)
 def fdiv(name):
     """An f-divergence spec built from the generator of a catalog entry."""
     return DivergenceSpec("f_divergence", name, f=catalog(name).f)
+
+
+def with_perspective(name, perspective):
+    """The generator of a catalog f-divergence with `perspective` declared
+    in place of its own: None leaves the generic q f(p/q) kernel."""
+    f = catalog(name).f
+    return ScalarFunction(f._value, deriv=f._deriv, label=f.label,
+                          perspective_limit=f.perspective_limit,
+                          perspective=perspective)
+
+
+@functools.cache
+def without_perspective(name):
+    return DivergenceSpec("f_divergence", name, f=with_perspective(name, None))
 
 
 def kl_type(f):
@@ -77,16 +94,23 @@ class TestFDivergence:
         assert got[1] == pytest.approx(0.04 / 0.5 + 0.04 / 0.5, abs=1e-12)
 
     def test_subnormal_q_takes_the_perspective_limit(self):
-        # p/q overflows at q = 5e-324: tv and hellinger take the limit term
-        # p * lim f(x)/x = 0.5, and kl and chi2, whose limit is +inf, raise
-        # rather than give a silent inf
+        # p/q overflows at q = 5e-324.  tv and hellinger give the limit term
+        # p * lim f(x)/x = 0.5 there, and kl and chi2 their declared
+        # perspectives: kl the sum of p (log p - log q), chi2 +inf, the
+        # correctly rounded value.  An f without a perspective whose limit
+        # is +inf raises there rather than give a silent inf
         P, Q = [0.5, 0.5], [5e-324, 1.0 - 5e-324]
-        assert catalog("tv").evaluate(P, Q) == 1.0
-        assert catalog("hellinger").evaluate(P, Q) == pytest.approx(
-            0.585786437626905, abs=1e-15)
-        for name in ("kl", "chi2"):
-            with pytest.raises(DivergenceError, match="overflows"):
-                catalog(name).evaluate(P, Q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert catalog("tv").evaluate(P, Q) == 1.0
+            assert catalog("hellinger").evaluate(P, Q) == pytest.approx(
+                0.585786437626905, abs=1e-15)
+            kl = math.fsum(p * (math.log(p) - math.log(q)) for p, q in zip(P, Q))
+            assert kl == 371.5268887801307
+            assert catalog("kl").evaluate(P, Q) == pytest.approx(kl, rel=1e-12)
+            assert catalog("chi2").evaluate(P, Q) == np.inf
+        with pytest.raises(DivergenceError, match="overflows"):
+            without_perspective("kl").evaluate(P, Q)
 
     def test_chi2_value(self):
         got = fdiv("chi2").evaluate([0.3, 0.7], [0.5, 0.5])
@@ -401,7 +425,10 @@ def abs_x_minus_1(limit):
 # D((.2, .3, .5); (.6, .2, .2)) = -0.06, x log x declared with limit 0
 # D((.5, .5); (0, 1)) = -0.347 (0.153 with limit 1), and tv's |x - 1|
 # declared with limit 5 D((.5, .5); (1, 0)) = 3.0 where tv gives 1.0 (inf
-# with limit inf)
+# with limit inf).  A declared perspective without kl's p = 0 rule gave a
+# NaN kl on every row with a zero coordinate, the naive chi2 (p - q)^2 / q
+# NaN at (0, 0) and, with the p = 0 rule, at (5e-324, 0) where chi2 is +inf,
+# and 2|p - q| twice tv
 @pytest.mark.parametrize("build, message", [
     (lambda: bregman_from_symmetric_g(ScalarFunction(
         u_squared, deriv=np.zeros_like, label="u^2")),
@@ -420,8 +447,25 @@ def abs_x_minus_1(limit):
      "f '|x-1|' declares lim f(x)/x = 5, far above its chord slope 1 at x = 1e8"),
     (lambda: DivergenceSpec("f_divergence", "tv-inf", f=abs_x_minus_1(np.inf)),
      "f '|x-1|' declares lim f(x)/x = inf, but its chord slope has stopped rising"),
+    (lambda: DivergenceSpec("f_divergence", "kl-no-p0", f=with_perspective(
+        "kl", lambda P, Q: P * (np.log(P) - np.log(Q)))),
+     "f 'x*log(x)' declares a perspective of nan at (p, q) = (0, 0), "
+     "where q f(p/q) is 0"),
+    (lambda: DivergenceSpec("f_divergence", "chi2-naive", f=with_perspective(
+        "chi2", lambda P, Q: (P - Q) ** 2 / Q)),
+     "f '(x-1)^2' declares a perspective of nan at (p, q) = (0, 0), "
+     "where q f(p/q) is 0"),
+    (lambda: DivergenceSpec("f_divergence", "chi2-naive-p0", f=with_perspective(
+        "chi2", lambda P, Q: np.where(P > 0, (P - Q) ** 2 / Q, Q))),
+     "f '(x-1)^2' declares a perspective of nan at (p, q) = (4.94e-324, 0), "
+     "where q f(p/q) is inf"),
+    (lambda: DivergenceSpec("f_divergence", "tv-double", f=with_perspective(
+        "tv", lambda P, Q: 2.0 * np.abs(P - Q))),
+     "f '|x-1|' declares a perspective of 9.88131e-324 at (p, q) = (0, 4.94e-324), "
+     "where q f(p/q) is 4.94066e-324"),
 ], ids=["d_g2-zero", "d_g2-nan", "gradient-zero", "limit-0", "limit-1", "tv-limit-5",
-        "tv-limit-inf"])
+        "tv-limit-inf", "kl-no-p0-rule", "chi2-naive", "chi2-naive-p0-rule",
+        "tv-double"])
 def test_wrong_declarations_rejected(build, message):
     with pytest.raises(DivergenceError, match=re.escape(message)):
         build()
@@ -448,6 +492,10 @@ def test_limit_checks_at_the_far_points():
 def test_every_shipped_generator_passes_the_declaration_checks():
     for name in CATALOG_NAMES:
         catalog(name)
+    for name in PERSPECTIVE_NAMES:
+        f = catalog(name).f
+        assert f.perspective is not None
+        check_perspective(f)
     for name, (h, breaks) in H_CATALOG.items():
         kl_type_from_h(HGenerator(h, label=name, breakpoints=breaks),
                        validate=name != "decreasing")
@@ -493,9 +541,11 @@ def test_f_divergences_decompose_coordinatewise():
 
 KL_TYPE_NAMES = ("square", "ramp", "kl", "decreasing")
 # beyond the catalog: negative entropy, whose face gradient is -inf, random
-# symmetric Bregman generators, and a composed spec over a base that is not tv
+# symmetric Bregman generators, a composed spec over a base that is not tv,
+# and kl's x log x without its perspective, which raises at a subnormal q
 PAIR_SPECS = (CATALOG_NAMES + tuple(f"kl_type:{h}" for h in KL_TYPE_NAMES)
-              + ("negative_entropy", "bregman:3", "bregman:11", "square(hellinger)"))
+              + ("negative_entropy", "bregman:3", "bregman:11", "square(hellinger)",
+                 "kl:no-perspective"))
 # 0 and 1 put a row on a face; the smallest subnormal and a larger one probe
 # the bottom of the double range, 1 - 2**-53 its top below 1
 EDGE_COORDS = (0.0, 1.0, 5e-324, 1e-310, 1.0 - 2.0 ** -53)
@@ -512,6 +562,8 @@ def pair_spec(name):
         return bregman_from_symmetric_g(random_symmetric_convex_g(rng))
     if name == "negative_entropy":
         return DivergenceSpec("bregman", name, G=negative_entropy(), n=2)
+    if name.endswith(":no-perspective"):
+        return without_perspective(name.split(":")[0])
     if name == "square(hellinger)":
         return from_json_dict({"family": "composed", "name": "hellinger",
                                "outer": "square"})
@@ -533,8 +585,8 @@ def test_binary_pairs_match_rows(name, U):
     try:
         want = pairs_by_rows(d, U)
     except DivergenceError:
-        # kl and chi2 raise where p / q overflows at a subnormal q, and the
-        # pair path must raise there too
+        # an f without a perspective whose limit is +inf raises where p / q
+        # overflows at a subnormal q, and the pair path must raise there too
         for V in (U, np.stack([U, U[::-1]])):
             with pytest.raises(DivergenceError, match="overflows"):
                 d.evaluate_binary_pairs(V)
@@ -546,6 +598,85 @@ def test_binary_pairs_match_rows(name, U):
     assert got.tobytes() == want.tobytes()
     assert got2.shape == (2, U.size, U.size)
     assert got2.tobytes() == want2.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# declared perspectives against the generic q f(p/q) kernel
+# ---------------------------------------------------------------------------
+
+PERSPECTIVE_NAMES = ("kl", "tv", "hellinger", "chi2")
+
+
+def kl_reference(P, Q):
+    """(math.fsum of p (log p - log q) over p > 0, fsum of the terms' sizes);
+    +inf where some q = 0 < p."""
+    if any(p > 0 and q == 0 for p, q in zip(P, Q)):
+        return math.inf, math.inf
+    terms = [p * (math.log(p) - math.log(q)) for p, q in zip(P, Q) if p > 0]
+    return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+def chi2_reference(P, Q):
+    """The exact sum of (p - q)^2 / q over q > 0, correctly rounded; +inf
+    where some q = 0 < p or the sum exceeds the largest double."""
+    if any(p > 0 and q == 0 for p, q in zip(P, Q)):
+        return math.inf
+    exact = sum((Fraction(p) - Fraction(q)) ** 2 / Fraction(q)
+                for p, q in zip(P, Q) if q > 0)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf
+
+
+PLAIN_PERSPECTIVES = {
+    "kl": lambda P, Q: np.where(P > 0, P * (np.log(P) - np.log(Q)), 0.0),
+    "chi2": lambda P, Q: np.where(P > 0, (P - Q) * ((P - Q) / Q), Q),
+    "hellinger": lambda P, Q: np.square(np.sqrt(P) - np.sqrt(Q)),
+    "tv": lambda P, Q: np.abs(P - Q),
+}
+
+
+@pytest.mark.parametrize("name", PERSPECTIVE_NAMES)
+def test_catalog_perspectives_keep_the_bits_of_their_expressions(name):
+    # the catalog computes its forms in place; the values are those of the
+    # plain expressions, on the edges, on random rows and on broadcast pairs
+    rng = np.random.default_rng(3)
+    edges = np.array(EDGE_COORDS)
+    cases = [np.meshgrid(edges, edges, indexing="ij"),
+             (rng.uniform(size=(100, 4)), rng.uniform(size=(100, 4))),
+             (rng.uniform(size=(30, 1, 2)), rng.uniform(size=(1, 30, 2)))]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for P, Q in cases:
+            got = catalog(name).f.perspective(P, Q)
+            assert got.tobytes() == PLAIN_PERSPECTIVES[name](P, Q).tobytes()
+
+
+@pytest.mark.parametrize("name", PERSPECTIVE_NAMES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=st.integers(2, 5).flatmap(
+    lambda n: st.tuples(*[st.lists(coords, min_size=n, max_size=n)] * 2)))
+def test_perspective_matches_the_generic_kernel(name, rows):
+    P, Q = (np.array(r) for r in rows)
+    got = float(catalog(name).evaluate_batch(P, Q)[0])
+    try:
+        ref = float(without_perspective(name).evaluate_batch(P, Q)[0])
+    except DivergenceError:
+        # p/q overflows at a subnormal q, where the generic kernel does not
+        # know kl's or chi2's value; tv's and hellinger's limits are finite
+        assert name in ("kl", "chi2")
+        if name == "kl":
+            want, size = kl_reference(P, Q)
+            assert got == want if math.isinf(want) else abs(got - want) <= 1e-12 * size
+        else:
+            want = chi2_reference(P, Q)
+            assert got == want if math.isinf(want) else got == pytest.approx(
+                want, rel=1e-12)
+        return
+    if np.isfinite(ref):
+        assert abs(got - ref) <= 1e-12 * (P.sum() + Q.sum() + abs(ref))
+    else:
+        assert ref == np.inf and got == np.inf
 
 
 def test_binary_pairs_need_binary_alphabet():
