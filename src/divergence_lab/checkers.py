@@ -88,24 +88,31 @@ def sample_simplex(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return g
 
 
-def sample_channels(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """Row-stochastic matrices: uniform rows, with a deterministic fraction of
-    sharpened and vertex (deterministic-map) channels mixed in.
+def sample_channels(rng: np.random.Generator, m: int, n: int):
+    """(W, S): m unnormalised channels on n symbols and their row sums, so
+    that channel k is W[k] / S[k][:, None].  Uniform rows, with a
+    deterministic fraction of sharpened and vertex (deterministic-map)
+    channels mixed in.
 
     Uniform rows alone concentrate far from the deterministic maps where
     data-processing violations of non-conforming divergences live, so every
     4th trial sharpens the rows and every 8th uses a random deterministic map.
+    A row is an exponential draw g (the stream of `sample_simplex(rng, m * n,
+    n)`); sharpening raises the raw g to the 8th power by three squarings,
+    since (g/s)^8 / sum (g/s)^8 = g^8 / sum g^8, and a deterministic row is
+    one-hot with S exactly 1.  A sharpened row's S is at least max(g)^8, so
+    it underflows only if all n draws of the row are below about 1e-38.5.
     """
-    A = sample_simplex(rng, m * n, n).reshape(m, n, n)
-    sharp = A[3::4]
-    sharp **= 8
-    sharp /= row_sum(sharp)[..., None]
-    det = A[5::8]
+    W = rng.standard_exponential(size=(m, n, n))
+    sharp = W[3::4]
+    for _ in range(3):
+        np.square(sharp, out=sharp)
+    det = W[5::8]
     if len(det):
         det[:] = 0.0
         np.put_along_axis(det, rng.integers(0, n, size=det.shape[:2])[..., None],
                           1.0, axis=-1)
-    return A
+    return W, row_sum(W)
 
 
 def _blocks(m: int):
@@ -302,13 +309,17 @@ def _draw_binary(rng: np.random.Generator, trials: int):
 
 
 def _draw_channels(rng: np.random.Generator, trials: int, n: int):
-    """(P, Q, channel) triples on n symbols and the rows they map to, by blocks."""
+    """(P, Q, channel) triples on n symbols and the rows they map to, by blocks.
+    The channels stay unnormalised, (W, S) from `sample_channels`: each P
+    weights channel row i by P_i / S_i, one division per row rather than
+    per channel entry, and only the flagged channel is normalised."""
     for m in _blocks(trials):
         P = sample_simplex(rng, m, n)
         Q = sample_simplex(rng, m, n)
-        A = sample_channels(rng, m, n)
-        yield (P, Q, np.einsum("mi,mij->mj", P, A), np.einsum("mi,mij->mj", Q, A),
-               lambda k: (P[k].copy(), Q[k].copy(), A[k].copy()))
+        W, S = sample_channels(rng, m, n)
+        yield (P, Q, np.einsum("mi,mij->mj", P / S, W),
+               np.einsum("mi,mij->mj", Q / S, W),
+               lambda k: (P[k].copy(), Q[k].copy(), W[k] / S[k][:, None]))
 
 
 def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
@@ -397,11 +408,18 @@ def dpi_local_refine(d: DivergenceSpec, witness, iters: int = 200):
 
 def _draw_permutation(rng: np.random.Generator, trials: int, n: int):
     """Pairs on n symbols and their rows with two random symbols swapped, by
-    blocks: never the identity, and transpositions generate every permutation."""
+    blocks: never the identity, and transpositions generate every permutation.
+    On two symbols the one transposition is the swap, so the uniforms that
+    would rank the symbols are drawn only to keep the stream."""
     for m in _blocks(trials):
         P = sample_simplex(rng, m, n)
         Q = sample_simplex(rng, m, n)
-        sigma = np.argsort(rng.uniform(size=(m, n)), axis=1)
+        u = rng.uniform(size=(m, n))
+        if n == 2:
+            yield (P, Q, P[:, ::-1].copy(), Q[:, ::-1].copy(),
+                   lambda k: (P[k].copy(), Q[k].copy(), 1.0 - np.eye(2), "permutation"))
+            continue
+        sigma = np.argsort(u, axis=1)
         perm = np.tile(np.arange(n), (m, 1))
         np.put_along_axis(perm, sigma[:, :2], sigma[:, 1::-1], axis=1)
         # row k after is P[k, perm[k]]: channel column y is the unit vector perm[k, y]

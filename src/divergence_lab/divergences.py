@@ -123,7 +123,7 @@ class _HermiteTable:
         i = self._start[bucket]
         for _ in range(self._steps):
             i += self._right[i] <= x
-        c0, c1, c2, c3 = self._c[:, i]
+        c0, c1, c2, c3 = np.take(self._c, i, axis=1)
         s = x - self._knots[i]
         s2 = s * s
         x[:] = ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)

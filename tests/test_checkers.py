@@ -31,21 +31,41 @@ from divergence_lab.simplex import (Channel, Distribution, binary_rows,
 
 def sample_channels_masked(rng, m, n):
     """The boolean-mask sampler that sample_channels replaces with strided
-    slices, kept as the reference: gather, sharpen and scatter every 4th
-    trial, then every 8th becomes a deterministic map."""
-    A = sample_simplex(rng, m * n, n).reshape(m, n, n)
+    slices, kept as the reference of its (W, S) contract: gather every 4th
+    trial, raise it to the 8th power by three squarings and scatter it back,
+    then every 8th trial becomes a deterministic map; S are the row sums."""
+    W = rng.exponential(size=(m * n, n)).reshape(m, n, n)
     idx = np.arange(m)
     sharp = idx % 4 == 3
     if np.any(sharp):
-        As = A[sharp] ** 8
-        A[sharp] = As / As.sum(axis=2, keepdims=True)
+        Ws = W[sharp]
+        for _ in range(3):
+            Ws = Ws * Ws
+        W[sharp] = Ws
     det = idx % 8 == 5
     k = int(det.sum())
     if k:
         verts = rng.integers(0, n, size=(k, n))
-        Ad = np.zeros((k, n, n))
-        Ad[np.arange(k)[:, None], np.arange(n)[None, :], verts] = 1.0
-        A[det] = Ad
+        Wd = np.zeros((k, n, n))
+        Wd[np.arange(k)[:, None], np.arange(n)[None, :], verts] = 1.0
+        W[det] = Wd
+    return W, W.sum(axis=2)
+
+
+def sample_channels_pow(rng, m, n):
+    """The sampler before the channels stayed unnormalised, kept as the
+    reference of the channels they stand for: normalise every row, raise
+    every 4th trial to the 8th power by `**` and normalise it again, then
+    every 8th trial becomes a deterministic map."""
+    A = sample_simplex(rng, m * n, n).reshape(m, n, n)
+    sharp = A[3::4]
+    sharp **= 8
+    sharp /= row_sum(sharp)[..., None]
+    det = A[5::8]
+    if len(det):
+        det[:] = 0.0
+        np.put_along_axis(det, rng.integers(0, n, size=det.shape[:2])[..., None],
+                          1.0, axis=-1)
     return A
 
 
@@ -73,7 +93,9 @@ class TestSamplers:
 
     def test_channels_are_stochastic(self):
         rng = np.random.default_rng(0)
-        A = sample_channels(rng, 64, 3)
+        W, S = sample_channels(rng, 64, 3)
+        assert S.tobytes() == W.sum(axis=2).tobytes()
+        A = W / S[..., None]
         assert np.allclose(A.sum(axis=2), 1.0, atol=1e-12)
         assert np.all(A >= 0)
         # deterministic maps are present in the mix
@@ -85,10 +107,30 @@ class TestSamplers:
                                             (2021, 5, 6)])
     def test_channels_match_masked_reference(self, m, n, seed):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        A = sample_channels(rng, m, n)
-        assert A.tobytes() == sample_channels_masked(ref_rng, m, n).tobytes()
+        W, S = sample_channels(rng, m, n)
+        W0, S0 = sample_channels_masked(ref_rng, m, n)
+        assert W.tobytes() == W0.tobytes() and S.tobytes() == S0.tobytes()
         # both drew the same numbers, so the streams continue alike
         assert rng.uniform() == ref_rng.uniform()
+
+    @pytest.mark.parametrize("m, n, seed", [(1, 2, 0), (6, 3, 1), (13, 4, 2),
+                                            (20_000, 3, 3), (20_000, 5, 4)])
+    def test_channels_are_the_pow_samplers(self, m, n, seed):
+        """W / S are the channels of the sampler that normalised, sharpened
+        by pow and normalised again: uniform rows to the bit, deterministic
+        rows exactly, sharpened rows within rounding."""
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        W, S = sample_channels(rng, m, n)
+        A = sample_channels_pow(ref_rng, m, n)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        idx = np.arange(m)
+        sharp, det = idx % 4 == 3, idx % 8 == 5
+        uniform = ~sharp & ~det
+        assert (W[uniform] / S[uniform][..., None]).tobytes() == A[uniform].tobytes()
+        assert np.all(S[det] == 1.0)
+        assert np.all((W[det] == 0.0) | (W[det] == 1.0))
+        assert W[det].tobytes() == A[det].tobytes()
+        assert np.max(np.abs(W / S[..., None] - A)) <= 1e-15
 
 
 class TestCheckDPI:
@@ -232,7 +274,8 @@ def _random_triples(n, count, seed):
     rng = np.random.default_rng(seed)
     P = sample_simplex(rng, count, n)
     Q = sample_simplex(rng, count, n)
-    A = sample_channels(rng, count, n)
+    W, S = sample_channels(rng, count, n)
+    A = W / S[..., None]
     return [(P[k], Q[k], A[k]) for k in range(count)]
 
 
@@ -869,9 +912,11 @@ def dpi_reference(rng, trials, n):
     for m in fresh_block_sizes(trials):
         P = sample_simplex_divided(rng, m, n)
         Q = sample_simplex_divided(rng, m, n)
-        A = sample_channels_masked(rng, m, n)
-        yield (P, Q, np.einsum("mi,mij->mj", P, A), np.einsum("mi,mij->mj", Q, A),
-               lambda k, P=P, Q=Q, A=A: (P[k], Q[k], A[k]))
+        W, S = sample_channels_masked(rng, m, n)
+        # row i of a channel weighs P_i / S_i: the channels stay unnormalised
+        yield (P, Q, np.einsum("mi,mij->mj", P / S, W),
+               np.einsum("mi,mij->mj", Q / S, W),
+               lambda k, P=P, Q=Q, W=W, S=S: (P[k], Q[k], W[k] / S[k][:, None]))
 
 
 def permutation_reference(rng, trials, n):
@@ -1034,6 +1079,66 @@ def test_point_keeps_its_values_after_the_next_block():
     assert [x.tobytes() for x in point] == [x.tobytes() for x in want]
     assert [x.tobytes() for x in later] == [x.tobytes() for x in next(ref)[-1](2)]
     assert not np.array_equal(point[0], later[0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_channel_draw_is_the_reference(n):
+    """The rows pushed through unnormalised channels are the reference's to
+    the byte, block by block, and so is the stream they leave."""
+    trials = checkers.SLICE + 1000
+    rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+    for got, want in zip(checkers._draw_channels(rng, trials, n),
+                         dpi_reference(ref_rng, trials, n), strict=True):
+        assert [x.tobytes() for x in got[:4]] == [x.tobytes() for x in want[:4]]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def draw_channels_pow(rng, trials, n):
+    """The data-processing draw before its channels stayed unnormalised: the
+    pow sampler's channels, pushed forward whole."""
+    for m in fresh_block_sizes(trials):
+        P = sample_simplex(rng, m, n)
+        Q = sample_simplex(rng, m, n)
+        A = sample_channels_pow(rng, m, n)
+        yield (P, Q, np.einsum("mi,mij->mj", P, A), np.einsum("mi,mij->mj", Q, A),
+               lambda k, P=P, Q=Q, A=A: (P[k].copy(), Q[k].copy(), A[k].copy()))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("name", ["kl", "chi2", "euclidean", "negative_entropy"])
+def test_dpi_reports_like_the_pow_sampler(monkeypatch, name, n):
+    """The unnormalised channels round their pushed rows differently, never
+    enough to move a verdict, a failure count or a gap."""
+    d = (DivergenceSpec("bregman", name, G=negative_entropy())
+         if name == "negative_entropy" else catalog(name))
+    got = [check_dpi(d, n, random_trials=20_000, seed=seed) for seed in range(4)]
+    monkeypatch.setattr(checkers, "_draw_channels", draw_channels_pow)
+    for seed, rep in enumerate(got):
+        want = check_dpi(d, n, random_trials=20_000, seed=seed)
+        assert ((rep.verdict, rep.failures, rep.max_gap)
+                == (want.verdict, want.failures, want.max_gap)), seed
+
+
+@pytest.mark.parametrize("rows", [997, checkers.SLICE], ids=["997", "default"])
+def test_binary_swap_is_the_permutation_reference(monkeypatch, rows):
+    """At n = 2 the permutation draw swaps the two columns without ranking
+    the uniforms it still draws: the reference's rows, witness channels and
+    stream, to the byte."""
+    monkeypatch.setattr(checkers, "SLICE", rows)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    blocks = 0
+    for got, want in zip(checkers._draw_permutation(rng, 6000, 2),
+                         permutation_reference(ref_rng, 6000, 2), strict=True):
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert [x.tobytes() for x in got[:4]] == [x.tobytes() for x in want[:4]]
+        for k in range(len(got[0])):
+            *arrays, kind = got[-1](k)
+            *ref_arrays, ref_kind = want[-1](k)
+            assert kind == ref_kind
+            assert [x.tobytes() for x in arrays] == [x.tobytes() for x in ref_arrays]
+        blocks += 1
+    assert blocks == len(fresh_block_sizes(6000))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("check, rows", [
