@@ -162,14 +162,10 @@ def _parse_scalar_f(text: str) -> ScalarFunction:
         vals = []
     if kind == "clog" and len(vals) == 2:
         c, b = vals
-        return ScalarFunction(lambda x: c * np.log(x) + b,
-                              deriv=lambda x: c / np.asarray(x, dtype=float),
-                              label=f"{c}*log(x)+{b}")
+        return ScalarFunction(lambda x: c * np.log(x) + b, label=f"{c}*log(x)+{b}")
     if kind == "poly" and vals:
         poly = np.polynomial.Polynomial(vals)
-        dpoly = poly.deriv()
         return ScalarFunction(lambda x: poly(np.asarray(x, dtype=float)),
-                              deriv=lambda x: dpoly(np.asarray(x, dtype=float)),
                               label=f"poly:{rest}")
     raise DivergenceError(f"cannot parse scalar function {text!r}: not clog:c,b or poly:c0,...")
 

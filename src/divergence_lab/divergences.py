@@ -14,10 +14,13 @@ p_i * lim_{x->inf} f(x)/x, a limit every f-divergence generator declares
 perspective, q f(p/q) as an elementwise function of (p, q) with these rules
 built in; the catalog's kl, chi2, hellinger and tv do, and their terms are
 that function, so kl and chi2 have values at a subnormal q_i too.  Without
-one, where p_i / q_i overflows at a subnormal q_i > 0 the term is the limit
-if it is finite; an infinite one leaves the value unknown and raises
+one, the terms are q f(p/q) with the face rules built in, the same
+function `check_perspective` holds a declared perspective to; where
+p_i / q_i overflows at a subnormal q_i > 0 the term is the limit if it is
+finite, and an infinite one leaves the value unknown and raises
 DivergenceError.
-Every generator is a ScalarFunction.  A Bregman G declares its exact
+Every generator is a ScalarFunction; a KL-type f is a quadrature table,
+which `families` builds and evaluates.  A Bregman G declares its exact
 gradient as its `deriv`, which may be infinite on a face of the simplex
 (negative entropy): a coordinate with p_i = q_i adds 0 to <grad G(Q), P - Q>,
 and an infinite gradient with p_i != q_i makes the divergence +inf.
@@ -64,87 +67,19 @@ class DivergenceError(ValueError):
 # generators and their spot-checks
 # ---------------------------------------------------------------------------
 
-class _HermiteTable:
-    """The piecewise cubic Hermite interpolant through (knots, values) with
-    the given slopes at the knots, evaluated with the bits of scipy's
-    CubicHermiteSpline: its coefficients, its order of operations, and its
-    intervals [knots[i], knots[i+1]), the last one closed.
-
-    The interval of a point is looked up, not searched for: a table built
-    once maps a nondecreasing integer key of x to a bucket and the bucket to
-    the first interval it can hold, and at most `_steps` vectorised
-    `knots[i + 1] <= x` passes finish the job.  The key is the bit pattern
-    of x - lo below the middle knot and minus that of hi - x above it (a
-    nonnegative double orders like its bits), so knots crowding either end
-    of the table, as geometric ones do, still spread over the buckets.
-    """
-
-    def __init__(self, knots, values, slopes):
-        dx = np.diff(knots)
-        slope = np.diff(values) / dx
-        t = (slopes[:-1] + slopes[1:] - 2 * slope) / dx
-        # highest degree first; scipy's sum starts from 0.0, and 0.0 + y
-        # turns a -0.0 value into 0.0 as that sum does
-        self._c = np.stack([t / dx, (slope - slopes[:-1]) / dx - t,
-                            slopes[:-1], values[:-1] + 0.0])
-        self._knots = knots
-        # the right end of each interval; the last interval is closed
-        self._right = np.append(knots[1:-1], np.inf)
-        self._lo, self._hi = knots[0], knots[-1]
-        self._mid = knots[len(knots) // 2]
-        self._below = (self._mid - self._lo).view(np.int64)
-        self._above = (self._hi - self._mid).view(np.int64)
-        # the interval of x is the number of interior knots <= x; a bucket
-        # starts at the number of interior knots whose key lies below it
-        keys = self._key(knots[1:-1])
-        self._base = int(keys[0]) if keys.size else 0
-        span = int(keys[-1]) - self._base if keys.size else 0
-        self._shift = (span // (4 * len(knots))).bit_length()
-        edges = self._base + (np.arange((span >> self._shift) + 1, dtype=np.int64)
-                              << self._shift)
-        self._start = np.searchsorted(keys, edges)
-        self._top = int(edges[-1])
-        self._steps = int(np.max(np.diff(self._start, append=keys.size)))
-
-    def _key(self, x):
-        below = (x - self._lo).view(np.int64) - self._below
-        above = self._above - (self._hi - x).view(np.int64)
-        return np.where(x <= self._mid, below, above)
-
-    def __call__(self, x):
-        # the values keep x's memory order, so broadcasts that follow run
-        # along the same axis as they would on x; out is a fresh dense copy
-        # of x, so its memory-order ravel is a view to write the values into
-        out = np.array(x, dtype=float, order="K")
-        x = out.ravel(order="K")
-        bucket = np.clip(self._key(x), self._base, self._top)
-        bucket -= self._base
-        bucket >>= self._shift
-        i = self._start[bucket]
-        for _ in range(self._steps):
-            i += self._right[i] <= x
-        c0, c1, c2, c3 = np.take(self._c, i, axis=1)
-        s = x - self._knots[i]
-        s2 = s * s
-        x[:] = ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
-        return out
-
-
 class ScalarFunction:
     """A real function of numbers or of rows (..., n), with its derivative
-    when one is given: the one generator type of every family.
+    where something reads it: the one generator type of every family.
 
     An f, an outer k, a Shannon f or a binary g2 maps numbers to numbers.  A
     Bregman G maps rows of shape (..., n) to shape (...), finite on the
     whole closed simplex, and its `deriv` returns gradient rows of its
     argument's shape; on a face they may be +-inf (negative entropy), which
     `bregman_batch` resolves exactly.  The alphabet size is the spec's.
+    `deriv` is declared where it is read: a Bregman G's gradient, a g2's
+    slope and a KL-type table's exact f' (`families.build_f_from_h`, which
+    also builds the table itself).
 
-    Either closed-form callables or a quadrature table: strictly increasing
-    knots, cubic Hermite interpolation between them, inputs clamped to the
-    tabulated domain.  The program evaluates a table itself, with scipy's
-    CubicHermiteSpline coefficients and order of operations and so with its
-    bits, and finds each point's interval by a lookup built once per table.
     `perspective_limit` is lim_{x -> inf} f(x)/x, which an f-divergence
     generator must declare; it is never estimated.  `perspective`, if
     given, is q f(p/q) as an elementwise function of arrays (P, Q) that
@@ -163,34 +98,6 @@ class ScalarFunction:
         self._deriv = deriv
         self.perspective_limit = perspective_limit
         self.perspective = perspective
-
-    @classmethod
-    def from_table(cls, knots: np.ndarray, values: np.ndarray,
-                   deriv_values: np.ndarray, deriv: Callable | None = None,
-                   label: str = "") -> "ScalarFunction":
-        """Tabulated function with cubic interpolation between knots.
-
-        The interpolant is the piecewise cubic Hermite matching values and
-        first derivatives at the knots; it is local, so a curvature jump
-        placed exactly on a knot does not pollute the neighbouring intervals.
-        Its values are bit-equal to scipy's CubicHermiteSpline on the same
-        data, without loading scipy or binary-searching per point; NaN gives
-        NaN.
-        """
-        knots = np.asarray(knots, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if np.any(np.diff(knots) <= 0):
-            raise DivergenceError("table knots must be strictly increasing")
-        table = _HermiteTable(knots, values, np.asarray(deriv_values, dtype=float))
-        lo, hi = float(knots[0]), float(knots[-1])
-
-        def value(x, _t=table, _lo=lo, _hi=hi):
-            return _t(np.clip(x, _lo, _hi))
-
-        fn = cls(value, deriv=deriv, label=label)
-        fn.knots = knots
-        fn.knot_values = values
-        return fn
 
     def __call__(self, x):
         return self._value(np.asarray(x, dtype=float))
@@ -243,17 +150,15 @@ def check_f_generator(f: ScalarFunction) -> None:
 
 
 def check_perspective(f: ScalarFunction) -> None:
-    """Hold f's declared perspective to the reference q f(p/q), which is
-    p * lim f(x)/x at q = 0 and 0 at (0, 0), on every pair of
-    PERSPECTIVE_COORDS: equal to it where it is 0 or +-inf on a face, p = 0
-    or q = 0, and within PERSPECTIVE_TOL * (p + q + |ref|) wherever else it
-    is finite.  An infinite reference at p, q > 0 is an overflow of p/q or
-    of f, not a value, and is skipped."""
+    """Hold f's declared perspective to the reference `_perspective_terms`
+    on every pair of PERSPECTIVE_COORDS: equal to it where it is 0 or +-inf
+    on a face, p = 0 or q = 0, and within PERSPECTIVE_TOL * (p + q + |ref|)
+    wherever else it is finite.  An infinite reference at p, q > 0 is an
+    overflow of p/q or of f, not a value, and is skipped."""
     P, Q = np.meshgrid(PERSPECTIVE_COORDS, PERSPECTIVE_COORDS, indexing="ij")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         got = np.asarray(f.perspective(P, Q), dtype=float)
-        ref = np.where(Q > 0, _perspective_terms(f, P, Q),
-                       np.where(P > 0, P * f.perspective_limit, 0.0))
+        ref = _perspective_terms(f, P, Q)
         near = np.abs(got - ref) <= PERSPECTIVE_TOL * (P + Q + np.abs(ref))
     exact = ((P == 0) | (Q == 0)) & ((ref == 0) | np.isinf(ref))
     bad = np.where(exact, got != ref, np.isfinite(ref) & ~near)
@@ -322,46 +227,39 @@ def check_gradient(G: ScalarFunction, n: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _perspective_terms(f: ScalarFunction, P, Q) -> np.ndarray:
-    """q f(p/q) where q > 0 and 0 where q = 0, elementwise; call it with
+    """q f(p/q) elementwise, with the face rules: p * lim f(x)/x where
+    q = 0 < p, and 0 at p = q = 0, never 0 * lim; call it with
     floating-point warnings off."""
     pos = Q > 0
     # where q = 0 the ratio is p / 1, a value the mask then discards
-    return np.where(pos, Q * np.asarray(f(P / np.where(pos, Q, 1.0))), 0.0)
+    return np.where(pos, Q * np.asarray(f(P / np.where(pos, Q, 1.0))),
+                    np.where(P > 0, P * f.perspective_limit, 0.0))
 
 
 def f_divergence_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """sum_i q_i f(p_i / q_i) over the last axis of the broadcast arguments,
-    with the perspective convention where q_i = 0.
+    with the face rules of `_perspective_terms`.
 
     A generator that declares its perspective gives the terms itself.
-    Otherwise, where p_i / q_i overflows at a tiny q_i > 0 (a subnormal
-    one), the term is its limit p_i * lim f(x)/x, as at q_i = 0; when that
-    limit is +inf the value is not known there, and DivergenceError is
-    raised.
+    Otherwise the terms are `_perspective_terms`, and where p_i / q_i
+    overflows at a tiny q_i > 0 (a subnormal one) the term is its limit
+    p_i * lim f(x)/x, as at q_i = 0; when that limit is +inf the value is
+    not known there, and DivergenceError is raised.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if f.perspective is not None:
             return row_sum(f.perspective(P, Q))
         terms = _perspective_terms(f, P, Q)
-    out = row_sum(terms)
-    if not np.isfinite(out).all():
         # f is finite on [1, inf), so an infinite term with p_i > q_i > 0 is
         # an overflow of p_i / q_i or of f
-        over = np.isinf(terms) & (P > Q)
+        over = np.isinf(terms) & (P > Q) & (Q > 0)
         if np.any(over):
             if not np.isfinite(f.perspective_limit):
                 raise DivergenceError(
                     f"q f(p/q) overflows at a tiny q > 0 for f = {f.label or 'f'}, "
                     "whose lim f(x)/x is +inf: the value is not known there")
-            out = row_sum(np.where(over, P * f.perspective_limit, terms))
-    # q_i = 0 < p_i contributes p_i * lim f(x)/x; rows without escaped mass
-    # add 0, never 0 * lim (NaN when the limit is +inf)
-    escaped = ~(Q > 0) & (P > 0)
-    if np.any(escaped):
-        extra = row_sum(np.where(escaped, P, 0.0))
-        out = out + np.multiply(extra, f.perspective_limit,
-                                out=np.zeros_like(extra), where=extra > 0)
-    return out
+            terms = np.where(over, P * f.perspective_limit, terms)
+    return row_sum(terms)
 
 
 def kl_type_batch(f: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -540,25 +438,20 @@ def squared_norm_G(label: str = "squared_norm") -> ScalarFunction:
 def catalog(name: str) -> DivergenceSpec:
     """Named divergences: kl, tv, hellinger, chi2, brier, euclidean, tv_squared."""
     if name == "kl":
-        f = ScalarFunction(_xlogx, deriv=lambda x: np.log(x) + 1.0,
-                           label="x*log(x)", perspective_limit=np.inf,
+        f = ScalarFunction(_xlogx, label="x*log(x)", perspective_limit=np.inf,
                            perspective=_kl_perspective)
         return DivergenceSpec("f_divergence", "kl", f=f)
     if name == "tv":
-        f = ScalarFunction(lambda x: np.abs(x - 1.0), deriv=lambda x: np.sign(x - 1.0),
-                           label="|x-1|", perspective_limit=1.0,
-                           perspective=_tv_perspective)
+        f = ScalarFunction(lambda x: np.abs(x - 1.0), label="|x-1|",
+                           perspective_limit=1.0, perspective=_tv_perspective)
         return DivergenceSpec("f_divergence", "tv", f=f)
     if name == "hellinger":
-        f = ScalarFunction(lambda x: (np.sqrt(x) - 1.0) ** 2,
-                           deriv=lambda x: 1.0 - 1.0 / np.sqrt(x),
-                           label="(sqrt(x)-1)^2", perspective_limit=1.0,
-                           perspective=_hellinger_perspective)
+        f = ScalarFunction(lambda x: (np.sqrt(x) - 1.0) ** 2, label="(sqrt(x)-1)^2",
+                           perspective_limit=1.0, perspective=_hellinger_perspective)
         return DivergenceSpec("f_divergence", "hellinger", f=f)
     if name == "chi2":
-        f = ScalarFunction(lambda x: (x - 1.0) ** 2, deriv=lambda x: 2.0 * (x - 1.0),
-                           label="(x-1)^2", perspective_limit=np.inf,
-                           perspective=_chi2_perspective)
+        f = ScalarFunction(lambda x: (x - 1.0) ** 2, label="(x-1)^2",
+                           perspective_limit=np.inf, perspective=_chi2_perspective)
         return DivergenceSpec("f_divergence", "chi2", f=f)
     if name == "brier":
         return DivergenceSpec("bregman", "brier", G=squared_norm_G("p^2+(1-p)^2"), n=2)
@@ -572,8 +465,7 @@ def catalog(name: str) -> DivergenceSpec:
 
 
 OUTER_FUNCTIONS = {
-    "square": lambda: ScalarFunction(lambda x: np.square(x), deriv=lambda x: 2.0 * x,
-                                     label="x^2"),
+    "square": lambda: ScalarFunction(lambda x: np.square(x), label="x^2"),
 }
 
 

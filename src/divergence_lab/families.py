@@ -6,8 +6,10 @@ Two constructions:
   (0, 1/2]: set G(x) = (x-1) h(x) / x there, reflect G(x) = G(1-x) on the
   upper half, and integrate f'(x) = G(x)/x into a knot table anchored at
   f(1/2) = 0 by composite Gauss–Legendre quadrature with an embedded error
-  estimate.  Every valid h yields a divergence with the data-processing
-  property; a decreasing h breaks it.
+  estimate.  The table is a cubic Hermite interpolant, `_HermiteTable`,
+  evaluated with the bits of scipy's CubicHermiteSpline.  Every valid h
+  yields a divergence with the data-processing property; a decreasing h
+  breaks it.
 * Bregman divergences generated by a symmetric convex g2 on [0, 1] through
   G(p, 1-p) = g2(p).  These are exactly the binary Bregman divergences that
   are invariant under sufficient transformations.
@@ -139,6 +141,72 @@ def _composite_gauss_legendre(fprime: Callable, knots: np.ndarray):
     return seg, worst, panels
 
 
+class _HermiteTable:
+    """The piecewise cubic Hermite interpolant through (knots, values) with
+    the given slopes at the knots, evaluated with the bits of scipy's
+    CubicHermiteSpline: its coefficients, its order of operations, and its
+    intervals [knots[i], knots[i+1]), the last one closed.
+
+    The interval of a point is looked up, not searched for: a table built
+    once maps a nondecreasing integer key of x to a bucket and the bucket to
+    the first interval it can hold, and at most `_steps` vectorised
+    `knots[i + 1] <= x` passes finish the job.  The key is the bit pattern
+    of x - lo below the middle knot and minus that of hi - x above it (a
+    nonnegative double orders like its bits), so knots crowding either end
+    of the table, as geometric ones do, still spread over the buckets.
+    """
+
+    def __init__(self, knots, values, slopes):
+        dx = np.diff(knots)
+        slope = np.diff(values) / dx
+        t = (slopes[:-1] + slopes[1:] - 2 * slope) / dx
+        # highest degree first; scipy's sum starts from 0.0, and 0.0 + y
+        # turns a -0.0 value into 0.0 as that sum does
+        self._c = np.stack([t / dx, (slope - slopes[:-1]) / dx - t,
+                            slopes[:-1], values[:-1] + 0.0])
+        self._knots = knots
+        # the right end of each interval; the last interval is closed
+        self._right = np.append(knots[1:-1], np.inf)
+        self._lo, self._hi = knots[0], knots[-1]
+        self._mid = knots[len(knots) // 2]
+        self._below = (self._mid - self._lo).view(np.int64)
+        self._above = (self._hi - self._mid).view(np.int64)
+        # the interval of x is the number of interior knots <= x; a bucket
+        # starts at the number of interior knots whose key lies below it
+        keys = self._key(knots[1:-1])
+        self._base = int(keys[0]) if keys.size else 0
+        span = int(keys[-1]) - self._base if keys.size else 0
+        self._shift = (span // (4 * len(knots))).bit_length()
+        edges = self._base + (np.arange((span >> self._shift) + 1, dtype=np.int64)
+                              << self._shift)
+        self._start = np.searchsorted(keys, edges)
+        self._top = int(edges[-1])
+        self._steps = int(np.max(np.diff(self._start, append=keys.size)))
+
+    def _key(self, x):
+        below = (x - self._lo).view(np.int64) - self._below
+        above = self._above - (self._hi - x).view(np.int64)
+        return np.where(x <= self._mid, below, above)
+
+    def __call__(self, x):
+        # the values keep x's memory order, so broadcasts that follow run
+        # along the same axis as they would on x; out is a fresh dense copy
+        # of x, so its memory-order ravel is a view to write the values into
+        out = np.array(x, dtype=float, order="K")
+        x = out.ravel(order="K")
+        bucket = np.clip(self._key(x), self._base, self._top)
+        bucket -= self._base
+        bucket >>= self._shift
+        i = self._start[bucket]
+        for _ in range(self._steps):
+            i += self._right[i] <= x
+        c0, c1, c2, c3 = np.take(self._c, i, axis=1)
+        s = x - self._knots[i]
+        s2 = s * s
+        x[:] = ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+        return out
+
+
 def build_f_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
     """Integrate f'(x) = G(x)/x into a knot table anchored at f(1/2) = 0.
 
@@ -150,12 +218,14 @@ def build_f_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
     x = 1 would lose the relative precision of 1 - x, while u_k = 1 - x_k is
     exact for every knot x_k >= 1/2.  The table carries
     `quad_error` (the largest error estimate of any final panel) and
-    `quad_panels` (the number of final panels).  The table interpolates with
-    the exact derivative G(x)/x at every knot, and the derivative evaluator
-    returns G(x)/x directly rather than differentiating the table.  The
-    reflection at 1/2 generally puts a curvature jump there, which is why 1/2
-    is always a knot.  `validate=False` skips the h invariants so that
-    deliberately broken generators can be probed.
+    `quad_panels` (the number of final panels), and its `knots` and
+    `knot_values`.  It is a `_HermiteTable` with the exact derivative G(x)/x
+    as its slope at every knot, and its inputs are clamped to the knot
+    range; its `deriv` returns G(x)/x directly rather than differentiating
+    the table.  The knots are sorted and deduplicated here, so they are
+    strictly increasing.  The reflection at 1/2 generally puts a curvature
+    jump there, which is why 1/2 is always a knot.  `validate=False` skips
+    the h invariants so that deliberately broken generators can be probed.
     """
     if validate:
         gen.validate()
@@ -196,11 +266,12 @@ def build_f_from_h(gen: HGenerator, validate: bool = True) -> ScalarFunction:
     vals[anchor + 1:] = np.cumsum(seg[anchor:])
     vals[:anchor] = -np.cumsum(seg[:anchor][::-1])[::-1]
 
-    fn = ScalarFunction.from_table(knots, vals, deriv=fprime,
-                                   label=f"f[{gen.label}]",
-                                   deriv_values=fprime(knots))
-    fn.quad_error = worst
-    fn.quad_panels = panels
+    table = _HermiteTable(knots, vals, fprime(knots))
+    lo, hi = float(knots[0]), float(knots[-1])
+    fn = ScalarFunction(lambda x: table(np.clip(x, lo, hi)), deriv=fprime,
+                        label=f"f[{gen.label}]")
+    fn.knots, fn.knot_values = knots, vals
+    fn.quad_error, fn.quad_panels = worst, panels
     return fn
 
 
