@@ -286,7 +286,15 @@ def bregman_batch(G: ScalarFunction, P: np.ndarray, Q: np.ndarray) -> np.ndarray
 # DivergenceSpec
 # ---------------------------------------------------------------------------
 
-FAMILIES = ("f_divergence", "bregman", "kl_type", "composed")
+# what each family reads: the arguments it needs, then what the first must
+# declare (a limit or a gradient is declared, never estimated) and its name
+FAMILIES = {
+    "f_divergence": (("f",), "perspective_limit",
+                     "perspective_limit, lim f(x)/x as x -> inf"),
+    "bregman": (("G",), "_deriv", "its gradient, deriv"),
+    "kl_type": (("f",), None, ""),
+    "composed": (("base", "outer"), None, ""),
+}
 
 
 class DivergenceSpec:
@@ -309,13 +317,15 @@ class DivergenceSpec:
                  validate: bool = True):
         if family not in FAMILIES:
             raise DivergenceError(f"unknown family {family!r}")
-        if family == "f_divergence" and f.perspective_limit is None:
-            raise DivergenceError(
-                f"{label!r}: an f-divergence generator must declare "
-                "perspective_limit, lim f(x)/x as x -> inf")
-        if family == "bregman" and G._deriv is None:
-            raise DivergenceError(
-                f"{label!r}: a Bregman generator must declare its gradient, deriv")
+        needs, declared, what = FAMILIES[family]
+        given = {"f": f, "G": G, "base": base, "outer": outer}
+        missing = [name for name in needs if given[name] is None]
+        if missing:
+            raise DivergenceError(f"{label!r}: a spec of family {family!r} needs "
+                                  f"{' and '.join(missing)}")
+        if declared and getattr(given[needs[0]], declared) is None:
+            raise DivergenceError(f"{label!r}: the generator {needs[0]} of family "
+                                  f"{family!r} must declare {what}")
         self.family = family
         self.label = label
         self.f = f
@@ -469,28 +479,46 @@ OUTER_FUNCTIONS = {
 }
 
 
+# the spec documents from_json_dict accepts, picked by the field that sets
+# their shape: the fields each holds, and the family it must name (a catalog
+# entry's may be left out)
+SPEC_SHAPES = {
+    "h": (("family", "h"), "kl_type"),
+    "outer": (("family", "name", "outer"), "composed"),
+    "name": (("family", "name"), None),
+}
+
+
 def from_json_dict(doc: dict) -> DivergenceSpec:
     """Rebuild a spec from its JSON description.
 
-    Accepted shapes: {"family": ..., "name": <catalog>} for catalog entries,
-    {"family": "kl_type", "h": <h-spec>} for generated families, and
-    {"family": "composed", "name": <catalog>, "outer": <outer name>}.
+    Accepted shapes: {"family": ..., "name": <catalog>} for catalog entries
+    (family optional), {"family": "kl_type", "h": <h-spec>} for generated
+    families, and {"family": "composed", "name": <catalog>, "outer": <outer
+    name>}.  A field outside the document's shape is an error, never
+    ignored.
     """
     if not isinstance(doc, dict):
         raise DivergenceError(
             f"a divergence spec must be a JSON object, got {type(doc).__name__}")
-    for key in ("family", "name", "h", "outer"):
-        if key in doc and not isinstance(doc[key], str):
+    shape = "h" if "h" in doc else "outer" if "outer" in doc else "name"
+    fields, family = SPEC_SHAPES[shape]
+    for key, value in doc.items():
+        if key not in fields:
+            raise DivergenceError(f"spec field {key!r} is not accepted in a spec "
+                                  f"with {shape!r}, whose fields are {', '.join(fields)}")
+        if not isinstance(value, str):
             raise DivergenceError(
-                f"spec field {key!r} must be a string, got {json.dumps(doc[key])}")
-    family = doc.get("family")
-    if family == "kl_type" and "h" in doc:
+                f"spec field {key!r} must be a string, got {json.dumps(value)}")
+    if family is not None and doc.get("family") != family:
+        raise DivergenceError(f"a spec with {shape!r} must have family {family!r}")
+    if shape == "h":
         from .families import h_generator_from_spec, kl_type_from_h
         return kl_type_from_h(h_generator_from_spec(doc["h"]))
     name = doc.get("name")
     if name is None:
         raise DivergenceError(f"cannot rebuild divergence from {doc!r}")
-    if family == "composed" and "outer" in doc:
+    if shape == "outer":
         outer_name = doc["outer"]
         if outer_name not in OUTER_FUNCTIONS:
             raise DivergenceError(f"unknown outer function {outer_name!r}")
@@ -500,9 +528,9 @@ def from_json_dict(doc: dict) -> DivergenceSpec:
         return DivergenceSpec("composed", label, base=base,
                               outer=OUTER_FUNCTIONS[outer_name]())
     spec = catalog(name)
-    if family is not None and spec.family != family:
+    if "family" in doc and spec.family != doc["family"]:
         raise DivergenceError(
-            f"catalog entry {name!r} has family {spec.family!r}, not {family!r}")
+            f"catalog entry {name!r} has family {spec.family!r}, not {doc['family']!r}")
     return spec
 
 

@@ -42,7 +42,9 @@ def test_unreadable_path_exits_one(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("doc, why", [
     ([1, 2], "must be a JSON object"),
-    ({"family": "kl_type", "h": 5}, "'h' must be a string")])
+    ({"family": "kl_type", "h": 5}, "'h' must be a string"),
+    # a user who asked for square(kl) got kl while the outer field was dropped
+    ({"name": "kl", "outer": "square"}, "must have family 'composed'")])
 def test_malformed_spec_document_exits_one(capsys, tmp_path, doc, why):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))

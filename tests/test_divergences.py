@@ -74,24 +74,36 @@ class TestFDivergence:
         assert got == pytest.approx(0.14384, abs=5e-6)
 
     def test_zero_zero_coordinate_contributes_nothing(self):
-        got = fdiv("kl").evaluate([0.5, 0.5, 0.0], [0.25, 0.75, 0.0])
-        assert got == pytest.approx(KL_HALF_VS_QUARTER, abs=1e-12)
+        # through kl's perspective and through the generic kernel, where the
+        # term at (0, 0) is 0, never 0 * lim = 0 * inf
+        for d in (fdiv("kl"), without_perspective("kl")):
+            got = d.evaluate([0.5, 0.5, 0.0], [0.25, 0.75, 0.0])
+            assert got == pytest.approx(KL_HALF_VS_QUARTER, abs=1e-12)
 
     def test_escaping_mass_kl_infinite(self):
         assert fdiv("kl").evaluate([0.5, 0.5], [1.0, 0.0]) == np.inf
+        assert without_perspective("kl").evaluate([0.5, 0.5], [1.0, 0.0]) == np.inf
 
     def test_escaping_mass_tv_finite(self):
         # lim |x-1|/x = 1, so the q=0 term contributes p_i
         got = fdiv("tv").evaluate([0.5, 0.5], [1.0, 0.0])
         assert got == pytest.approx(0.5 + 0.5, abs=1e-12)
+        # the generic kernel's terms, added in coordinate order: q f(p/q)
+        # where q > 0, p * 1 where q = 0 < p, and 0 at (0, 0)
+        P = [[0.3, 0.7, 0.0], [0.6, 0.0, 0.4], [0.2, 0.3, 0.5]]
+        Q = [[0.0, 0.6, 0.4], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+        want = [(0.3 * 1.0 + 0.6 * abs(0.7 / 0.6 - 1.0)) + 0.4 * abs(0.0 / 0.4 - 1.0),
+                (0.6 * 1.0 + 0.0) + 1.0 * abs(0.4 / 1.0 - 1.0),
+                (0.2 * 1.0 + 0.3 * 1.0) + 1.0 * abs(0.5 / 1.0 - 1.0)]
+        assert without_perspective("tv").evaluate_batch(P, Q).tolist() == want
 
     def test_escaped_rows_do_not_make_nan_elsewhere(self):
         # a batch with escaped mass must not compute 0 * inf on its other rows
-        with np.errstate(invalid="raise"):
-            got = fdiv("chi2").evaluate_batch([[0.5, 0.5], [0.3, 0.7]],
-                                              [[1.0, 0.0], [0.5, 0.5]])
-        assert got[0] == np.inf
-        assert got[1] == pytest.approx(0.04 / 0.5 + 0.04 / 0.5, abs=1e-12)
+        for d in (fdiv("chi2"), without_perspective("chi2")):
+            with np.errstate(invalid="raise"):
+                got = d.evaluate_batch([[0.5, 0.5], [0.3, 0.7]], [[1.0, 0.0], [0.5, 0.5]])
+            assert got[0] == np.inf
+            assert got[1] == pytest.approx(0.04 / 0.5 + 0.04 / 0.5, abs=1e-12)
 
     def test_subnormal_q_takes_the_perspective_limit(self):
         # p/q overflows at q = 5e-324.  tv and hellinger give the limit term
@@ -111,6 +123,11 @@ class TestFDivergence:
             assert catalog("chi2").evaluate(P, Q) == np.inf
         with pytest.raises(DivergenceError, match="overflows"):
             without_perspective("kl").evaluate(P, Q)
+        # tv's f without its perspective has the finite limit 1: the term at
+        # the subnormal q is p * 1, and the other is q f(p/q) = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert without_perspective("tv").evaluate(P, Q) == 1.0
 
     def test_chi2_value(self):
         got = fdiv("chi2").evaluate([0.3, 0.7], [0.5, 0.5])
@@ -132,13 +149,29 @@ class TestFDivergence:
         with pytest.raises(DivergenceError, match=r"f\(1\)"):
             DivergenceSpec("f_divergence", "bad", f=shifted)
 
-    @pytest.mark.parametrize("validate", [True, False])
-    def test_perspective_limit_required(self, validate):
+    @pytest.mark.parametrize("family, given_f, validate, message", [
+        ("f_divergence", True, True, "must declare perspective_limit"),
+        ("f_divergence", True, False, "must declare perspective_limit"),
+        ("f_divergence", False, True, "a spec of family 'f_divergence' needs f"),
+        ("f_divergence", False, False, "a spec of family 'f_divergence' needs f"),
+        ("bregman", False, True, "a spec of family 'bregman' needs G"),
+        ("bregman", False, False, "a spec of family 'bregman' needs G"),
+        ("composed", False, True, "a spec of family 'composed' needs base and outer"),
+        ("composed", False, False, "a spec of family 'composed' needs base and outer"),
+        ("kl_type", False, True, "a spec of family 'kl_type' needs f"),
+        ("kl_type", False, False, "a spec of family 'kl_type' needs f"),
+    ], ids=["True", "False", "f_divergence-no-f-True", "f_divergence-no-f-False",
+            "bregman-no-G-True", "bregman-no-G-False", "composed-no-base-True",
+            "composed-no-base-False", "kl_type-no-f-True", "kl_type-no-f-False"])
+    def test_perspective_limit_required(self, family, given_f, validate, message):
         # lim f(x)/x is declared, never estimated from large arguments, so a
-        # generator without it is refused whether or not the spec is validated
-        f = ScalarFunction(lambda x: np.asarray(x, dtype=float) - 1.0)
-        with pytest.raises(DivergenceError, match="perspective_limit"):
-            DivergenceSpec("f_divergence", "undeclared", f=f, validate=validate)
+        # generator without it is refused whether or not the spec is validated;
+        # so is a spec without the generator its family reads, which raised
+        # AttributeError or TypeError, or for kl_type built and then failed at
+        # its first evaluate
+        f = ScalarFunction(lambda x: np.asarray(x, dtype=float) - 1.0) if given_f else None
+        with pytest.raises(DivergenceError, match=message):
+            DivergenceSpec(family, "undeclared", f=f, validate=validate)
 
 
 class TestKLType:
@@ -358,6 +391,17 @@ class TestCatalogAndSerialization:
         ({"name": ["kl"]}, "'name' must be a string"),
         ({"family": 2, "name": "kl"}, "'family' must be a string"),
         ({"family": "composed", "name": "tv", "outer": None}, "'outer' must be a string"),
+        # fields outside a document's shape were dropped: the first two
+        # evaluated kl and tv, the third kl_type[name:kl], the fourth kl
+        ({"name": "kl", "outer": "square"},
+         "a spec with 'outer' must have family 'composed'"),
+        ({"family": "f_divergence", "name": "tv", "outer": "square"},
+         "a spec with 'outer' must have family 'composed'"),
+        ({"family": "kl_type", "h": "name:kl", "name": "tv"},
+         "spec field 'name' is not accepted in a spec with 'h', whose fields are family, h"),
+        ({"name": "kl", "extra": 1},
+         "spec field 'extra' is not accepted in a spec with 'name', "
+         "whose fields are family, name"),
     ])
     def test_malformed_document_rejected(self, tmp_path, doc, why):
         path = tmp_path / "spec.json"
@@ -542,10 +586,11 @@ def test_f_divergences_decompose_coordinatewise():
 KL_TYPE_NAMES = ("square", "ramp", "kl", "decreasing")
 # beyond the catalog: negative entropy, whose face gradient is -inf, random
 # symmetric Bregman generators, a composed spec over a base that is not tv,
-# and kl's x log x without its perspective, which raises at a subnormal q
+# and the generic kernel: kl's x log x without its perspective, which raises
+# at a subnormal q, and tv's |x - 1|, whose finite limit gives a value there
 PAIR_SPECS = (CATALOG_NAMES + tuple(f"kl_type:{h}" for h in KL_TYPE_NAMES)
               + ("negative_entropy", "bregman:3", "bregman:11", "square(hellinger)",
-                 "kl:no-perspective"))
+                 "kl:no-perspective", "tv:no-perspective"))
 # 0 and 1 put a row on a face; the smallest subnormal and a larger one probe
 # the bottom of the double range, 1 - 2**-53 its top below 1
 EDGE_COORDS = (0.0, 1.0, 5e-324, 1e-310, 1.0 - 2.0 ** -53)
