@@ -8,7 +8,10 @@ tie) and re-checks it under the same judge.  Data processing, sufficiency
 and decomposability candidates are (P, Q, channel) triples that `_search`
 re-checks through `_recheck` (after local refinement, for data processing),
 which evaluates them through `evaluate_scenario`, the one evaluator of a
-triple; the Shannon check re-evaluates its pairs in its own scalar path.  A
+triple; the Shannon check re-evaluates its pairs in its own scalar path.
+The binary data-processing grid and the decomposability swap are one draw,
+`_grid_binary`, the swap being its channel alpha = 0, beta = 1, and the
+sufficiency and decomposability checks share one equality judge.  A
 report is a violation with a concrete witness, or a clean search:
 no_violation_found (evidence, not a proof), or inconclusive when some
 evaluations failed.  An empty search is an error.
@@ -23,7 +26,6 @@ of a scan with more than SLICE random trials follow it.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Any
@@ -149,12 +151,9 @@ def _dpi_judge(before, after):
     return gap, _gap_tol(before)
 
 
-def _suff_judge(before, after):
-    return _abs_delta(after, before), SUFFICIENCY_TOL
-
-
-def _decomposability_judge(before, after):
-    return _abs_delta(after, before), DECOMPOSABLE_TOL
+def _equality_judge(tol):
+    """The judge of the equality checks: |after - before| against tol."""
+    return lambda before, after: (_abs_delta(after, before), tol)
 
 
 def _reduce(gap: np.ndarray, tol):
@@ -170,15 +169,6 @@ def _reduce(gap: np.ndarray, tol):
             int(bad.sum()))
 
 
-def _weak(x):
-    """A weak reference to x; for a value that takes none (None, a number),
-    one that matches nothing."""
-    try:
-        return weakref.ref(x)
-    except TypeError:
-        return object
-
-
 def _scan(evaluate, judge, blocks):
     """The block loop of every check: (margin, gap, point, failures) of the
     candidate that most exceeds its tolerance; a later one wins only with a
@@ -186,19 +176,17 @@ def _scan(evaluate, judge, blocks):
     before (P, Q) and after (PT, QT), valued per row by `evaluate(X, Y)`,
     and `point_of(k)`: the candidate at flat index k, copied out of the
     block, run before the next block is drawn.  A block whose P and Q are
-    the previous block's arrays (a binary grid's, one block per beta) reuses
-    their values.  The draw frees its last block one array at a time as it
-    draws the next, and the loop keeps the values until the next block's
-    replace them: freed whole, a block lets glibc's malloc trim the heap, to
-    fault it in again (48,000 minor faults against 2,750 for a grid-50
-    binary check)."""
+    None (a binary grid's after its first) is judged against the last values
+    before.  The draw frees its last block one array at a time as it draws
+    the next, and the loop keeps the values until the next block's replace
+    them: freed whole, a block lets glibc's malloc trim the heap, to fault it
+    in again (48,000 minor faults against 2,750 for a grid-50 binary
+    check)."""
     best = (-np.inf, -np.inf, None)
     failures = 0
-    seen = _weak(None), _weak(None)  # the rows of `before`, kept by the draw alone
     for P, Q, PT, QT, point_of in blocks:
-        if seen[0]() is not P or seen[1]() is not Q:
+        if P is not None:
             before = evaluate(P, Q)
-            seen = _weak(P), _weak(Q)
         after = evaluate(PT, QT)
         k, margin, gap, fail = _reduce(*judge(before, after))
         failures += fail
@@ -281,19 +269,20 @@ def _binary_triple(p, q, a, b):
             np.array([[a, 1 - a], [b, 1 - b]]))
 
 
-def _grid_binary(grid: int):
+def _grid_binary(grid: int, alphas, betas):
     """The exhaustive (p, q, alpha, beta) grid, p, q interior, by blocks: one
-    per beta, every pair of grid points before and, after, every pair of the
-    points each alpha maps them to by x -> x alpha + beta (1 - x)."""
+    per beta, every pair of the points each alpha maps the grid points to by
+    x -> x alpha + beta (1 - x) after, and every pair of grid points before,
+    given by the first block alone (None after it)."""
     x = interior_binary_points(grid)
-    ab = np.linspace(0.0, 1.0, grid)
-    P, Q = pair_rows(x)
-    for beta in ab:
+    alphas = np.asarray(alphas, dtype=float)
+    before = pair_rows(x)
+    for beta in betas:
         def point_of(k):
-            ia, ip, iq = np.unravel_index(k, (grid, grid, grid))
-            return _binary_triple(x[ip], x[iq], ab[ia], beta)
-        yield (P, Q, *pair_rows(x[None, :] * ab[:, None] + beta * (1.0 - x[None, :])),
-               point_of)
+            ia, ip, iq = np.unravel_index(k, (len(alphas), grid, grid))
+            return _binary_triple(x[ip], x[iq], alphas[ia], beta)
+        yield (*before, *pair_rows(x * alphas[:, None] + beta * (1.0 - x)), point_of)
+        before = None, None
 
 
 def _draw_binary(rng: np.random.Generator, trials: int):
@@ -333,8 +322,11 @@ def check_dpi(d: DivergenceSpec, n: int, grid: int = 50,
               "seed": seed, "abs_tol": DPI_ABS_TOL, "rel_tol": DPI_REL_TOL,
               "divergence": d.label}
     trials = random_trials + (grid ** 4 if n == 2 else 0)
-    draw = (chain(_grid_binary(grid), _draw_binary(rng, random_trials)) if n == 2
-            else _draw_channels(rng, random_trials, n))
+    if n == 2:
+        ab = np.linspace(0.0, 1.0, max(grid, 0))  # _search refuses a negative grid
+        draw = chain(_grid_binary(grid, ab, ab), _draw_binary(rng, random_trials))
+    else:
+        draw = _draw_channels(rng, random_trials, n)
     return _search("dpi", trials, config, draw, _dpi_judge, d, refine=dpi_local_refine)
 
 
@@ -477,28 +469,22 @@ def check_sufficiency(d: DivergenceSpec, n: int, trials: int = 10_000,
               "divergence": d.label, "kinds": ",".join(k for k in kinds if share[k] > 0)}
     blocks = chain(_draw_permutation(rng, share.pop("permutation"), n),
                    *(_draw_merge_split(rng, m, n, kind) for kind, m in share.items()))
-    return _search("sufficiency", trials, config, blocks, _suff_judge, d)
+    return _search("sufficiency", trials, config, blocks,
+                   _equality_judge(SUFFICIENCY_TOL), d)
 
 
 # ---------------------------------------------------------------------------
 # decomposability (binary)
 # ---------------------------------------------------------------------------
 
-def _draw_swap(grid: int):
-    """The one block of the decomposability grid: every pair of interior grid
-    points before, and the pair with both distributions swapped after."""
-    x = interior_binary_points(grid)
-    yield (*pair_rows(x), *pair_rows(1.0 - x),
-           lambda k: _binary_triple(x[k // grid], x[k % grid], 0.0, 1.0))
-
-
 def check_decomposable_binary(d: DivergenceSpec, grid: int = 200) -> CheckReport:
     """Swap symmetry D((p,1-p);(q,1-q)) = D((1-p,p);(1-q,q)) on a grid, which
     on binary alphabets is equivalent to the divergence being a coordinatewise
-    sum.  A witness is the flagged pair with the swap channel."""
+    sum.  The swap is the binary grid's channel alpha = 0, beta = 1, which
+    maps x to 1 - x exactly; a witness is the flagged pair with it."""
     config = {"grid": grid, "tol": DECOMPOSABLE_TOL, "divergence": d.label}
-    return _search("decomposability", grid * grid, config, _draw_swap(grid),
-                   _decomposability_judge, d)
+    return _search("decomposability", grid * grid, config,
+                   _grid_binary(grid, [0.0], [1.0]), _equality_judge(DECOMPOSABLE_TOL), d)
 
 
 # ---------------------------------------------------------------------------

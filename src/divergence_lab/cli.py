@@ -44,7 +44,6 @@ DEFAULTS = {
     "points": 512,
     "format": "json",
 }
-FORMATS = ("json", "markdown")
 # the `check` flags each property reads (dpi reads --grid at n = 2 only); a
 # given flag that its property does not read is an error, never dropped
 CHECK_READS = {"dpi": {"divergence", "grid", "trials", "seed"},
@@ -118,7 +117,7 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("verify", help="run verification scenarios")
     v.add_argument("target", nargs="?", help="'all' or a scenario id")
     common(v, "seed", "out")
-    v.add_argument("--format", choices=FORMATS, dest="format")
+    v.add_argument("--format", choices=scenarios.FORMATS, dest="format")
     v.add_argument("--list", action="store_true", help="list scenario ids")
     return p
 
@@ -126,7 +125,7 @@ def _build_parser() -> _Parser:
 def _load_config(path: str) -> dict:
     """The JSON object in `path`; every key must be one of DEFAULTS, every
     value of its default's type (a bool is not an int), and a format one of
-    FORMATS."""
+    scenarios.FORMATS."""
     config = json.loads(Path(path).read_text())
     if not isinstance(config, dict):
         raise ValueError(f"config {path}: expected a JSON object, got "
@@ -139,9 +138,10 @@ def _load_config(path: str) -> dict:
         if type(value) is not want:
             raise ValueError(f"config {path}: {key!r} must be {want.__name__}, "
                              f"got {json.dumps(value)}")
-        if key == "format" and value not in FORMATS:
+        if key == "format" and value not in scenarios.FORMATS:
             raise ValueError(f"config {path}: 'format' must be one of "
-                             f"{', '.join(FORMATS)}, got {json.dumps(value)}")
+                             f"{', '.join(scenarios.FORMATS)}, "
+                             f"got {json.dumps(value)}")
     return config
 
 
@@ -287,10 +287,8 @@ def _cmd_verify(args, config) -> int:
         print(f"{r.scenario_id}: {r.status} ({r.runtime_seconds:.2f}s)")
     if args.out:
         scenarios.emit_report(results, args.out, fmt=fmt, seed=seed)
-    elif fmt == "json":
-        print(json.dumps(scenarios.report_json_dict(results, seed), indent=2))
     else:
-        print(scenarios.report_markdown(results, seed), end="")
+        print(scenarios.render_report(results, fmt, seed), end="")
     return EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATION
 
 

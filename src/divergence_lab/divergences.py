@@ -412,10 +412,15 @@ def _kl_perspective(P, Q):
 
 
 def _chi2_perspective(P, Q):
-    """where(P > 0, D (D / Q), Q) with D = P - Q"""
+    """where(P > 0, D (D / Q), Q) with D = P - Q, and D D / Q where D / Q
+    overflows at Q > 0 but the term does not (at Q = 0 < P it stays +inf,
+    where D D can underflow to 0 and give 0 / 0)"""
     D = P - Q
     T = D / Q
     T *= D
+    over = np.isinf(T)
+    if over.any():
+        np.divide(D * D, Q, out=T, where=over & (Q > 0))
     np.copyto(T, Q, where=~(P > 0))
     return T
 

@@ -34,6 +34,7 @@ from .simplex import interior_binary_points, merge_transform
 
 # the verdict a check must reach where a scenario requires the property to hold
 CLEAN = "no_violation_found"
+FORMATS = ("json", "markdown")   # the formats of a verification report
 
 
 @dataclass
@@ -349,13 +350,16 @@ def report_markdown(results: list[ScenarioResult], seed: int) -> str:
     return "\n".join(lines)
 
 
+def render_report(results: list[ScenarioResult], fmt: str, seed: int) -> str:
+    """The report of `results` in `fmt`, one of FORMATS: the text that
+    `emit_report` writes and `verify` prints without --out."""
+    if fmt == "json":
+        return json.dumps(report_json_dict(results, seed), indent=2) + "\n"
+    if fmt == "markdown":
+        return report_markdown(results, seed)
+    raise ValueError(f"unknown report format {fmt!r}")
+
+
 def emit_report(results: list[ScenarioResult], path, fmt: str = "json",
                 seed: int = 42) -> None:
-    path = Path(path)
-    if fmt == "json":
-        payload = json.dumps(report_json_dict(results, seed), indent=2) + "\n"
-    elif fmt == "markdown":
-        payload = report_markdown(results, seed)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    path.write_text(payload)
+    Path(path).write_text(render_report(results, fmt, seed))

@@ -515,8 +515,9 @@ def kl_type_family(name):
 @pytest.mark.parametrize("name", ["square", "ramp", "decreasing"])
 def test_binary_grid_scan_matches_rows(name):
     d = kl_type_family(name)
+    ab = np.linspace(0.0, 1.0, 30)
     margin, gap, triple, failures = _scan(d.evaluate_batch, _dpi_judge,
-                                          _grid_binary(30))
+                                          _grid_binary(30, ab, ab))
     margin0, gap0, triple0, failures0 = dpi_scan_rows(d, 30)
     assert (margin, gap, failures) == (margin0, gap0, failures0)
     for got, want in zip(triple, triple0):
@@ -890,7 +891,8 @@ def fresh_block_sizes(trials):
 def reference_scan(evaluate, judge, blocks):
     best, failures = (-np.inf, -np.inf, None), 0
     for P, Q, PT, QT, point_of in blocks:
-        k, margin, gap, fail = _reduce(*judge(evaluate(P, Q), evaluate(PT, QT)))
+        before = before if P is None else evaluate(P, Q)
+        k, margin, gap, fail = _reduce(*judge(before, evaluate(PT, QT)))
         failures += fail
         if margin > best[0]:
             best = (margin, gap, point_of(k))
@@ -1040,7 +1042,7 @@ def noting_blocks(reference, noted):
     def scan(evaluate, judge, blocks):
         def noting_draw():
             for i, (*rows, point_of) in enumerate(blocks):
-                def noting(k, i=i, m=len(rows[0]), point_of=point_of):
+                def noting(k, i=i, m=len(rows[2]), point_of=point_of):
                     noted.append((i, m))
                     return point_of(k)
                 yield (*rows, noting)
@@ -1166,8 +1168,10 @@ def test_every_row_of_every_check_runs_through_scan(monkeypatch, check, rows):
 
 
 def test_grid_rows_before_are_evaluated_once_per_check(monkeypatch):
-    # every beta block of the binary grid yields the same grid^2 rows before:
-    # one evaluation of them and one of each block's rows after
+    # the binary grid yields its grid^2 rows before on its first block alone:
+    # one evaluation of them and one of each block's rows after, for the
+    # data-processing grid (one block per beta) and the decomposability swap
+    # (alpha = 0, beta = 1, one block)
     calls = []
     scan = checkers._scan
 
@@ -1179,6 +1183,9 @@ def test_grid_rows_before_are_evaluated_once_per_check(monkeypatch):
     monkeypatch.setattr(checkers, "_scan", counting)
     check_dpi(catalog("kl"), 2, grid=5, random_trials=0)
     assert calls == [(5, 5)] + [(5, 5, 5)] * 5
+    calls.clear()
+    check_decomposable_binary(catalog("kl"), grid=5)
+    assert calls == [(5, 5), (1, 5, 5)]
 
 
 HEAP_PROBE = """

@@ -443,6 +443,18 @@ class TestVerify:
         assert "| q2-example-fidelity | pass |" in out
         assert "## q2-example-fidelity" in out
 
+    @pytest.mark.parametrize("fmt", scenarios.FORMATS)
+    def test_printed_report_is_the_written_one(self, capsys, tmp_path, fmt):
+        # without --out, verify prints after its progress line the bytes
+        # that --out writes
+        path = tmp_path / "rep"
+        argv = ("verify", "q2-example-fidelity", "--seed", "42", "--format", fmt)
+        assert run_cli_capture(capsys, *argv, "--out", str(path))[0] == 0
+        code, out, _ = run_cli_capture(capsys, *argv)
+        progress, printed = out.split("\n", 1)
+        assert code == 0 and progress.startswith("q2-example-fidelity: pass (")
+        assert printed.encode() == path.read_bytes()
+
 
 def test_console_entry_point_exists():
     proc = subprocess.run([sys.executable, "-m", "divergence_lab.cli",

@@ -129,6 +129,18 @@ class TestFDivergence:
             warnings.simplefilter("error")
             assert without_perspective("tv").evaluate(P, Q) == 1.0
 
+    def test_chi2_is_finite_where_d_over_q_overflows(self):
+        # (p - q) / q overflows at q = 1e-310 while (p - q)^2 / q does not:
+        # chi2 is the exact sum, correctly rounded.  At q = 0 < p it stays
+        # +inf, also where (p - q)^2 underflows to 0
+        P, Q = [0.125, 0.875], [1e-310, 1.0 - 1e-310]
+        assert chi2_reference(P, Q) == 1.5625000000000048e+308
+        assert catalog("chi2").evaluate(P, Q) == 1.5625000000000048e+308
+        assert catalog("chi2").evaluate_batch(
+            [[0.125, 0.875], [5e-324, 1.0 - 5e-324]],
+            [[1e-310, 1.0 - 1e-310], [0.0, 1.0]]).tolist() == [1.5625000000000048e+308,
+                                                              np.inf]
+
     def test_chi2_value(self):
         got = fdiv("chi2").evaluate([0.3, 0.7], [0.5, 0.5])
         assert got == pytest.approx(0.04 / 0.5 + 0.04 / 0.5, abs=1e-12)
